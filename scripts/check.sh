@@ -38,13 +38,11 @@
 # The --bench-only mode is what the `check_bench_json` CTest target
 # runs: the full mode invokes ctest itself and must not recurse.
 #
-# The throughput benchmark step validates that the report parses and
-# carries both the fast-path and baseline aggregate numbers; it does
-# not enforce a speedup threshold, since CI machines vary (see the
-# committed BENCH_throughput.json for reference numbers). The pipeline
-# benchmark additionally floor-gates the jobs=8 parallel speedup with
-# a core-count-aware threshold (>= 1.0 on multi-core hosts, a 0.5
-# collapse tripwire on single-core ones).
+# The benchmark steps validate that the throughput and pipeline
+# reports parse and carry their aggregate numbers, scaling curve and
+# metrics snapshot. They enforce no wall-clock threshold, since hosts
+# vary (see the committed BENCH_*.json files for reference numbers);
+# the perfbench `fuzz_parallel` workload judges parallel throughput.
 set -euo pipefail
 
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
@@ -162,8 +160,8 @@ if [ "${1:-}" = "tsan" ]; then
     "$build_dir/src/verify/mipsverify" --jobs 8 --corpus --quiet \
         --stats=json > /dev/null
     # --jobs 0 = auto-detect worker count (docs/CLI.md): same corpus
-    # pass (including the dispatch-heavy jump-table programs) through
-    # whatever hardware_concurrency() reports.
+    # pass (including the dispatch-heavy jump-table programs) on one
+    # worker per usable core.
     "$build_dir/src/verify/mipsverify" --jobs 0 --corpus --quiet \
         --stats=json > /dev/null
     echo "check.sh: tsan green"
@@ -422,12 +420,7 @@ print(f"bench_throughput: fastpath {fast/1e6:.1f}M instr/s, "
 EOF
 
 # Pipeline-session benchmark: corpus chains serial vs cached plus a
-# jobs ∈ {1,2,4,8} scaling sweep. Structure is validated, and the
-# jobs = 8 speedup is floor-gated with a core-count-aware threshold:
-# a multi-core host must not be slower than serial (>= 1.0); a
-# single-core host cannot express parallelism and only has to clear a
-# collapse tripwire (>= 0.5 — pure scheduling overhead costs ~20%,
-# a lock convoy or thundering herd costs far more).
+# jobs ∈ {1,2,4,8} scaling sweep. Only the structure is validated.
 pjson=$build_dir/BENCH_pipeline.json
 "$build_dir/bench/bench_pipeline" --json="$pjson" \
     --benchmark_filter='^$' > /dev/null
@@ -458,11 +451,6 @@ if abs(scaling[0]["speedup"] - 1.0) > 1e-6:
 if scaling[-1]["ms"] != report["parallel_ms"]:
     sys.exit("bench_pipeline parallel_ms disagrees with the jobs=8 "
              "scaling point")
-floor = 1.0 if cores >= 2 else 0.5
-if report["parallel_speedup"] < floor:
-    sys.exit(f"bench_pipeline parallel_speedup "
-             f"{report['parallel_speedup']:.3f} below the "
-             f"{floor:.1f} floor for a {cores}-core host")
 metrics = {m["name"]: m for m in report["metrics"]}
 if metrics["pipeline.compile.lookups"]["value"] <= 0:
     sys.exit("bench_pipeline snapshot recorded no pipeline lookups")

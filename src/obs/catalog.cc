@@ -104,7 +104,7 @@ pipelineCacheShardConflicts()
 {
     static Counter &c = Registry::instance().counter(
         "pipeline.cache.shard_conflicts", "count",
-        "cache lookups that contended on a shard lock");
+        "cache lookups that found their stage cache's lock held");
     return c;
 }
 
@@ -121,12 +121,6 @@ batchMetrics()
         b.claims = &r.counter(
             "batch.claims", "count",
             "item indices claimed by workers (== items completed)");
-        b.chunk_claims = &r.counter(
-            "batch.chunk_claims", "count",
-            "index chunks taken off the shared claim cursor");
-        b.steals = &r.counter(
-            "batch.steals", "count",
-            "successful steals of queued items from another worker");
         b.workers_spawned =
             &r.counter("batch.workers_spawned", "count",
                        "worker threads created by BatchRunner");
@@ -135,7 +129,7 @@ batchMetrics()
             "total wall time workers spent inside item callbacks");
         b.queue_depth = &r.gauge(
             "batch.queue_depth", "items",
-            "items of the most recent runAll not yet completed "
+            "items of all in-flight runAll calls not yet completed "
             "(0 when idle)");
         return b;
     }();

@@ -56,24 +56,21 @@ StageMetrics &pipelineStageMetrics(size_t stage);
  *  computations (cache misses), any stage. */
 Histogram &pipelineStageMissMs();
 
-/** `pipeline.cache.shard_conflicts`: lookups that found their cache
- *  shard's lock held by another thread. Near zero for distinct-key
- *  workloads under the 16-way sharded session cache. */
+/** `pipeline.cache.shard_conflicts`: lookups that found their stage
+ *  cache's lock held by another thread. */
 Counter &pipelineCacheShardConflicts();
 
 // ------------------------------------------------------- batch runner
 
-/** Handles for `batch.*` (the BatchRunner work-stealing pool). */
+/** Handles for `batch.*` (the BatchRunner worker pool). */
 struct BatchMetrics
 {
     Counter *runs;            ///< runAll invocations
     Counter *items;           ///< items submitted
     Counter *claims;          ///< items executed by workers
-    Counter *chunk_claims;    ///< chunks taken off the shared cursor
-    Counter *steals;          ///< successful steals from another worker
     Counter *workers_spawned; ///< worker threads created
     Counter *worker_busy_us;  ///< total µs workers spent in callbacks
-    Gauge *queue_depth;       ///< items of the current run not yet done
+    Gauge *queue_depth;       ///< unfinished items of all in-flight runs
 };
 BatchMetrics &batchMetrics();
 

@@ -1,51 +1,50 @@
 /**
  * @file
- * BatchRunner: a work-stealing fixed-thread-pool fan-out.
+ * BatchRunner: a fixed-thread-pool fan-out over one claim cursor.
  *
- * `runAll` spawns min(jobs, items) threads. Workers claim *chunks* of
- * item indices from one shared atomic cursor (amortizing the
- * claim/wake overhead that dominates millisecond-scale items), queue
- * the remainder of each chunk in a per-worker deque, and — once the
- * cursor is exhausted — steal half of a victim's queued items from
- * the back. Each deque is guarded by its own cache-line-aligned
- * mutex; deque operations happen once per chunk or steal, not per
- * item, so the lock is all but uncontended. The shared mutable state
- * stays auditable: the claim cursor, the per-worker deques, per-slot
- * results (each written by exactly one thread), and whatever the
- * callback itself shares — for pipeline work that is a `Session`,
- * whose sharded cache is internally synchronized.
+ * `runAll` runs min(jobs, items) worker threads. Every worker runs the
+ * same loop — claim the next item index off one shared atomic cursor,
+ * run it, repeat until the cursor passes the end — and `jobs <= 1`
+ * runs that loop on the calling thread. One claim per item
+ * costs one relaxed `fetch_add` per millisecond-scale item, and a
+ * worker stuck on a slow item holds nothing but that item, so no
+ * claimed work is stranded behind it. The shared mutable state stays
+ * auditable: the cursor, per-slot results and errors (each written by
+ * exactly one thread), and whatever the callback itself shares — for
+ * pipeline work that is a `Session`, whose stage caches are internally
+ * synchronized.
  *
  * Determinism: results are collected by input index, so the returned
- * vector is element-wise identical to a serial run regardless of
- * scheduling or stealing. Exceptions are captured per item and the
- * lowest-index one is rethrown after all threads join.
+ * vector is element-wise identical at any job count. Every item runs
+ * at every job count; exceptions are captured per item and the
+ * lowest-index one is rethrown after all workers finish.
  *
- * `jobs == 0` means auto: one worker per hardware thread
+ * `jobs == 0` means auto: one worker per core the process may use
  * (`defaultJobs()`).
  *
  * Observability: every run reports through the `batch.*` metrics
- * (items, claims, chunk claims, steals, workers spawned, worker busy
- * time, and a live queue-depth gauge — see docs/METRICS.md). The
- * queue-depth gauge counts items not yet *completed* (decremented
- * when an item finishes, not when it is claimed) and is asserted to
- * return to 0 after every run. Workers accumulate busy time and
- * steal/claim counts in locals and publish once at exit, so the
- * per-item cost of being observable is one relaxed counter add and
- * one gauge decrement.
+ * (items, claims, workers spawned, worker busy time, and a live
+ * queue-depth gauge — see docs/METRICS.md). The gauge is add/sub
+ * only: a run adds its item count when it starts and subtracts one
+ * per finished item, so it counts the unfinished items of every
+ * in-flight run, and concurrent runners never disturb each other.
+ * Each run checks its own completion count after its workers finish.
+ * Workers accumulate busy time and claim counts in locals and publish
+ * them once at exit.
  */
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <deque>
 #include <exception>
-#include <mutex>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "obs/catalog.h"
+#include "support/cores.h"
 #include "support/logging.h"
 
 namespace mips::pipeline {
@@ -59,14 +58,9 @@ class BatchRunner
     {
     }
 
-    /** One worker per hardware thread; 1 when the hardware does not
-     *  say (`std::thread::hardware_concurrency() == 0`). */
-    static unsigned
-    defaultJobs()
-    {
-        unsigned hw = std::thread::hardware_concurrency();
-        return hw == 0 ? 1 : hw;
-    }
+    /** One worker per core the process may use: the affinity mask
+     *  capped by any cgroup CPU quota (`support::effectiveCores()`). */
+    static unsigned defaultJobs() { return support::effectiveCores(); }
 
     unsigned jobs() const { return jobs_; }
 
@@ -90,51 +84,19 @@ class BatchRunner
         bm.items->add(items.size());
         if (items.empty())
             return results;
-        bm.queue_depth->set(static_cast<int64_t>(items.size()));
+        bm.queue_depth->add(static_cast<int64_t>(items.size()));
 
-        size_t threads = std::min<size_t>(jobs_, items.size());
-        if (threads <= 1) {
-            BusyClock::time_point start = BusyClock::now();
-            for (size_t i = 0; i < items.size(); ++i) {
-                bm.claims->add();
-                results[i] = fn(items[i], i);
-                bm.queue_depth->add(-1);
-            }
-            bm.worker_busy_us->add(static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    BusyClock::now() - start)
-                    .count()));
-            if (bm.queue_depth->value() != 0)
-                support::panic("BatchRunner: queue depth %lld after a "
-                               "serial run, expected 0",
-                               static_cast<long long>(
-                                   bm.queue_depth->value()));
-            return results;
-        }
-
-        // Chunk size: enough to amortize cursor traffic (items are
-        // claimed ~4 chunks per worker), small enough that the tail
-        // imbalance work stealing has to fix stays bounded.
-        size_t chunk = std::min<size_t>(
-            std::max<size_t>(items.size() / (threads * 4), 1), 64);
-
-        struct alignas(64) WorkerQueue
-        {
-            std::mutex mu;
-            std::deque<size_t> q;
-        };
-        std::vector<WorkerQueue> queues(threads);
-        std::atomic<size_t> cursor{0};
         std::vector<std::exception_ptr> errors(items.size());
-
-        auto worker = [&](size_t self) {
+        std::atomic<size_t> cursor{0};
+        std::atomic<size_t> done{0};
+        auto worker = [&] {
             uint64_t busy_us = 0;
-            uint64_t item_claims = 0;
-            uint64_t chunk_claims = 0;
-            uint64_t steals = 0;
-            WorkerQueue &mine = queues[self];
-            auto run = [&](size_t i) {
-                ++item_claims;
+            uint64_t claims = 0;
+            for (;;) {
+                size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+                if (i >= items.size())
+                    break;
+                ++claims;
                 BusyClock::time_point start = BusyClock::now();
                 try {
                     results[i] = fn(items[i], i);
@@ -146,86 +108,29 @@ class BatchRunner
                         std::chrono::microseconds>(BusyClock::now() -
                                                    start)
                         .count());
+                done.fetch_add(1, std::memory_order_relaxed);
                 bm.queue_depth->add(-1);
-            };
-            for (;;) {
-                size_t i = items.size(); // sentinel: nothing claimed
-                {
-                    std::lock_guard<std::mutex> lock(mine.mu);
-                    if (!mine.q.empty()) {
-                        i = mine.q.front();
-                        mine.q.pop_front();
-                    }
-                }
-                if (i >= items.size()) {
-                    // Local queue dry: claim a fresh chunk off the
-                    // shared cursor, run its first index, queue the
-                    // rest.
-                    size_t base = cursor.fetch_add(
-                        chunk, std::memory_order_relaxed);
-                    if (base < items.size()) {
-                        size_t end =
-                            std::min(base + chunk, items.size());
-                        ++chunk_claims;
-                        i = base;
-                        if (end - base > 1) {
-                            std::lock_guard<std::mutex> lock(mine.mu);
-                            for (size_t j = base + 1; j < end; ++j)
-                                mine.q.push_back(j);
-                        }
-                    }
-                }
-                if (i >= items.size()) {
-                    // Cursor exhausted: steal half a victim's queue
-                    // from the back (the items it would reach last).
-                    for (size_t off = 1; off < threads; ++off) {
-                        WorkerQueue &victim =
-                            queues[(self + off) % threads];
-                        std::vector<size_t> got;
-                        {
-                            std::lock_guard<std::mutex> lock(
-                                victim.mu);
-                            size_t take = (victim.q.size() + 1) / 2;
-                            while (take-- > 0) {
-                                got.push_back(victim.q.back());
-                                victim.q.pop_back();
-                            }
-                        }
-                        if (got.empty())
-                            continue;
-                        ++steals;
-                        i = got.back();
-                        got.pop_back();
-                        if (!got.empty()) {
-                            std::lock_guard<std::mutex> lock(mine.mu);
-                            for (size_t j : got)
-                                mine.q.push_back(j);
-                        }
-                        break;
-                    }
-                }
-                if (i >= items.size())
-                    break; // no work anywhere: done
-                run(i);
             }
             bm.worker_busy_us->add(busy_us);
-            bm.claims->add(item_claims);
-            bm.chunk_claims->add(chunk_claims);
-            bm.steals->add(steals);
+            bm.claims->add(claims);
         };
 
-        bm.workers_spawned->add(threads);
-        std::vector<std::thread> pool;
-        pool.reserve(threads);
-        for (size_t t = 0; t < threads; ++t)
-            pool.emplace_back(worker, t);
-        for (std::thread &t : pool)
-            t.join();
-        if (bm.queue_depth->value() != 0)
-            support::panic("BatchRunner: queue depth %lld after a "
-                           "run, expected 0",
-                           static_cast<long long>(
-                               bm.queue_depth->value()));
+        size_t threads = std::min<size_t>(jobs_, items.size());
+        if (threads <= 1) {
+            worker();
+        } else {
+            bm.workers_spawned->add(threads);
+            std::vector<std::thread> pool;
+            pool.reserve(threads);
+            for (size_t t = 0; t < threads; ++t)
+                pool.emplace_back(worker);
+            for (std::thread &t : pool)
+                t.join();
+        }
+        if (size_t n = done.load(); n != items.size())
+            support::panic("BatchRunner: %zu of %zu items completed "
+                           "after a run",
+                           n, items.size());
         for (std::exception_ptr &e : errors)
             if (e)
                 std::rethrow_exception(e);

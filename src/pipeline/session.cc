@@ -1,10 +1,10 @@
 #include "pipeline/session.h"
 
-#include <array>
-#include <atomic>
 #include <chrono>
-#include <functional>
+#include <condition_variable>
+#include <mutex>
 #include <optional>
+#include <unordered_map>
 
 #include "obs/catalog.h"
 #include "obs/trace.h"
@@ -83,12 +83,6 @@ keyOf(const SimOptions &o)
 }
 
 } // namespace
-
-size_t
-cacheShardOf(std::string_view key)
-{
-    return std::hash<std::string_view>{}(key) & (kCacheShards - 1);
-}
 
 const char *
 stageName(Stage stage)
@@ -171,7 +165,7 @@ PipelineStats::table() const
                     : "-",
               support::TextTable::num(missMs(), 1)});
     return t.render() +
-           strprintf("cache shard conflicts: %llu\n",
+           strprintf("cache lock conflicts: %llu\n",
                      static_cast<unsigned long long>(shard_conflicts));
 }
 
@@ -180,65 +174,40 @@ PipelineStats::table() const
 struct Session::Impl
 {
     /**
-     * One cache entry. `result` is written exactly once, under the
-     * owning shard's lock, after which `ready` flips (release) and
-     * waiters wake; from then on the entry is immutable and may be
-     * read with no lock at all — the fast path acquire-loads `ready`
-     * and copies `result`.
+     * One cache entry. `result` is written once and `ready` then set,
+     * both under the owning cache's lock; from then on the entry is
+     * immutable.
      */
     template <typename T>
     struct Slot
     {
-        std::atomic<bool> ready{false};
+        bool ready = false;
         std::optional<support::Result<std::shared_ptr<const T>>> result;
     };
 
-    template <typename T>
-    using Map = std::unordered_map<std::string,
-                                   std::shared_ptr<Slot<T>>>;
-
     /**
-     * One cache shard: a cache-line-aligned mutex/cv pair plus an
-     * RCU-style published snapshot of the shard's key → slot map.
-     * Readers atomically load `snap` and search it lock-free; writers
-     * (misses) copy the map under `mu`, insert, and re-publish. The
-     * copy is cheap — shard maps hold a handful of shared_ptrs — and
-     * happens once per computed artifact, never per hit.
+     * One stage's cache: a key → slot map behind one lock. Hits,
+     * misses and same-key waits all take `mu`; stage work never runs
+     * while it is held. DESIGN.md §10 has the measurements that made
+     * one lock per stage enough.
      */
-    template <typename T>
-    struct alignas(64) Shard
-    {
-        std::mutex mu;
-        std::condition_variable cv;
-        /** Lookups that found `mu` held by another thread. */
-        std::atomic<uint64_t> conflicts{0};
-        std::atomic<std::shared_ptr<const Map<T>>> snap;
-    };
-
     template <typename T>
     struct Cache
     {
-        std::array<Shard<T>, kCacheShards> shards;
-
-        uint64_t
-        conflicts() const
-        {
-            uint64_t n = 0;
-            for (const Shard<T> &s : shards)
-                n += s.conflicts.load(std::memory_order_relaxed);
-            return n;
-        }
+        std::mutex mu;
+        std::condition_variable cv;
+        std::unordered_map<std::string, std::shared_ptr<Slot<T>>> map;
     };
 
-    /** Per-stage counters, striped per thread (obs::Counter cells) so
-     *  the lock-free hit path never shares a cache line between
-     *  threads. `miss_ns` holds nanoseconds; stats() renders ms. */
+    /** Per-stage counters (obs::Counter cells, striped per thread).
+     *  `miss_ns` holds nanoseconds; stats() renders ms. */
     struct StageLocal
     {
         obs::Counter hits;
         obs::Counter misses;
         obs::Counter wait_blocks;
         obs::Counter miss_ns;
+        obs::Counter conflicts; ///< lookups that found the lock held
     };
     StageLocal counters[kStageCount];
 
@@ -252,36 +221,9 @@ struct Session::Impl
     Cache<CostArtifact> cost_cache;
     Cache<RangeArtifact> range_cache;
 
-    uint64_t
-    shardConflicts() const
-    {
-        return parse_cache.conflicts() + compile_cache.conflicts() +
-               assemble_cache.conflicts() + reorg_cache.conflicts() +
-               verify_cache.conflicts() + tv_cache.conflicts() +
-               sim_cache.conflicts() + cost_cache.conflicts() +
-               range_cache.conflicts();
-    }
-
-    /** Lock a shard, counting the acquisition as a conflict (locally
-     *  and in `pipeline.cache.shard_conflicts`) when another thread
-     *  already holds it. */
-    template <typename T>
-    std::unique_lock<std::mutex>
-    lockShard(Shard<T> &shard)
-    {
-        std::unique_lock<std::mutex> lock(shard.mu, std::try_to_lock);
-        if (!lock.owns_lock()) {
-            shard.conflicts.fetch_add(1, std::memory_order_relaxed);
-            obs::pipelineCacheShardConflicts().add();
-            lock.lock();
-        }
-        return lock;
-    }
-
     /**
      * Return the artifact for `key`, computing it with `fn` on a
-     * miss. Ready entries are served lock-free; concurrent requests
-     * for the same key wait (on that key's shard only) for the first
+     * miss. Concurrent requests for the same key wait for the first
      * computation; `fn` runs with no lock held, so stages for
      * different keys (and nested upstream-stage calls) proceed in
      * parallel.
@@ -295,52 +237,31 @@ struct Session::Impl
             obs::pipelineStageMetrics(static_cast<size_t>(stage));
         om.lookups->add();
         StageLocal &local = counters[static_cast<size_t>(stage)];
-        Shard<T> &shard = cache.shards[cacheShardOf(key)];
-
-        // Fast path: a ready entry is immutable, so a hit is one
-        // atomic snapshot load plus a shared_ptr copy — no mutex.
-        if (std::shared_ptr<const Map<T>> snap =
-                shard.snap.load(std::memory_order_acquire)) {
-            auto it = snap->find(key);
-            if (it != snap->end() &&
-                it->second->ready.load(std::memory_order_acquire)) {
-                local.hits.add();
-                om.hits->add();
-                return *it->second->result;
-            }
-        }
 
         std::shared_ptr<Slot<T>> slot;
         {
-            std::unique_lock<std::mutex> lock = lockShard(shard);
-            // `snap` only changes under `mu`, so this re-read is
-            // stable for the duration of the critical section.
-            std::shared_ptr<const Map<T>> snap =
-                shard.snap.load(std::memory_order_relaxed);
-            if (snap) {
-                auto it = snap->find(key);
-                if (it != snap->end())
-                    slot = it->second;
+            std::unique_lock<std::mutex> lock(cache.mu, std::try_to_lock);
+            if (!lock.owns_lock()) {
+                local.conflicts.add();
+                obs::pipelineCacheShardConflicts().add();
+                lock.lock();
             }
-            if (slot) {
-                if (!slot->ready.load(std::memory_order_acquire)) {
+            auto [it, inserted] = cache.map.try_emplace(key);
+            if (inserted)
+                it->second = std::make_shared<Slot<T>>();
+            // Hold the slot itself: clear() may drop the map entry
+            // while this thread waits or computes.
+            slot = it->second;
+            if (!inserted) {
+                if (!slot->ready) {
                     local.wait_blocks.add();
                     om.wait_blocks->add();
-                    shard.cv.wait(lock, [&] {
-                        return slot->ready.load(
-                            std::memory_order_acquire);
-                    });
+                    cache.cv.wait(lock, [&] { return slot->ready; });
                 }
                 local.hits.add();
                 om.hits->add();
                 return *slot->result;
             }
-            slot = std::make_shared<Slot<T>>();
-            auto next = snap ? std::make_shared<Map<T>>(*snap)
-                             : std::make_shared<Map<T>>();
-            (*next)[key] = slot;
-            shard.snap.store(std::move(next),
-                             std::memory_order_release);
         }
 
         // Registry mirror of the miss: counted on the throw path too,
@@ -353,6 +274,14 @@ struct Session::Impl
             om.miss_us->add(static_cast<uint64_t>(ms * 1000.0));
             obs::pipelineStageMissMs().observe(ms);
         };
+        auto publish = [&](support::Result<std::shared_ptr<const T>> r) {
+            {
+                std::lock_guard<std::mutex> lock(cache.mu);
+                slot->result = std::move(r);
+                slot->ready = true;
+            }
+            cache.cv.notify_all();
+        };
         support::Result<std::shared_ptr<const T>> result = [&] {
             obs::Span span(stageName(stage));
             try {
@@ -361,36 +290,21 @@ struct Session::Impl
                 // Never leave waiters hung: publish an error, then
                 // rethrow for the caller.
                 recordMiss(msSince(start));
-                {
-                    std::unique_lock<std::mutex> lock =
-                        lockShard(shard);
-                    slot->result =
-                        support::makeError("pipeline stage threw");
-                    slot->ready.store(true, std::memory_order_release);
-                }
-                shard.cv.notify_all();
+                publish(support::makeError("pipeline stage threw"));
                 throw;
             }
         }();
         recordMiss(msSince(start));
-        {
-            std::unique_lock<std::mutex> lock = lockShard(shard);
-            slot->result = std::move(result);
-            slot->ready.store(true, std::memory_order_release);
-        }
-        shard.cv.notify_all();
-        return *slot->result;
+        publish(result);
+        return result;
     }
 
     template <typename T>
     void
     clearCache(Cache<T> &cache)
     {
-        for (Shard<T> &s : cache.shards) {
-            std::lock_guard<std::mutex> lock(s.mu);
-            s.snap.store(nullptr, std::memory_order_release);
-            s.conflicts.store(0, std::memory_order_relaxed);
-        }
+        std::lock_guard<std::mutex> lock(cache.mu);
+        cache.map.clear();
     }
 };
 
@@ -408,8 +322,8 @@ Session::stats() const
         s.stage[i].wait_blocks = c.wait_blocks.value();
         s.stage[i].miss_ms =
             static_cast<double>(c.miss_ns.value()) / 1e6;
+        s.shard_conflicts += c.conflicts.value();
     }
-    s.shard_conflicts = impl_->shardConflicts();
     return s;
 }
 
@@ -430,6 +344,7 @@ Session::clear()
         c.misses.reset();
         c.wait_blocks.reset();
         c.miss_ns.reset();
+        c.conflicts.reset();
     }
 }
 

@@ -21,18 +21,15 @@
  * run that produced it. Errors are cached too: recoverable input
  * failures (bad source) are remembered and replayed, never recomputed.
  *
- * Sessions are thread-safe and built not to serialize each other:
- * every stage cache is split into `kCacheShards` key-hash-indexed
- * shards, each cache-line aligned with its own mutex and condition
- * variable, and completed entries take a lock-free fast path — ready
- * artifacts are immutable, so a hit is an atomic snapshot load plus a
- * `shared_ptr` copy, no lock acquired. Concurrent requests for the
- * same key block on the first computation (per shard) instead of
- * duplicating it; requests for different keys compute in parallel
- * (no lock is ever held while a stage runs). `runAll` fans a corpus
- * out across a work-stealing `BatchRunner` thread pool with
- * deterministic, input-ordered result collection — parallel results
- * are element-wise identical to a serial run.
+ * Sessions are thread-safe: each stage cache is one key → slot map
+ * behind one mutex and condition variable. Hits, misses and same-key
+ * waits all take that lock, but no lock is ever held while a stage
+ * runs, so requests for different keys compute in parallel while
+ * concurrent requests for the same key block on the first computation
+ * instead of duplicating it. `runAll` fans a corpus out across a
+ * `BatchRunner` thread pool with deterministic, input-ordered result
+ * collection — parallel results are element-wise identical to a
+ * serial run.
  *
  * Per-stage hit/miss counts and miss wall time are recorded in a
  * `PipelineStats`, renderable as a `support::TextTable` for the bench
@@ -40,12 +37,9 @@
  */
 #pragma once
 
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "asm/assembler.h"
@@ -218,15 +212,6 @@ constexpr size_t kStageCount = 9;
 /** Stage name for tables and logs. */
 const char *stageName(Stage stage);
 
-/** Shards per stage cache (power of two). Distinct keys hash to
- *  independent shards, so unrelated lookups never contend on a lock
- *  — the same striping discipline as the obs::Registry cells. */
-constexpr size_t kCacheShards = 16;
-
-/** Shard index a cache key lands on (exposed for the shard
- *  distribution tests). */
-size_t cacheShardOf(std::string_view key);
-
 /** Counters for one stage of one session. The same counts are also
  *  mirrored into the process-wide obs::Registry under
  *  `pipeline.<stage>.*` (see docs/METRICS.md). */
@@ -242,9 +227,8 @@ struct StageCounters
 struct PipelineStats
 {
     StageCounters stage[kStageCount];
-    /** Times a lookup found its cache shard's lock held by another
-     *  thread (summed over every stage's shards). The sharded design
-     *  keeps this near zero for distinct-key workloads. */
+    /** Times a lookup found its stage cache's lock held by another
+     *  thread, summed over the stages. */
     uint64_t shard_conflicts = 0;
 
     uint64_t hits() const;

@@ -15,7 +15,7 @@
  *                                prove each one equivalent)
  *
  * Options: --jobs N (verify corpus units on N threads, 0 = auto: one
- * worker per hardware thread; diagnostics are buffered per unit and
+ * worker per usable core; diagnostics are buffered per unit and
  * emitted in input order, so the output is byte-identical to
  * --jobs 1 — modulo wall-clock fields, which --no-time suppresses
  * for the determinism gate), --json
@@ -938,7 +938,7 @@ main(int argc, char **argv)
                              value);
                 return 2;
             }
-            // 0 means auto: one worker per hardware thread (resolved
+            // 0 means auto: one worker per usable core (resolved
             // here so fail-fast wave sizing sees the real count).
             cli.jobs = n == 0
                            ? mips::pipeline::BatchRunner::defaultJobs()

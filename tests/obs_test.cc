@@ -283,8 +283,8 @@ TEST(Catalog, RegisterBuiltinMetricsIsIdempotentAndComplete)
     for (const char *name :
          {"pipeline.compile.lookups", "pipeline.stage_miss_ms",
           "pipeline.cache.shard_conflicts", "batch.queue_depth",
-          "batch.steals", "batch.chunk_claims", "sim.instructions",
-          "sim.decode_cache.hits", "sim.tlb.hits", "verify.units",
+          "sim.instructions", "sim.decode_cache.hits", "sim.tlb.hits",
+          "verify.units",
           "verify.diag.HZ001", "verify.unit_ms", "tv.proved"}) {
         EXPECT_NE(snap.find(name), nullptr)
             << name << " missing from registerBuiltinMetrics()";

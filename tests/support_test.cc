@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "support/bits.h"
+#include "support/cores.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/strings.h"
@@ -192,6 +193,17 @@ TEST(TableTest, PctAndNum)
 {
     EXPECT_EQ(TextTable::pct(0.248), "24.8%");
     EXPECT_EQ(TextTable::num(4.156, 3), "4.156");
+}
+
+TEST(Cores, QuotaParsing)
+{
+    EXPECT_EQ(quotaCores("max 100000"), 0u);     // v2: no limit
+    EXPECT_EQ(quotaCores("150000 100000"), 1u);  // 1.5 cores round down
+    EXPECT_EQ(quotaCores("50000 100000"), 1u);   // under one core: 1
+    EXPECT_EQ(quotaCores("400000 100000\n"), 4u);
+    EXPECT_EQ(quotaCores("-1 100000"), 0u);      // v1: no limit
+    EXPECT_EQ(quotaCores(" "), 0u);              // files absent
+    EXPECT_GE(effectiveCores(), 1u);
 }
 
 } // namespace
