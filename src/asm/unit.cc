@@ -57,7 +57,6 @@ link(const Unit &unit)
                 }
                 value = it->second;
             }
-            prog.words.push_back(isa::Instruction::makeNop());
             prog.image.push_back(value);
             ++addr;
             continue;
@@ -100,20 +99,9 @@ link(const Unit &unit)
         if (!err.empty())
             return support::makeError(err, item.source_line);
 
-        prog.words.push_back(inst);
         prog.image.push_back(isa::encode(inst));
         ++addr;
     }
-
-    // Re-decode data words so `words` matches `image` where possible
-    // (data that happens to decode as an instruction is fine; data that
-    // does not remains a no-op placeholder).
-    for (size_t i = 0; i < prog.image.size(); ++i) {
-        auto decoded = isa::decode(prog.image[i]);
-        if (decoded.ok())
-            prog.words[i] = decoded.value();
-    }
-
     return prog;
 }
 

@@ -75,15 +75,14 @@ struct Unit
 struct Program
 {
     uint32_t origin = 0;
-    std::vector<isa::Instruction> words;
-    std::vector<uint32_t> image; ///< encoded form of `words`
+    std::vector<uint32_t> image; ///< one encoded word per unit item
     std::map<std::string, uint32_t> symbols;
 
     /** Address of a required symbol; panics if absent. */
     uint32_t symbol(const std::string &name) const;
 
-    /** Number of instruction words (the whole image). */
-    size_t size() const { return words.size(); }
+    /** Number of words in the image. */
+    size_t size() const { return image.size(); }
 };
 
 /**

@@ -651,33 +651,36 @@ runFigure4()
         "l3:\n"
         "    st r4, 5(r13)\n"
         "    halt\n";
-    auto parsed = pipeline::sharedSession().assemble(fragment);
-    if (!parsed.ok())
-        support::panic("figure 4 fragment: %s",
-                       parsed.error().str().c_str());
-    const assembler::Unit &unit = parsed.value()->unit;
+    const pipeline::Source source(fragment, pipeline::Language::ASSEMBLY);
+    auto reorganized = [&](const pipeline::StageOptions &options) {
+        auto reorg = pipeline::sharedSession().reorganize(source, options);
+        if (!reorg.ok())
+            support::panic("figure 4 fragment: %s",
+                           reorg.error().str().c_str());
+        return reorg.take();
+    };
+
+    pipeline::StageOptions none;
+    none.reorg.reorder = false;
+    none.reorg.pack = false;
+    none.reorg.fill_delay = false;
+    pipeline::ReorgRef noops = reorganized(none);
+    pipeline::ReorgRef full = reorganized(pipeline::StageOptions{});
 
     std::string out = "Figure 4: reorganization, packing, and branch "
                       "delay\n\nLegal code:\n";
-    out += assembler::listUnit(unit);
-
-    reorg::ReorgOptions none;
-    none.reorder = false;
-    none.pack = false;
-    none.fill_delay = false;
-    reorg::ReorgResult noops = reorg::reorganize(unit, none);
+    out += assembler::listUnit(*full->legal);
     out += strprintf("\nWith no-ops (%zu words):\n",
-                     noops.unit.items.size());
-    out += assembler::listUnit(noops.unit);
-
-    reorg::ReorgResult full = reorg::reorganize(unit);
+                     noops->final_unit.items.size());
+    out += assembler::listUnit(noops->final_unit);
     out += strprintf("\nReorganized (%zu words, %zu packed, "
                      "%zu slots filled):\n",
-                     full.unit.items.size(), full.stats.packed_words,
-                     full.stats.slots_filled_move +
-                         full.stats.slots_filled_dup +
-                         full.stats.slots_filled_hoist);
-    out += assembler::listUnit(full.unit);
+                     full->final_unit.items.size(),
+                     full->stats.packed_words,
+                     full->stats.slots_filled_move +
+                         full->stats.slots_filled_dup +
+                         full->stats.slots_filled_hoist);
+    out += assembler::listUnit(full->final_unit);
     return out;
 }
 

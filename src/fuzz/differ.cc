@@ -1,15 +1,13 @@
 #include "fuzz/differ.h"
 
+#include <optional>
+
 #include "asm/assembler.h"
 #include "obs/catalog.h"
 #include "sim/machine.h"
+#include "sim/obspub.h"
 #include "support/logging.h"
-#include "verify/cfg.h"
 #include "verify/costmodel.h"
-#include "verify/interproc.h"
-#include "verify/memsafety.h"
-#include "verify/tv.h"
-#include "verify/verify.h"
 
 namespace mips::fuzz {
 
@@ -77,107 +75,114 @@ withBugs(std::vector<FuzzConfig> matrix, const reorg::ReorgBugs &bugs)
     return matrix;
 }
 
-// ------------------------------------------------------ Pascal path
-
+/**
+ * Every matrix config of one program, through the Session: legal
+ * unit, functional baseline, hazard verify, strict TV, value range,
+ * the pipeline run, and (Pascal) cost parity. Stops at the first
+ * failure.
+ */
 DiffResult
-runPascalDifferential(pipeline::Session &session,
-                      const GeneratedProgram &program,
-                      const DiffOptions &options)
+runMatrix(pipeline::Session &session, const GeneratedProgram &program,
+          const DiffOptions &options)
 {
     DiffResult result;
     result.name = program.name;
-    const std::string source = program.render();
+    const bool pascal = program.kind == ProgramKind::PASCAL;
+    const std::string text = program.render();
+    const pipeline::Source source(text, pascal ? pipeline::Language::PASCAL
+                                               : pipeline::Language::ASSEMBLY);
+    // Cost parity reads the profile of the simulate stage, which only
+    // Pascal units run (see the pipeline run below).
+    const bool cost_parity = pascal && options.cost_parity;
 
-    pipeline::ChainSpec spec = pipeline::fuzzOracleChain();
-    spec.cost_model = options.cost_parity;
-    spec.value_range = options.value_range;
-
+    // CC baseline: the legal unit on the interlocked functional
+    // machine defines the expected observable output. It runs once per
+    // distinct legal unit: the matrices list the configs that share
+    // one (same front-end options, so the same cached artifact) next
+    // to each other.
+    pipeline::LegalRef base_legal;
+    sim::FunctionalRun base;
     std::string expected;
-    bool have_expected = false;
 
     for (const FuzzConfig &config :
-         withBugs(pascalMatrix(), options.bugs)) {
+         withBugs(pascal ? pascalMatrix() : asmMatrix(), options.bugs)) {
         obs::fuzzChainMetrics().chains->add();
-
+        // Assembly sources ignore the compile options.
         pipeline::StageOptions o;
         o.compile.layout = config.layout;
         o.compile.jump_tables = config.jump_tables;
         o.reorg = config.reorg;
         o.sim.max_cycles = options.max_cycles;
-        o.sim.profile = spec.cost_model;
+        o.sim.profile = cost_parity;
 
         // The front end must accept its own generator's output; a
-        // parse/sema failure is a generator defect, not a finding.
-        auto compile = session.compile(source, o);
-        if (!compile.ok()) {
-            frontEnd(&result, "compile", compile.error().str());
-            return result;
-        }
-
-        // CC baseline: this config's *legal* code on the interlocked
-        // functional machine defines the expected observable output.
-        auto legal = assembler::link(compile.value()->legal_unit);
+        // parse/sema/assembly failure is a generator defect, not a
+        // finding.
+        auto legal = session.legal(source, o);
         if (!legal.ok()) {
-            frontEnd(&result, "link-legal", legal.error().str());
+            frontEnd(&result, pascal ? "compile" : "assemble",
+                     legal.error().str());
             return result;
         }
-        sim::FunctionalRun base =
-            sim::runFunctional(legal.value(), options.max_cycles);
-        if (base.reason != sim::StopReason::HALT) {
-            fail(&result, config.tag, "cc-baseline",
-                 "functional machine did not halt");
-            return result;
-        }
-        const std::string &base_console =
-            base.memory->consoleOutput();
-        if (!have_expected) {
-            expected = base_console;
-            have_expected = true;
-        } else if (base_console != expected) {
-            // Layout and lowering must not change semantics.
-            fail(&result, config.tag, "cc-baseline",
-                 strprintf("output diverged across configs "
-                           "(\"%s\" vs \"%s\")",
-                           consolePreview(expected).c_str(),
-                           consolePreview(base_console).c_str()));
-            return result;
-        }
-
-        if (spec.hazard_verify) {
-            auto v = session.hazardVerify(source, o);
-            if (!v.ok()) {
-                fail(&result, config.tag, "hazard-verify",
-                     v.error().str());
+        if (legal.value() != base_legal) {
+            const bool first = !base_legal;
+            base_legal = legal.value();
+            auto linked = assembler::link(*base_legal);
+            if (!linked.ok()) {
+                frontEnd(&result, "link-legal", linked.error().str());
                 return result;
             }
-            if (!v.value()->report.clean()) {
-                fail(&result, config.tag, "hazard-verify",
-                     strprintf("%zu error(s)",
-                               v.value()->report.errors));
+            base = sim::runFunctional(linked.value(), options.max_cycles);
+            // An assembly unit has one legal unit for every config.
+            const std::string base_tag = pascal ? config.tag : "legal";
+            if (base.reason != sim::StopReason::HALT) {
+                fail(&result, base_tag, "cc-baseline",
+                     "functional machine did not halt");
+                return result;
+            }
+            const std::string &base_console = base.memory->consoleOutput();
+            if (first) {
+                expected = base_console;
+            } else if (base_console != expected) {
+                // Layout and lowering must not change semantics.
+                fail(&result, base_tag, "cc-baseline",
+                     strprintf("output diverged across configs "
+                               "(\"%s\" vs \"%s\")",
+                               consolePreview(expected).c_str(),
+                               consolePreview(base_console).c_str()));
                 return result;
             }
         }
 
-        if (spec.translation_validate) {
-            auto tv = session.translationValidate(source, o);
-            if (!tv.ok()) {
-                fail(&result, config.tag, "translation-validate",
-                     tv.error().str());
-                return result;
-            }
-            // Strict: a TV090 "not proven" note fails the fuzzer —
-            // the generator must only emit provable shapes.
-            if (tv.value()->report.errors != 0 ||
-                tv.value()->report.notes != 0) {
-                fail(&result, config.tag, "translation-validate",
-                     strprintf("%zu error(s), %zu note(s)",
-                               tv.value()->report.errors,
-                               tv.value()->report.notes));
-                return result;
-            }
+        auto v = session.hazardVerify(source, o);
+        if (!v.ok()) {
+            fail(&result, config.tag, "hazard-verify", v.error().str());
+            return result;
+        }
+        if (!v.value()->report.clean()) {
+            fail(&result, config.tag, "hazard-verify",
+                 strprintf("%zu error(s)", v.value()->report.errors));
+            return result;
         }
 
-        if (spec.value_range) {
+        auto tv = session.translationValidate(source, o);
+        if (!tv.ok()) {
+            fail(&result, config.tag, "translation-validate",
+                 tv.error().str());
+            return result;
+        }
+        // Strict: a TV090 "not proven" note fails the fuzzer — the
+        // generator must only emit provable shapes.
+        if (tv.value()->report.errors != 0 ||
+            tv.value()->report.notes != 0) {
+            fail(&result, config.tag, "translation-validate",
+                 strprintf("%zu error(s), %zu note(s)",
+                           tv.value()->report.errors,
+                           tv.value()->report.notes));
+            return result;
+        }
+
+        if (options.value_range) {
             auto range = session.valueRange(source, o);
             if (!range.ok()) {
                 fail(&result, config.tag, "value-range",
@@ -191,27 +196,63 @@ runPascalDifferential(pipeline::Session &session,
             }
         }
 
-        auto sim = session.simulate(source, o);
-        if (!sim.ok()) {
-            fail(&result, config.tag, "simulate", sim.error().str());
-            return result;
+        // The pipeline run. Pascal units take the simulate stage,
+        // whose profile feeds cost parity. Assembly units also compare
+        // the result block in machine memory, which the simulate
+        // artifact does not keep, so they run the Session's linked
+        // program on a machine here.
+        pipeline::SimRef profiled;
+        std::optional<sim::Machine> machine;
+        sim::StopReason stop = sim::StopReason::RUNNING;
+        std::string error;
+        std::string console;
+        if (pascal) {
+            auto sim = session.simulate(source, o);
+            if (!sim.ok()) {
+                fail(&result, config.tag, "simulate", sim.error().str());
+                return result;
+            }
+            profiled = sim.value();
+            stop = profiled->stop;
+            error = profiled->error;
+            console = profiled->console;
+        } else {
+            machine.emplace();
+            machine->load(v.value()->reorg->program);
+            stop = machine->cpu().run(options.max_cycles);
+            sim::publishMetrics(*machine);
+            if (stop != sim::StopReason::HALT)
+                error = machine->cpu().errorMessage();
+            console = machine->memory().consoleOutput();
         }
-        if (sim.value()->stop != sim::StopReason::HALT) {
+        if (stop != sim::StopReason::HALT) {
             fail(&result, config.tag, "simulate",
-                 sim.value()->error.empty()
-                     ? std::string("pipeline machine did not halt")
-                     : sim.value()->error);
+                 error.empty() ? std::string("pipeline machine did not halt")
+                               : error);
             return result;
         }
-        if (sim.value()->console != expected) {
+        if (console != expected) {
             fail(&result, config.tag, "console",
                  strprintf("pipeline \"%s\" vs baseline \"%s\"",
-                           consolePreview(sim.value()->console).c_str(),
+                           consolePreview(console).c_str(),
                            consolePreview(expected).c_str()));
             return result;
         }
+        if (machine) {
+            for (uint32_t w = 0; w < kResultWords; ++w) {
+                uint32_t got = machine->memory().peek(kResultBase + w);
+                uint32_t want = base.memory->peek(kResultBase + w);
+                if (got != want) {
+                    fail(&result, config.tag, "result-block",
+                         strprintf("word %u: pipeline 0x%08x vs "
+                                   "baseline 0x%08x",
+                                   w, got, want));
+                    return result;
+                }
+            }
+        }
 
-        if (spec.cost_model) {
+        if (cost_parity) {
             auto cost = session.costModel(source, o);
             if (!cost.ok()) {
                 fail(&result, config.tag, "cost-model",
@@ -219,128 +260,11 @@ runPascalDifferential(pipeline::Session &session,
                 return result;
             }
             verify::CostParity parity = verify::checkCostParity(
-                cost.value()->report, sim.value()->exec_counts,
+                cost.value()->report, profiled->exec_counts,
                 options.cost_tolerance);
             if (parity.violations != 0) {
                 fail(&result, config.tag, "cost-parity",
                      strprintf("%zu violation(s)", parity.violations));
-                return result;
-            }
-        }
-
-        ++result.configs;
-    }
-    return result;
-}
-
-// ---------------------------------------------------- Assembly path
-
-DiffResult
-runAsmDifferential(pipeline::Session &session,
-                   const GeneratedProgram &program,
-                   const DiffOptions &options)
-{
-    DiffResult result;
-    result.name = program.name;
-    const std::string source = program.render();
-
-    auto assembled = session.assemble(source);
-    if (!assembled.ok()) {
-        frontEnd(&result, "assemble", assembled.error().str());
-        return result;
-    }
-    const assembler::Unit &input = assembled.value()->unit;
-
-    // CC baseline: the legal input on the functional machine.
-    auto legal = assembler::link(input);
-    if (!legal.ok()) {
-        frontEnd(&result, "link-legal", legal.error().str());
-        return result;
-    }
-    sim::FunctionalRun base =
-        sim::runFunctional(legal.value(), options.max_cycles);
-    if (base.reason != sim::StopReason::HALT) {
-        fail(&result, "legal", "cc-baseline",
-             "functional machine did not halt");
-        return result;
-    }
-
-    for (const FuzzConfig &config :
-         withBugs(asmMatrix(), options.bugs)) {
-        obs::fuzzChainMetrics().chains->add();
-
-        reorg::ReorgResult rr = reorg::reorganize(input, config.reorg);
-
-        verify::VerifyReport vrep =
-            verify::verifyReorganization(input, rr.unit,
-                                         verify::VerifyOptions{});
-        if (!vrep.clean()) {
-            fail(&result, config.tag, "hazard-verify",
-                 strprintf("%zu error(s)", vrep.errors));
-            return result;
-        }
-
-        verify::TvOptions tvopts;
-        tvopts.alias = config.reorg.alias;
-        verify::VerifyReport tvrep = verify::validateTranslation(
-            input, rr.unit, rr.hints, tvopts);
-        if (tvrep.errors != 0 || tvrep.notes != 0) {
-            fail(&result, config.tag, "translation-validate",
-                 strprintf("%zu error(s), %zu note(s)", tvrep.errors,
-                           tvrep.notes));
-            return result;
-        }
-
-        if (options.value_range) {
-            verify::DiagnosticEngine diags(&rr.unit);
-            verify::Cfg cfg = verify::buildCfg(rr.unit, &diags);
-            verify::CallGraph graph = verify::buildCallGraph(cfg);
-            verify::checkMemorySafety(cfg, graph,
-                                      verify::RangeCheckOptions{},
-                                      program.name, &diags);
-            if (size_t n = errorCount(diags.diagnostics())) {
-                fail(&result, config.tag, "value-range",
-                     strprintf("%zu MUST finding(s)", n));
-                return result;
-            }
-        }
-
-        auto linked = assembler::link(rr.unit);
-        if (!linked.ok()) {
-            fail(&result, config.tag, "link", linked.error().str());
-            return result;
-        }
-        sim::Machine machine;
-        machine.load(linked.value());
-        sim::StopReason stop = machine.cpu().run(options.max_cycles);
-        if (stop != sim::StopReason::HALT) {
-            fail(&result, config.tag, "simulate",
-                 stop == sim::StopReason::SIM_ERROR
-                     ? machine.cpu().errorMessage()
-                     : std::string("pipeline machine did not halt"));
-            return result;
-        }
-
-        if (machine.memory().consoleOutput() !=
-            base.memory->consoleOutput()) {
-            fail(&result, config.tag, "console",
-                 strprintf("pipeline \"%s\" vs baseline \"%s\"",
-                           consolePreview(
-                               machine.memory().consoleOutput())
-                               .c_str(),
-                           consolePreview(
-                               base.memory->consoleOutput())
-                               .c_str()));
-            return result;
-        }
-        for (uint32_t w = 0; w < kResultWords; ++w) {
-            uint32_t got = machine.memory().peek(kResultBase + w);
-            uint32_t want = base.memory->peek(kResultBase + w);
-            if (got != want) {
-                fail(&result, config.tag, "result-block",
-                     strprintf("word %u: pipeline 0x%08x vs baseline "
-                               "0x%08x",
-                               w, got, want));
                 return result;
             }
         }
@@ -408,10 +332,7 @@ runDifferential(pipeline::Session &session,
                 const DiffOptions &options)
 {
     obs::fuzzMetrics().programs->add();
-    DiffResult result =
-        program.kind == ProgramKind::PASCAL
-            ? runPascalDifferential(session, program, options)
-            : runAsmDifferential(session, program, options);
+    DiffResult result = runMatrix(session, program, options);
     if (result.mismatch())
         obs::fuzzMetrics().mismatches->add();
     return result;

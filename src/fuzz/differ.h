@@ -24,9 +24,12 @@
  *    memory (kResultBase in generator.cc) must match the functional
  *    run of the legal input under every configuration.
  *
- * A clean result means every layer agreed everywhere. A mismatch
- * carries the first failing (config, layer) pair; the minimizer
- * (minimize.h) shrinks the program while that predicate still trips.
+ * Both kinds run one config loop against the Session (`Source` says
+ * which language the text is), and the functional baseline runs once
+ * per distinct legal unit. A clean result means every layer agreed
+ * everywhere. A mismatch carries the first failing (config, layer)
+ * pair; the minimizer (minimize.h) shrinks the program while that
+ * predicate still trips.
  */
 #pragma once
 
@@ -61,7 +64,7 @@ struct DiffOptions
 {
     uint64_t max_cycles = 50'000'000;
     /** Run the static-vs-dynamic cost parity oracle (Pascal only —
-     *  it needs the profiled pipeline Session chain). */
+     *  it reads the profile of the Session's simulate stage). */
     bool cost_parity = true;
     /** Run the value-range / memory-safety oracle. */
     bool value_range = true;

@@ -82,6 +82,22 @@ keyOf(const SimOptions &o)
                      o.profile);
 }
 
+/** The Reorganize key, which every later stage's key ends with. An
+ *  assembly source has no front-end options and carries `asm` where
+ *  Pascal carries the compile options, so the same text read as the
+ *  two languages never shares an entry. */
+std::string
+reorgKey(const Source &source, const StageOptions &options)
+{
+    std::string key = keyOf(options.reorg) + "|" +
+                      (source.language == Language::ASSEMBLY
+                           ? std::string("asm")
+                           : keyOf(options.compile)) +
+                      "\n";
+    key.append(source.text);
+    return key;
+}
+
 } // namespace
 
 const char *
@@ -383,7 +399,6 @@ Session::compile(std::string_view source, const StageOptions &options)
                 return compiled.error();
             auto artifact = std::make_shared<CompileArtifact>();
             artifact->unit = compiled.value().unit;
-            artifact->asm_text = std::move(compiled.value().asm_text);
             artifact->legal_unit = std::move(compiled.value().unit);
             artifact->peephole =
                 plc::eliminateRedundantLoads(&artifact->legal_unit);
@@ -407,23 +422,37 @@ Session::assemble(std::string_view asm_text)
         });
 }
 
-support::Result<ReorgRef>
-Session::reorganize(std::string_view source, const StageOptions &options)
+support::Result<LegalRef>
+Session::legal(const Source &source, const StageOptions &options)
 {
-    auto compiled = compile(source, options);
+    if (source.language == Language::ASSEMBLY) {
+        auto assembled = assemble(source.text);
+        if (!assembled.ok())
+            return assembled.error();
+        const AssembleRef &artifact = assembled.value();
+        return LegalRef(artifact, &artifact->unit);
+    }
+    auto compiled = compile(source.text, options);
     if (!compiled.ok())
         return compiled.error();
-    std::string key =
-        keyOf(options.reorg) + "|" + keyOf(options.compile) + "\n";
-    key.append(source);
+    const CompileRef &artifact = compiled.value();
+    return LegalRef(artifact, &artifact->legal_unit);
+}
+
+support::Result<ReorgRef>
+Session::reorganize(const Source &source, const StageOptions &options)
+{
+    auto legal_unit = legal(source, options);
+    if (!legal_unit.ok())
+        return legal_unit.error();
     return impl_->getOrCompute(
-        impl_->reorg_cache, Stage::REORGANIZE, key,
+        impl_->reorg_cache, Stage::REORGANIZE, reorgKey(source, options),
         [&]() -> support::Result<ReorgRef> {
-            const CompileRef &dep = compiled.value();
+            const LegalRef &dep = legal_unit.value();
             reorg::ReorgResult result =
-                reorg::reorganize(dep->legal_unit, options.reorg);
+                reorg::reorganize(*dep, options.reorg);
             auto artifact = std::make_shared<ReorgArtifact>();
-            artifact->compile = dep;
+            artifact->legal = dep;
             artifact->stats = result.stats;
             artifact->hints = std::move(result.hints);
             artifact->final_unit = std::move(result.unit);
@@ -436,18 +465,14 @@ Session::reorganize(std::string_view source, const StageOptions &options)
 }
 
 support::Result<VerifyRef>
-Session::hazardVerify(std::string_view source,
-                      const StageOptions &options)
+Session::hazardVerify(const Source &source, const StageOptions &options)
 {
     auto reorg = reorganize(source, options);
     if (!reorg.ok())
         return reorg.error();
-    std::string key = keyOf(options.verify) + "|" +
-                      keyOf(options.reorg) + "|" +
-                      keyOf(options.compile) + "\n";
-    key.append(source);
     return impl_->getOrCompute(
-        impl_->verify_cache, Stage::HAZARD_VERIFY, key,
+        impl_->verify_cache, Stage::HAZARD_VERIFY,
+        keyOf(options.verify) + "|" + reorgKey(source, options),
         [&]() -> support::Result<VerifyRef> {
             const ReorgRef &dep = reorg.value();
             auto artifact = std::make_shared<VerifyArtifact>();
@@ -457,26 +482,23 @@ Session::hazardVerify(std::string_view source,
             // are deliberately not re-observed.
             Clock::time_point verify_start = Clock::now();
             artifact->report = verify::verifyReorganization(
-                dep->compile->legal_unit, dep->final_unit,
-                options.verify);
+                *dep->legal, dep->final_unit, options.verify);
             obs::verifyUnitMs().observe(msSince(verify_start));
             return VerifyRef(artifact);
         });
 }
 
 support::Result<TvRef>
-Session::translationValidate(std::string_view source,
+Session::translationValidate(const Source &source,
                              const StageOptions &options)
 {
     auto reorg = reorganize(source, options);
     if (!reorg.ok())
         return reorg.error();
-    std::string key = strprintf("M%zu|", options.tv_limits.max_steps) +
-                      keyOf(options.reorg) + "|" +
-                      keyOf(options.compile) + "\n";
-    key.append(source);
     return impl_->getOrCompute(
-        impl_->tv_cache, Stage::TRANSLATION_VALIDATE, key,
+        impl_->tv_cache, Stage::TRANSLATION_VALIDATE,
+        strprintf("M%zu|", options.tv_limits.max_steps) +
+            reorgKey(source, options),
         [&]() -> support::Result<TvRef> {
             const ReorgRef &dep = reorg.value();
             verify::TvOptions tvopts;
@@ -485,23 +507,20 @@ Session::translationValidate(std::string_view source,
             auto artifact = std::make_shared<TvArtifact>();
             artifact->reorg = dep;
             artifact->report = verify::validateTranslation(
-                dep->compile->legal_unit, dep->final_unit, dep->hints,
-                tvopts);
+                *dep->legal, dep->final_unit, dep->hints, tvopts);
             return TvRef(artifact);
         });
 }
 
 support::Result<SimRef>
-Session::simulate(std::string_view source, const StageOptions &options)
+Session::simulate(const Source &source, const StageOptions &options)
 {
     auto reorg = reorganize(source, options);
     if (!reorg.ok())
         return reorg.error();
-    std::string key = keyOf(options.sim) + "|" + keyOf(options.reorg) +
-                      "|" + keyOf(options.compile) + "\n";
-    key.append(source);
     return impl_->getOrCompute(
-        impl_->sim_cache, Stage::SIMULATE, key,
+        impl_->sim_cache, Stage::SIMULATE,
+        keyOf(options.sim) + "|" + reorgKey(source, options),
         [&]() -> support::Result<SimRef> {
             const ReorgRef &dep = reorg.value();
             sim::Machine machine;
@@ -534,18 +553,16 @@ Session::simulate(std::string_view source, const StageOptions &options)
 }
 
 support::Result<CostRef>
-Session::costModel(std::string_view source, const StageOptions &options)
+Session::costModel(const Source &source, const StageOptions &options)
 {
     auto reorg = reorganize(source, options);
     if (!reorg.ok())
         return reorg.error();
     // The model is a pure function of the reorganized unit: no
     // verify/sim options in the key.
-    std::string key = "cost|" + keyOf(options.reorg) + "|" +
-                      keyOf(options.compile) + "\n";
-    key.append(source);
     return impl_->getOrCompute(
-        impl_->cost_cache, Stage::COST_MODEL, key,
+        impl_->cost_cache, Stage::COST_MODEL,
+        "cost|" + reorgKey(source, options),
         [&]() -> support::Result<CostRef> {
             const ReorgRef &dep = reorg.value();
             verify::DiagnosticEngine diags(&dep->final_unit);
@@ -562,19 +579,16 @@ Session::costModel(std::string_view source, const StageOptions &options)
 }
 
 support::Result<RangeRef>
-Session::valueRange(std::string_view source, const StageOptions &options)
+Session::valueRange(const Source &source, const StageOptions &options)
 {
     auto reorg = reorganize(source, options);
     if (!reorg.ok())
         return reorg.error();
     // Pure function of the reorganized unit plus the range knobs: no
     // verify/sim options in the key.
-    std::string key = "range|" + keyOf(options.range) + "|" +
-                      keyOf(options.reorg) + "|" +
-                      keyOf(options.compile) + "\n";
-    key.append(source);
     return impl_->getOrCompute(
-        impl_->range_cache, Stage::VALUE_RANGE, key,
+        impl_->range_cache, Stage::VALUE_RANGE,
+        "range|" + keyOf(options.range) + "|" + reorgKey(source, options),
         [&]() -> support::Result<RangeRef> {
             const ReorgRef &dep = reorg.value();
             verify::DiagnosticEngine diags(&dep->final_unit);
@@ -599,19 +613,6 @@ sharedSession()
 }
 
 // --------------------------------------------------- batched chains
-
-ChainSpec
-fuzzOracleChain()
-{
-    ChainSpec spec;
-    spec.reorganize = true;
-    spec.hazard_verify = true;
-    spec.translation_validate = true;
-    spec.simulate = true;
-    spec.cost_model = true;
-    spec.value_range = true;
-    return spec;
-}
 
 std::vector<ChainResult>
 runAll(Session &session,

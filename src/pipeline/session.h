@@ -8,18 +8,22 @@
  * scratch, once per experiment driver, bench binary, and CLI run. A
  * `Session` models that chain as explicitly-dependent stages
  *
- *   Parse → Compile → Assemble → Reorganize → HazardVerify
- *                                → TranslationValidate → Simulate
- *                                → CostModel → ValueRange
+ *   Parse → Compile ─┐
+ *         Assemble ──┴→ Reorganize → HazardVerify
+ *                                  → TranslationValidate → Simulate
+ *                                  → CostModel → ValueRange
  *
  * each returning its artifact through a content-keyed cache (keyed on
  * the source text plus every stage option that can change the
  * artifact), so e.g. the Table 3 and Table 11 drivers compiling the
  * same corpus program share one compile result instead of recompiling
- * it per table. Artifacts are immutable and handed out as
- * `shared_ptr<const T>`; a cache hit is pointer-identical to the cold
- * run that produced it. Errors are cached too: recoverable input
- * failures (bad source) are remembered and replayed, never recomputed.
+ * it per table. The stages from Reorganize on take a `Source`, Pascal
+ * or assembly: like the paper's reorganizer, they are one post-pass
+ * over legal code, whoever wrote it. Artifacts are immutable and
+ * handed out as `shared_ptr<const T>`; a cache hit is
+ * pointer-identical to the cold run that produced it. Errors are
+ * cached too: recoverable input failures (bad source) are remembered
+ * and replayed, never recomputed.
  *
  * Sessions are thread-safe: each stage cache is one key → slot map
  * behind one mutex and condition variable. Hits, misses and same-key
@@ -73,7 +77,8 @@ struct SimOptions
  * The option bundle for one chain. Each stage keys its cache entry on
  * the sub-options that can change its artifact (plus those of every
  * stage it depends on), so toggling e.g. `reorg.pack` misses the
- * reorganize cache but still hits the compile cache.
+ * reorganize cache but still hits the compile cache. Assembly sources
+ * have no front-end options: their keys ignore `compile`.
  */
 struct StageOptions
 {
@@ -86,6 +91,33 @@ struct StageOptions
     /** Value-range / memory-safety knobs for the ValueRange stage. */
     verify::RangeCheckOptions range;
     SimOptions sim;
+};
+
+/** The language a source text is written in. */
+enum class Language
+{
+    PASCAL,
+    ASSEMBLY,
+};
+
+/**
+ * The input of the stages from Reorganize on: source text plus its
+ * language. Pascal text converts implicitly, so `reorganize(text)`
+ * compiles; an assembly unit is `Source(text, Language::ASSEMBLY)`.
+ * A view: the text must outlive the stage call.
+ */
+struct Source
+{
+    std::string_view text;
+    Language language = Language::PASCAL;
+
+    Source(std::string_view pascal) : text(pascal) {}
+    Source(const std::string &pascal) : text(pascal) {}
+    Source(const char *pascal) : text(pascal) {}
+    Source(std::string_view text, Language language)
+        : text(text), language(language)
+    {
+    }
 };
 
 // --------------------------------------------------------- artifacts
@@ -102,7 +134,6 @@ struct CompileArtifact
     assembler::Unit unit;       ///< as emitted (pre-peephole)
     assembler::Unit legal_unit; ///< peephole-optimized legal code
     plc::PeepholeStats peephole;
-    std::string asm_text;       ///< generated assembly source
 };
 
 /** Assemble: assembly text → parsed unit (no link; labels may be
@@ -112,10 +143,14 @@ struct AssembleArtifact
     assembler::Unit unit;
 };
 
+/** A legal unit, aliasing (and keeping alive) the compile or assemble
+ *  artifact it belongs to. */
+using LegalRef = std::shared_ptr<const assembler::Unit>;
+
 /** Reorganize: legal code → pipeline-correct unit + linked image. */
 struct ReorgArtifact
 {
-    std::shared_ptr<const CompileArtifact> compile; ///< its input
+    LegalRef legal; ///< its input
     assembler::Unit final_unit;
     assembler::Program program; ///< linked, ready to load
     reorg::ReorgStats stats;
@@ -266,36 +301,42 @@ class Session
     /** Parse assembly text into a unit (no link). */
     support::Result<AssembleRef> assemble(std::string_view asm_text);
 
-    /** Compile, reorganize, and link. */
+    /** The legal unit of `source`: compile() for Pascal, assemble()
+     *  for assembly. */
+    support::Result<LegalRef>
+    legal(const Source &source,
+          const StageOptions &options = StageOptions{});
+
+    /** Reorganize the legal unit and link it. */
     support::Result<ReorgRef>
-    reorganize(std::string_view source,
+    reorganize(const Source &source,
                const StageOptions &options = StageOptions{});
 
     /** Statically verify the reorganization (hazards + lints). */
     support::Result<VerifyRef>
-    hazardVerify(std::string_view source,
+    hazardVerify(const Source &source,
                  const StageOptions &options = StageOptions{});
 
     /** Symbolically prove the reorganized unit equivalent. */
     support::Result<TvRef>
-    translationValidate(std::string_view source,
+    translationValidate(const Source &source,
                         const StageOptions &options = StageOptions{});
 
     /** Run the linked program on the pipeline machine. */
     support::Result<SimRef>
-    simulate(std::string_view source,
+    simulate(const Source &source,
              const StageOptions &options = StageOptions{});
 
     /** Build the call graph and static cycle-cost report for the
      *  reorganized unit. */
     support::Result<CostRef>
-    costModel(std::string_view source,
+    costModel(const Source &source,
               const StageOptions &options = StageOptions{});
 
     /** Run the value-range analysis and memory-safety checks over the
      *  reorganized unit. */
     support::Result<RangeRef>
-    valueRange(std::string_view source,
+    valueRange(const Source &source,
                const StageOptions &options = StageOptions{});
 
     /** Snapshot the per-stage counters. */
@@ -350,14 +391,6 @@ struct ChainResult
 
     bool ok() const { return error.empty(); }
 };
-
-/**
- * The chain the differential fuzzer (src/fuzz) runs per matrix
- * configuration: every trust layer at once — hazard verify, strict
- * TV, simulation, cost parity, and value range. Callers may switch
- * individual oracles off afterwards (`DiffOptions`).
- */
-ChainSpec fuzzOracleChain();
 
 /**
  * Run every corpus program through the requested stages on a

@@ -27,6 +27,15 @@ mustAssemble(std::string_view src)
     return prog.take();
 }
 
+/** Word `i` of a linked image, decoded. */
+Instruction
+wordAt(const Program &p, size_t i)
+{
+    auto decoded = isa::decode(p.image.at(i));
+    EXPECT_TRUE(decoded.ok()) << "word " << i << " does not decode";
+    return decoded.ok() ? decoded.value() : Instruction::makeNop();
+}
+
 TEST(Asm, AluForms)
 {
     Program p = mustAssemble(
@@ -42,17 +51,17 @@ TEST(Asm, AluForms)
         "ic r3, r2\n"
         "mflo r6\n");
     ASSERT_EQ(p.size(), 11u);
-    EXPECT_EQ(p.words[0].alu->op, AluOp::ADD);
-    EXPECT_EQ(p.words[1].alu->src2.imm4, 4);
-    EXPECT_EQ(p.words[2].alu->op, AluOp::RSUB);
-    EXPECT_EQ(p.words[3].alu->imm8, 200);
-    EXPECT_EQ(p.words[4].alu->cond, Cond::EQ);
-    EXPECT_EQ(p.words[5].alu->cond, Cond::LTU);
-    EXPECT_EQ(p.words[6].alu->op, AluOp::NOT);
-    EXPECT_EQ(p.words[7].alu->op, AluOp::XC);
-    EXPECT_EQ(p.words[8].alu->op, AluOp::MTLO);
-    EXPECT_EQ(p.words[9].alu->op, AluOp::IC);
-    EXPECT_EQ(p.words[10].alu->op, AluOp::MFLO);
+    EXPECT_EQ(wordAt(p, 0).alu->op, AluOp::ADD);
+    EXPECT_EQ(wordAt(p, 1).alu->src2.imm4, 4);
+    EXPECT_EQ(wordAt(p, 2).alu->op, AluOp::RSUB);
+    EXPECT_EQ(wordAt(p, 3).alu->imm8, 200);
+    EXPECT_EQ(wordAt(p, 4).alu->cond, Cond::EQ);
+    EXPECT_EQ(wordAt(p, 5).alu->cond, Cond::LTU);
+    EXPECT_EQ(wordAt(p, 6).alu->op, AluOp::NOT);
+    EXPECT_EQ(wordAt(p, 7).alu->op, AluOp::XC);
+    EXPECT_EQ(wordAt(p, 8).alu->op, AluOp::MTLO);
+    EXPECT_EQ(wordAt(p, 9).alu->op, AluOp::IC);
+    EXPECT_EQ(wordAt(p, 10).alu->op, AluOp::MFLO);
 }
 
 TEST(Asm, MemForms)
@@ -67,28 +76,28 @@ TEST(Asm, MemForms)
         "st r1, 2(r13)\n"
         "st r1, (r2+r3>>1)\n");
     ASSERT_EQ(p.size(), 8u);
-    EXPECT_EQ(p.words[0].mem->mode, MemMode::ABSOLUTE);
-    EXPECT_EQ(p.words[1].mem->imm, 2);
-    EXPECT_EQ(p.words[2].mem->imm, -5);
-    EXPECT_EQ(p.words[3].mem->mode, MemMode::BASE_INDEX);
-    EXPECT_EQ(p.words[4].mem->shift, 2);
-    EXPECT_EQ(p.words[5].mem->mode, MemMode::LONG_IMM);
-    EXPECT_EQ(p.words[5].mem->imm, 70000);
-    EXPECT_TRUE(p.words[6].mem->is_store);
-    EXPECT_TRUE(p.words[7].mem->is_store);
-    EXPECT_EQ(p.words[7].mem->shift, 1);
+    EXPECT_EQ(wordAt(p, 0).mem->mode, MemMode::ABSOLUTE);
+    EXPECT_EQ(wordAt(p, 1).mem->imm, 2);
+    EXPECT_EQ(wordAt(p, 2).mem->imm, -5);
+    EXPECT_EQ(wordAt(p, 3).mem->mode, MemMode::BASE_INDEX);
+    EXPECT_EQ(wordAt(p, 4).mem->shift, 2);
+    EXPECT_EQ(wordAt(p, 5).mem->mode, MemMode::LONG_IMM);
+    EXPECT_EQ(wordAt(p, 5).mem->imm, 70000);
+    EXPECT_TRUE(wordAt(p, 6).mem->is_store);
+    EXPECT_TRUE(wordAt(p, 7).mem->is_store);
+    EXPECT_EQ(wordAt(p, 7).mem->shift, 1);
 }
 
 TEST(Asm, PackedSource)
 {
     Program p = mustAssemble("add r1, #1, r2 | ld 3(r4), r5\n");
     ASSERT_EQ(p.size(), 1u);
-    EXPECT_TRUE(p.words[0].alu.has_value());
-    EXPECT_TRUE(p.words[0].mem.has_value());
+    EXPECT_TRUE(wordAt(p, 0).alu.has_value());
+    EXPECT_TRUE(wordAt(p, 0).mem.has_value());
 
     // Either order works.
     Program q = mustAssemble("ld 3(r4), r5 | add r1, #1, r2\n");
-    EXPECT_EQ(q.words[0], p.words[0]);
+    EXPECT_EQ(wordAt(q, 0), wordAt(p, 0));
 }
 
 TEST(Asm, BranchesAndLabels)
@@ -108,12 +117,12 @@ TEST(Asm, BranchesAndLabels)
     EXPECT_EQ(p.symbol("loop"), 1u);
     EXPECT_EQ(p.symbol("done"), 6u);
     // blt at addr 2: offset = 1 - (2+1) = -2
-    EXPECT_EQ(p.words[2].branch->offset, -2);
+    EXPECT_EQ(wordAt(p, 2).branch->offset, -2);
     // bra at addr 3: offset = 0 - 4 = -4
-    EXPECT_EQ(p.words[3].branch->offset, -4);
-    EXPECT_EQ(p.words[3].branch->cond, Cond::ALWAYS);
+    EXPECT_EQ(wordAt(p, 3).branch->offset, -4);
+    EXPECT_EQ(wordAt(p, 3).branch->cond, Cond::ALWAYS);
     // beq at addr 4: offset = 6 - 5 = 1
-    EXPECT_EQ(p.words[4].branch->offset, 1);
+    EXPECT_EQ(wordAt(p, 4).branch->offset, 1);
 }
 
 TEST(Asm, JumpsAndCalls)
@@ -127,15 +136,15 @@ TEST(Asm, JumpsAndCalls)
         "  call (r7), r15\n"
         "there:\n"
         "  halt\n");
-    EXPECT_EQ(p.words[0].jump->kind, JumpKind::DIRECT);
-    EXPECT_EQ(p.words[0].jump->target_addr, 6u);
-    EXPECT_EQ(p.words[2].jump->kind, JumpKind::CALL_DIRECT);
-    EXPECT_EQ(p.words[2].jump->target_addr, 6u);
-    EXPECT_EQ(p.words[2].jump->link, 15);
-    EXPECT_EQ(p.words[4].jump->kind, JumpKind::INDIRECT);
-    EXPECT_EQ(p.words[4].jump->target_reg, 15);
-    EXPECT_EQ(p.words[5].jump->kind, JumpKind::CALL_INDIRECT);
-    EXPECT_EQ(p.words[5].jump->target_reg, 7);
+    EXPECT_EQ(wordAt(p, 0).jump->kind, JumpKind::DIRECT);
+    EXPECT_EQ(wordAt(p, 0).jump->target_addr, 6u);
+    EXPECT_EQ(wordAt(p, 2).jump->kind, JumpKind::CALL_DIRECT);
+    EXPECT_EQ(wordAt(p, 2).jump->target_addr, 6u);
+    EXPECT_EQ(wordAt(p, 2).jump->link, 15);
+    EXPECT_EQ(wordAt(p, 4).jump->kind, JumpKind::INDIRECT);
+    EXPECT_EQ(wordAt(p, 4).jump->target_reg, 15);
+    EXPECT_EQ(wordAt(p, 5).jump->kind, JumpKind::CALL_INDIRECT);
+    EXPECT_EQ(wordAt(p, 5).jump->target_reg, 7);
 }
 
 TEST(Asm, SpecialForms)
@@ -148,11 +157,11 @@ TEST(Asm, SpecialForms)
         "mfs sr, r1\n"
         "mts r1, segpid\n"
         "mfs ra0, r2\n");
-    EXPECT_EQ(p.words[0].special->trap_code, 9);
-    EXPECT_EQ(p.words[1].special->op, isa::SpecialOp::RFE);
-    EXPECT_EQ(p.words[4].special->sreg, isa::SpecialReg::SURPRISE);
-    EXPECT_EQ(p.words[5].special->sreg, isa::SpecialReg::SEG_PID);
-    EXPECT_EQ(p.words[6].special->sreg, isa::SpecialReg::RA0);
+    EXPECT_EQ(wordAt(p, 0).special->trap_code, 9);
+    EXPECT_EQ(wordAt(p, 1).special->op, isa::SpecialOp::RFE);
+    EXPECT_EQ(wordAt(p, 4).special->sreg, isa::SpecialReg::SURPRISE);
+    EXPECT_EQ(wordAt(p, 5).special->sreg, isa::SpecialReg::SEG_PID);
+    EXPECT_EQ(wordAt(p, 6).special->sreg, isa::SpecialReg::RA0);
 }
 
 TEST(Asm, Pseudos)
@@ -162,12 +171,12 @@ TEST(Asm, Pseudos)
         "li #5, r3\n"
         "li #300, r4\n"    // does not fit movi -> still movi? 300>255
         "li #-7, r5\n");
-    EXPECT_EQ(p.words[0].alu->op, AluOp::ADD);
-    EXPECT_EQ(p.words[0].alu->src2.imm4, 0);
-    EXPECT_EQ(p.words[1].alu->op, AluOp::MOVI8);
-    EXPECT_EQ(p.words[2].mem->mode, MemMode::LONG_IMM);
-    EXPECT_EQ(p.words[2].mem->imm, 300);
-    EXPECT_EQ(p.words[3].mem->imm, -7);
+    EXPECT_EQ(wordAt(p, 0).alu->op, AluOp::ADD);
+    EXPECT_EQ(wordAt(p, 0).alu->src2.imm4, 0);
+    EXPECT_EQ(wordAt(p, 1).alu->op, AluOp::MOVI8);
+    EXPECT_EQ(wordAt(p, 2).mem->mode, MemMode::LONG_IMM);
+    EXPECT_EQ(wordAt(p, 2).mem->imm, 300);
+    EXPECT_EQ(wordAt(p, 3).mem->imm, -7);
 }
 
 TEST(Asm, DirectivesAndData)
@@ -216,7 +225,7 @@ TEST(Asm, NumericBranchTarget)
         "beq r1, #0, 10\n"
         "nop\n");
     // At addr 0, target 10 -> offset 9.
-    EXPECT_EQ(p.words[0].branch->offset, 9);
+    EXPECT_EQ(wordAt(p, 0).branch->offset, 9);
 }
 
 TEST(AsmErrors, ReportLineNumbers)
@@ -276,16 +285,16 @@ TEST(Asm, DisasmRoundTripProperty)
     Program p = mustAssemble(src);
 
     std::string listing;
-    for (size_t i = 0; i < p.words.size(); ++i) {
-        listing += isa::disasm(p.words[i],
+    for (size_t i = 0; i < p.size(); ++i) {
+        listing += isa::disasm(wordAt(p, i),
                                p.origin + static_cast<uint32_t>(i));
         listing += "\n";
     }
     Program q = mustAssemble(listing);
     ASSERT_EQ(q.size(), p.size());
-    for (size_t i = 0; i < p.words.size(); ++i)
+    for (size_t i = 0; i < p.size(); ++i)
         EXPECT_EQ(q.image[i], p.image[i]) << "at word " << i
-            << ": " << isa::disasm(p.words[i]);
+            << ": " << isa::disasm(wordAt(p, i));
 }
 
 TEST(Asm, ListUnitShowsLabels)

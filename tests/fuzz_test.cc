@@ -3,10 +3,11 @@
  * Fuzz subsystem tests: the generator's determinism contract (same
  * seed => byte-identical source, different seeds => distinct), batch
  * shape and chunk self-containment, a small-N differential run that
- * must come back clean, oracle sensitivity to every ReorgBugs fault
- * flag, and minimizer convergence — a planted reorganizer bug must
- * still trip the oracle after shrinking, and the shrunk program must
- * replay clean once the fault is removed.
+ * must come back clean with every chain reaching the stage counters,
+ * oracle sensitivity to every ReorgBugs fault flag, and minimizer
+ * convergence — a planted reorganizer bug must still trip the oracle
+ * after shrinking, and the shrunk program must replay clean once the
+ * fault is removed.
  */
 #include <gtest/gtest.h>
 
@@ -17,6 +18,8 @@
 #include "fuzz/differ.h"
 #include "fuzz/generator.h"
 #include "fuzz/minimize.h"
+#include "obs/catalog.h"
+#include "obs/metrics.h"
 #include "pipeline/session.h"
 
 namespace {
@@ -91,6 +94,36 @@ TEST(FuzzDiffer, SmallBatchRunsClean)
         EXPECT_FALSE(r.front_end_error) << p.name;
         EXPECT_GT(r.configs, 0u) << p.name;
     }
+}
+
+// Every config chain, Pascal or assembly, runs the Session's stages:
+// each one moves the pipeline-run, value-range, hazard-verify and TV
+// unit counters exactly once.
+TEST(FuzzDiffer, EveryChainReachesSimAndRangeCounters)
+{
+    obs::registerBuiltinMetrics();
+    const obs::Snapshot before = obs::Registry::instance().snapshot();
+
+    pipeline::Session session;
+    size_t configs = 0;
+    size_t assembly = 0;
+    for (const fuzz::GeneratedProgram &p : fuzz::generateBatch(1982, 8)) {
+        fuzz::DiffResult r = fuzz::runDifferential(session, p);
+        ASSERT_TRUE(r.ok) << p.name << ": " << r.failure;
+        configs += r.configs;
+        assembly += p.kind == fuzz::ProgramKind::ASM;
+    }
+    ASSERT_GT(assembly, 0u);
+
+    const obs::Snapshot after = obs::Registry::instance().snapshot();
+    auto delta = [&](const char *name) {
+        return after.counter(name) - before.counter(name);
+    };
+    const uint64_t chains = delta("pipeline.fuzz.chains");
+    EXPECT_EQ(chains, configs);
+    for (const char *name : {"sim.runs", "verify.range.reports",
+                             "verify.units", "tv.units"})
+        EXPECT_EQ(delta(name), chains) << name;
 }
 
 // Chunks are self-contained by generator contract: dropping any

@@ -517,7 +517,7 @@ randomInstruction(support::Rng &rng)
       }
       case 4: { // jump
         JumpPiece j;
-        j.kind = static_cast<JumpKind>(rng.below(4));
+        j.kind = static_cast<JumpKind>(rng.below(5));
         switch (j.kind) {
           case JumpKind::DIRECT:
             j.target_addr = static_cast<uint32_t>(rng.below(1 << 24));
@@ -532,6 +532,10 @@ randomInstruction(support::Rng &rng)
           case JumpKind::CALL_INDIRECT:
             j.link = reg();
             j.target_reg = reg();
+            break;
+          case JumpKind::TABLE:
+            j.target_reg = reg();
+            j.index = reg();
             break;
         }
         return Instruction::makeJump(j);

@@ -1,10 +1,10 @@
 /**
  * @file
- * Pipeline-session tests: cache identity and keying, parallel/serial
- * equivalence of `runAll`, counter consistency, error caching and
- * same-key herd coalescing, and the BatchRunner's ordering,
- * no-stranding, queue-depth, concurrent-runner and exception
- * contracts.
+ * Pipeline-session tests: cache identity and keying (Pascal and
+ * assembly sources), parallel/serial equivalence of `runAll`, counter
+ * consistency, error caching and same-key herd coalescing, and the
+ * BatchRunner's ordering, no-stranding, queue-depth, concurrent-runner
+ * and exception contracts.
  */
 #include <gtest/gtest.h>
 
@@ -104,8 +104,9 @@ TEST(PipelineSession, CacheHitReturnsSameArtifact)
     auto reorg2 = session.reorganize(source);
     ASSERT_TRUE(reorg2.ok());
     EXPECT_EQ(reorg1.value().get(), reorg2.value().get());
-    // The reorganize artifact's input is the cached compile artifact.
-    EXPECT_EQ(reorg1.value()->compile.get(), first.value().get());
+    // The reorganize artifact's input is the cached compile artifact's
+    // legal unit.
+    EXPECT_EQ(reorg1.value()->legal.get(), &first.value()->legal_unit);
 
     pipeline::PipelineStats stats = session.stats();
     size_t compile_idx =
@@ -150,6 +151,70 @@ TEST(PipelineSession, OptionChangeMissesCache)
     EXPECT_EQ(stats.stage[reorg_idx].misses, 3u);
     EXPECT_EQ(stats.stage[compile_idx].misses, 1u);
     EXPECT_EQ(stats.stage[compile_idx].hits, 2u);
+}
+
+// An assembly Source runs the same cached stages as Pascal. Hits are
+// pointer-identical, its legal unit is the assemble artifact's unit,
+// its keys ignore the compile options, and reading the same text as
+// Pascal never reaches the assembly entries.
+TEST(PipelineSession, AssemblySourceSharesStages)
+{
+    pipeline::Session session;
+    const std::string text = "    movi #3, r1\n"
+                             "loop:\n"
+                             "    sub r1, #1, r1\n"
+                             "    bne r1, #0, loop\n"
+                             "    halt\n";
+    const pipeline::Source source(text, pipeline::Language::ASSEMBLY);
+
+    auto reorg = session.reorganize(source);
+    auto verify = session.hazardVerify(source);
+    auto tv = session.translationValidate(source);
+    auto sim = session.simulate(source);
+    ASSERT_TRUE(reorg.ok()) << reorg.error().str();
+    ASSERT_TRUE(verify.ok());
+    ASSERT_TRUE(tv.ok());
+    ASSERT_TRUE(sim.ok());
+    EXPECT_TRUE(verify.value()->report.clean());
+    EXPECT_EQ(tv.value()->report.errors, 0u);
+    EXPECT_EQ(sim.value()->stop, sim::StopReason::HALT);
+
+    EXPECT_EQ(session.reorganize(source).value().get(),
+              reorg.value().get());
+    EXPECT_EQ(session.hazardVerify(source).value().get(),
+              verify.value().get());
+    EXPECT_EQ(session.translationValidate(source).value().get(),
+              tv.value().get());
+    EXPECT_EQ(session.simulate(source).value().get(), sim.value().get());
+
+    auto assembled = session.assemble(text);
+    ASSERT_TRUE(assembled.ok());
+    auto legal = session.legal(source);
+    ASSERT_TRUE(legal.ok());
+    EXPECT_EQ(legal.value().get(), &assembled.value()->unit);
+    EXPECT_EQ(reorg.value()->legal.get(), &assembled.value()->unit);
+
+    // Compile options are not part of an assembly key.
+    pipeline::StageOptions byte_layout;
+    byte_layout.compile.layout = plc::Layout::BYTE_ALLOCATED;
+    byte_layout.compile.jump_tables = false;
+    EXPECT_EQ(session.reorganize(source, byte_layout).value().get(),
+              reorg.value().get());
+    EXPECT_EQ(session.simulate(source, byte_layout).value().get(),
+              sim.value().get());
+
+    // Read as Pascal, the same text is a compile miss and an error,
+    // never the cached assembly artifact.
+    size_t compile_idx = static_cast<size_t>(pipeline::Stage::COMPILE);
+    size_t reorg_idx = static_cast<size_t>(pipeline::Stage::REORGANIZE);
+    pipeline::PipelineStats before = session.stats();
+    auto as_pascal = session.reorganize(text);
+    EXPECT_FALSE(as_pascal.ok());
+    pipeline::PipelineStats after = session.stats();
+    EXPECT_EQ(after.stage[compile_idx].misses,
+              before.stage[compile_idx].misses + 1);
+    EXPECT_EQ(after.stage[reorg_idx].hits, before.stage[reorg_idx].hits);
+    EXPECT_EQ(after.stage[compile_idx].misses, 1u);
 }
 
 // hits + misses must equal the number of stage requests, and a second

@@ -489,17 +489,19 @@ TEST(Conformance, SymbolicAluMatchesConcreteForEveryOpcode)
                                 piece, cb, rs, src2, rd_old, lo);
                             ASSERT_EQ(sym.writes_rd, ref.writes_rd);
                             ASSERT_EQ(sym.writes_lo, ref.writes_lo);
-                            if (ref.writes_rd)
+                            if (ref.writes_rd) {
                                 ASSERT_EQ(sym.rd, ref.rd)
                                     << "op " << op << " cond " << c
                                     << " rs " << rs << " src2 " << src2
                                     << " rd_old " << rd_old << " lo "
                                     << lo;
-                            if (ref.writes_lo)
+                            }
+                            if (ref.writes_lo) {
                                 ASSERT_EQ(sym.lo, ref.lo)
                                     << "op " << op << " rs " << rs
                                     << " src2 " << src2 << " rd_old "
                                     << rd_old << " lo " << lo;
+                            }
                         }
         }
     }
@@ -709,15 +711,18 @@ TEST(Conformance, DeclaredRegUseCoversObservedSimulatorBehavior)
 
         // Observed *writes* must be declared.
         for (int r = 1; r < isa::kNumRegs; ++r) {
-            if (base.regs[r] != pre[r])
+            if (base.regs[r] != pre[r]) {
                 EXPECT_TRUE(ru.writesGpr(r))
                     << "undeclared write of r" << r;
+            }
         }
-        if (base.lo != 0)
+        if (base.lo != 0) {
             EXPECT_TRUE(ru.writes_lo) << "undeclared write of LO";
-        if (!base.mem_writes.empty())
+        }
+        if (!base.mem_writes.empty()) {
             EXPECT_TRUE(ru.writes_memory)
                 << "undeclared memory write";
+        }
 
         // Observed *reads* must be declared: perturb one register at
         // a time and watch for any change in the outcome beyond the
@@ -738,9 +743,10 @@ TEST(Conformance, DeclaredRegUseCoversObservedSimulatorBehavior)
                              alt.regs[r] == pre2[r];
                 observed |= !carry;
             }
-            if (observed)
+            if (observed) {
                 EXPECT_TRUE(ru.readsGpr(r))
                     << "undeclared read of r" << r;
+            }
         }
     }
 }

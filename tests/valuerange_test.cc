@@ -98,15 +98,17 @@ TEST(AluRange, ConstantSweepMatchesEvalAlu)
                             AbsVal::constant(lo));
                         ASSERT_EQ(got.writes_rd, want.writes_rd);
                         ASSERT_EQ(got.writes_lo, want.writes_lo);
-                        if (want.writes_rd)
+                        if (want.writes_rd) {
                             ASSERT_EQ(got.rd.asConst(),
                                       std::optional<uint32_t>(want.rd))
                                 << "op " << op << " rs " << rs
                                 << " src2 " << s2;
-                        if (want.writes_lo)
+                        }
+                        if (want.writes_lo) {
                             ASSERT_EQ(got.lo.asConst(),
                                       std::optional<uint32_t>(want.lo))
                                 << "op " << op;
+                        }
                         ++checked;
                     }
                 }
