@@ -24,8 +24,9 @@
  * path. Every program runs both directly on physical addresses and as
  * a `*_mapped` variant under address translation, so the micro-TLB is
  * on the measured path, not just the predecode cache. A Machine is
- * constructed once per case and re-loaded per run so the numbers
- * measure stepping, not 4 MB memory construction.
+ * constructed once per case and re-loaded per run (reloading the same
+ * image keeps the predecode cache warm), so the numbers measure
+ * stepping, not machine construction and cold decodes.
  */
 #include <benchmark/benchmark.h>
 

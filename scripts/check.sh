@@ -13,10 +13,11 @@
 #   scripts/check.sh sanitize [build-dir]      ASan+UBSan build + ctest
 #                                              (default ./build-sanitize)
 #   scripts/check.sh tsan [build-dir]          ThreadSanitizer build; runs
-#                                              the pipeline-session tests
-#                                              and a parallel mipsverify
-#                                              corpus pass (default
-#                                              ./build-tsan)
+#                                              the pipeline-session and
+#                                              simulator tests, a parallel
+#                                              mipsverify corpus pass and
+#                                              a 40-program --jobs 4 fuzz
+#                                              pass (default ./build-tsan)
 #   scripts/check.sh tv [build-dir]            translation-validation gate
 #                                              only (corpus must prove
 #                                              equivalent under the full
@@ -154,9 +155,10 @@ if [ "${1:-}" = "tsan" ]; then
     build_dir=${1:-"$repo_root/build-tsan"}
     cmake -S "$repo_root" -B "$build_dir" -DMIPS82_TSAN=ON
     cmake --build "$build_dir" -j "$(nproc)" \
-        --target pipeline_test obs_test mipsverify
+        --target pipeline_test obs_test sim_test mipsverify
     "$build_dir/tests/pipeline_test"
     "$build_dir/tests/obs_test"
+    "$build_dir/tests/sim_test"
     "$build_dir/src/verify/mipsverify" --jobs 8 --corpus --quiet \
         --stats=json > /dev/null
     # --jobs 0 = auto-detect worker count (docs/CLI.md): same corpus
@@ -164,6 +166,10 @@ if [ "${1:-}" = "tsan" ]; then
     # worker per usable core.
     "$build_dir/src/verify/mipsverify" --jobs 0 --corpus --quiet \
         --stats=json > /dev/null
+    # Concurrent Machines and functional runs: every worker's
+    # PhysMemory shares the one static zero page.
+    "$build_dir/src/verify/mipsverify" --fuzz 40 --seed 7 --jobs 4 \
+        --quiet
     echo "check.sh: tsan green"
     exit 0
 fi

@@ -180,6 +180,9 @@ simMetrics()
         s.decode_invalidations = &r.counter(
             "sim.decode_cache.invalidations", "count",
             "predecoded entries invalidated by memory writes");
+        s.memory_pages = &r.counter(
+            "sim.memory.pages", "pages",
+            "1024-word physical-memory pages given storage by a write");
         s.tlb_hits = &r.counter("sim.tlb.hits", "count",
                                 "micro-TLB hits (host side)");
         s.tlb_misses = &r.counter(

@@ -98,6 +98,7 @@ struct SimMetrics
     Counter *decode_hits;
     Counter *decode_misses;
     Counter *decode_invalidations;
+    Counter *memory_pages;
     Counter *tlb_hits;
     Counter *tlb_misses;
     Counter *tlb_flushes;

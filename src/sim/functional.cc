@@ -9,7 +9,8 @@ using isa::Instruction;
 using isa::MemMode;
 using isa::Reg;
 
-FunctionalCpu::FunctionalCpu(PhysMemory &memory) : mem_(memory)
+FunctionalCpu::FunctionalCpu(PhysMemory &memory)
+    : mem_(memory), memo_(kMemoSlots, MemoSlot{0, isa::decode(0).take()})
 {
 }
 
@@ -44,13 +45,18 @@ FunctionalCpu::step()
         return StopReason::SIM_ERROR;
     }
 
-    auto decoded = isa::decode(mem_.read(pc_));
-    if (!decoded.ok()) {
-        error_ = support::strprintf("illegal instruction at %u", pc_);
-        halted_ = true;
-        return StopReason::SIM_ERROR;
+    uint32_t word = mem_.read(pc_);
+    MemoSlot &slot = memo_[pc_ & (kMemoSlots - 1)];
+    if (slot.word != word) {
+        auto decoded = isa::decode(word);
+        if (!decoded.ok()) {
+            error_ = support::strprintf("illegal instruction at %u", pc_);
+            halted_ = true;
+            return StopReason::SIM_ERROR;
+        }
+        slot = {word, decoded.take()};
     }
-    const Instruction inst = decoded.take();
+    const Instruction &inst = slot.inst;
     ++instructions_;
     uint32_t next_pc = pc_ + 1;
 

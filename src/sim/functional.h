@@ -18,6 +18,13 @@
  * that is correct on the interlock-free pipeline Cpu. Differential
  * tests between the two are the executable form of the paper's
  * central hardware/software trade.
+ *
+ * Fetches go through a decode memo: a direct-mapped slot per PC that
+ * hits only when it holds the word just fetched. Decoding is a pure
+ * function of the word, so no write ever invalidates a slot
+ * (self-modifying code and MMIO fetches simply miss), and the memo
+ * shares no state with the pipeline Cpu's address-keyed predecode
+ * cache: the oracle stays independent of the machine it checks.
  */
 #pragma once
 
@@ -25,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "isa/instruction.h"
 #include "sim/cpu.h"
@@ -72,7 +80,17 @@ class FunctionalCpu
     const std::string &errorMessage() const { return error_; }
 
   private:
+    /** A memo slot holds a word and its decode; a fresh slot holds
+     *  word 0 (a nop). Illegal words are never stored. */
+    struct MemoSlot
+    {
+        uint32_t word;
+        isa::Instruction inst;
+    };
+    static constexpr uint32_t kMemoSlots = 1u << 10; ///< power of 2
+
     PhysMemory &mem_;
+    std::vector<MemoSlot> memo_;
     std::array<uint32_t, isa::kNumRegs> regs_{};
     uint32_t lo_ = 0;
     uint32_t pc_ = 0;

@@ -5,8 +5,17 @@
 namespace mips::sim {
 
 PhysMemory::PhysMemory(uint32_t size_words)
-    : size_words_(size_words), words_(size_words, 0)
+    : size_words_(size_words),
+      pages_(size_words / kPageWords + (size_words % kPageWords != 0),
+             zeroPage())
 {
+}
+
+uint32_t *
+PhysMemory::allocatePage()
+{
+    storage_.push_back(std::make_unique<uint32_t[]>(kPageWords));
+    return storage_.back().get();
 }
 
 void
@@ -63,7 +72,7 @@ PhysMemory::peek(uint32_t addr) const
 {
     if (!valid(addr))
         support::panic("PhysMemory::peek out of range: 0x%x", addr);
-    return words_[addr];
+    return ram(addr);
 }
 
 void

@@ -9,11 +9,20 @@
  * queries ("the global interrupt handler queries any external
  * prioritization logic to determine which device was requesting
  * service").
+ *
+ * Storage is sparse, in the spirit of the paper's large address space
+ * backed by frames supplied on demand: a table of 1024-word pages in
+ * which every page nothing has changed points at one shared, read-only
+ * zero page. A RAM read is two loads with no branch; the first write
+ * that changes a word of an absent page gives that page its storage.
+ * A fuzz program writes a few pages of the 4 MB default space, so a
+ * Machine costs an 8 KB page table plus those pages.
  */
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -73,7 +82,7 @@ class PhysMemory
             outOfRange("read", addr);
         if (addr - kMmioBase < kMmioWindowWords)
             return readMmio(addr);
-        return words_[addr];
+        return ram(addr);
     }
 
     /** Write a word; MMIO writes drive the devices. On the CPU's
@@ -96,18 +105,28 @@ class PhysMemory
      * the translate step bounds-checks and the MMIO test is explicit
      * there). ramWrite keeps the predecode tags coherent like write().
      */
-    uint32_t ram(uint32_t addr) const { return words_[addr]; }
+    uint32_t
+    ram(uint32_t addr) const
+    {
+        return pages_[addr >> kPageBits][addr & (kPageWords - 1)];
+    }
 
     void
     ramWrite(uint32_t addr, uint32_t value)
     {
         // Value-aware invalidation: a store that leaves the word's
         // contents unchanged cannot stale a predecoded entry, so e.g.
-        // reloading the same program image keeps the cache warm.
-        uint32_t old = words_[addr];
-        words_[addr] = value;
-        if (old != value)
-            notifyWrite(addr);
+        // reloading the same program image keeps the cache warm. The
+        // same test keeps zero writes from allocating: the shared zero
+        // page already holds the value.
+        uint32_t *&page = pages_[addr >> kPageBits];
+        uint32_t offset = addr & (kPageWords - 1);
+        if (page[offset] == value)
+            return;
+        if (page == zeroPage())
+            page = allocatePage();
+        page[offset] = value;
+        notifyWrite(addr);
     }
 
     /** Raw (device-free) access for loaders and tests. */
@@ -116,6 +135,14 @@ class PhysMemory
 
     /** Copy a program image into memory at `base`. */
     void loadImage(uint32_t base, const std::vector<uint32_t> &image);
+
+    /** Pages given their own storage: each had a word changed by a
+     *  write. Every other page reads as zeros. */
+    uint32_t
+    residentPages() const
+    {
+        return static_cast<uint32_t>(storage_.size());
+    }
 
     // --- Devices -------------------------------------------------------
 
@@ -178,6 +205,27 @@ class PhysMemory
     uint64_t decodeInvalidations() const { return decode_invalidations_; }
 
   private:
+    /** Words per storage page: a host allocation unit, not the
+     *  mapping unit's architectural page (same size, separate role). */
+    static constexpr uint32_t kPageBits = 10;
+    static constexpr uint32_t kPageWords = 1u << kPageBits;
+
+    /** The page every absent table entry points at, shared by every
+     *  PhysMemory. It is constant data, so a stray write would fault;
+     *  ramWrite allocates before any write that would change it. */
+    alignas(64) static constexpr uint32_t kZeroPage[kPageWords] = {};
+
+    static uint32_t *
+    zeroPage()
+    {
+        // The table holds writable pointers; this one is never written
+        // through (see ramWrite).
+        return const_cast<uint32_t *>(kZeroPage);
+    }
+
+    /** Give a page its own zeroed storage (first changing write). */
+    uint32_t *allocatePage();
+
     /** Out-of-line slow paths for the inline read()/write() above. */
     [[noreturn]] void outOfRange(const char *op, uint32_t addr) const;
     uint32_t readMmio(uint32_t addr);
@@ -199,7 +247,8 @@ class PhysMemory
     }
 
     uint32_t size_words_ = 0;
-    std::vector<uint32_t> words_;
+    std::vector<uint32_t *> pages_; ///< zeroPage() or a storage_ page
+    std::vector<std::unique_ptr<uint32_t[]>> storage_;
     std::string console_;
     uint32_t pending_devices_ = 0; ///< bitmask of requesting devices
     uint64_t cycles_ = 0;

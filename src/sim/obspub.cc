@@ -30,6 +30,7 @@ publishMetrics(const Machine &machine)
     m.decode_hits->add(cpu.decodeCacheHits());
     m.decode_misses->add(cpu.decodeCacheMisses());
     m.decode_invalidations->add(machine.memory().decodeInvalidations());
+    m.memory_pages->add(machine.memory().residentPages());
     m.tlb_hits->add(map.tlbHits());
     m.tlb_misses->add(map.tlbMisses());
     m.tlb_flushes->add(map.tlbFlushes());

@@ -8,6 +8,8 @@
  * reference decode/translate-every-cycle path) must produce identical
  * architectural results, statistics, and error messages.
  */
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "asm/assembler.h"
@@ -219,6 +221,63 @@ expectParity(Machine &fast, Machine &slow)
     EXPECT_EQ(fast.mapping().translations(),
               slow.mapping().translations());
     EXPECT_EQ(fast.mapping().faults(), slow.mapping().faults());
+}
+
+// A program whose first word, `target` at 2047, ends a 1024-word page
+// of physical memory and encodes as 0 (a nop), so loading it gives
+// that page no storage; the rest of the program lives in the next page.
+// The CPU predecodes `target` as a nop read from the shared zero page.
+
+TEST(FastPathDecodeCache, StoreToAbsentPageInvalidatesStaleEntry)
+{
+    // Pass 1 runs the nop at `target`, then stores "ldi #22, r2" over
+    // it: the first write to its page, which gives the page storage.
+    // Pass 2 must run the new word on both paths.
+    Program p = assembleOrDie(
+        ".org 2047\n"
+        "target: nop\n"
+        "  add r3, #1, r3\n"
+        "  ld @data, r1\n"
+        "  nop\n"
+        "  st r1, @target\n"
+        "  blt r3, #2, target\n"
+        "  nop\n"
+        "  halt\n"
+        "data: .word " + std::to_string(ldi22Word()) + "\n");
+    Machine probe;
+    probe.load(p);
+    ASSERT_EQ(probe.memory().residentPages(), 1u); // target's page absent
+
+    Machine fast, slow;
+    runProgram(fast, p, true);
+    runProgram(slow, p, false);
+    EXPECT_EQ(fast.cpu().reg(2), 22u);
+    EXPECT_EQ(fast.cpu().reg(3), 2u);
+    EXPECT_EQ(fast.memory().residentPages(), 2u);
+    expectParity(fast, slow);
+}
+
+TEST(FastPathDecodeCache, PokeToAbsentPageInvalidatesStaleEntry)
+{
+    Program p = assembleOrDie(
+        ".org 2047\n"
+        "target: nop\n"
+        "  halt\n");
+    auto run = [&p](Machine &m, bool fast_path) {
+        m.cpu().enableFastPath(fast_path);
+        m.load(p);
+        ASSERT_EQ(m.cpu().run(), StopReason::HALT); // target predecoded
+        ASSERT_EQ(m.memory().residentPages(), 1u);
+        m.memory().poke(p.symbol("target"), ldi22Word());
+        m.cpu().reset(p.origin);
+        m.cpu().clearStats();
+        ASSERT_EQ(m.cpu().run(), StopReason::HALT);
+        EXPECT_EQ(m.cpu().reg(2), 22u);
+    };
+    Machine fast, slow;
+    run(fast, true);
+    run(slow, false);
+    expectParity(fast, slow);
 }
 
 TEST(FastPathParity, CompiledPuzzleIdenticalStats)

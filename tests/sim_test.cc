@@ -184,6 +184,64 @@ TEST(Memory, InterruptController)
     EXPECT_FALSE(mem.interruptPending());
 }
 
+TEST(Memory, UnwrittenWordsReadZero)
+{
+    // Two whole 1024-word pages and a partial third; nothing written.
+    PhysMemory mem(2500);
+    EXPECT_EQ(mem.size(), 2500u);
+    EXPECT_TRUE(mem.valid(2499));
+    EXPECT_FALSE(mem.valid(2500));
+    for (uint32_t addr : {0u, 1023u, 1024u, 2047u, 2048u, 2499u}) {
+        EXPECT_EQ(mem.read(addr), 0u) << addr;
+        EXPECT_EQ(mem.peek(addr), 0u) << addr;
+    }
+    EXPECT_EQ(mem.residentPages(), 0u);
+
+    // Absent pages of every memory share one zero page: a write to
+    // one memory must not show through another.
+    PhysMemory other(2500);
+    other.write(1024, 9);
+    EXPECT_EQ(mem.read(1024), 0u);
+    EXPECT_EQ(mem.read(0), 0u);
+}
+
+TEST(Memory, PageStorageOnFirstChangingWrite)
+{
+    PhysMemory mem(2500);
+    mem.write(1023, 0); // already 0: no storage
+    mem.poke(2499, 0);
+    EXPECT_EQ(mem.residentPages(), 0u);
+
+    mem.write(1023, 7);
+    EXPECT_EQ(mem.residentPages(), 1u);
+    EXPECT_EQ(mem.read(1023), 7u);
+    EXPECT_EQ(mem.read(1022), 0u); // the rest of the new page
+    EXPECT_EQ(mem.read(1024), 0u); // the next page is still absent
+    mem.write(0, 3);               // same page
+    EXPECT_EQ(mem.residentPages(), 1u);
+
+    mem.write(2499, 5); // the partial last page
+    EXPECT_EQ(mem.residentPages(), 2u);
+    EXPECT_EQ(mem.read(2499), 5u);
+    EXPECT_EQ(mem.read(2048), 0u);
+
+    mem.write(1023, 0); // back to 0: the page keeps its storage
+    EXPECT_EQ(mem.read(1023), 0u);
+    EXPECT_EQ(mem.residentPages(), 2u);
+}
+
+TEST(Memory, LoadImageAllocatesCoveredPagesOnly)
+{
+    PhysMemory mem(2500);
+    mem.loadImage(1020, {1, 2, 3, 4, 5, 6, 7, 8}); // words 1020..1027
+    EXPECT_EQ(mem.residentPages(), 2u);
+    EXPECT_EQ(mem.peek(1019), 0u);
+    EXPECT_EQ(mem.peek(1023), 4u);
+    EXPECT_EQ(mem.peek(1024), 5u);
+    EXPECT_EQ(mem.peek(1028), 0u);
+    EXPECT_EQ(mem.peek(2048), 0u);
+}
+
 // ------------------------------------------- Pipeline basic execution
 
 /** Run a program on the pipeline machine until halt. */
@@ -903,6 +961,54 @@ TEST(Functional, OverflowCountedNotTrapped)
     FunctionalRun f = runFunctional(p);
     EXPECT_EQ(f.cpu->overflows(), 1u);
     EXPECT_EQ(f.cpu->reg(1), 0x80000000u);
+}
+
+TEST(Functional, MemoRunsPokedWord)
+{
+    // The decode memo needs no invalidation: its slot for `target`
+    // still holds the old word, so the poked word misses and decodes.
+    Program p = assembleOrDie(
+        "target: ldi #11, r2\n"
+        "  halt\n");
+    PhysMemory mem;
+    mem.loadImage(p.origin, p.image);
+    FunctionalCpu cpu(mem);
+    cpu.reset(p.origin);
+    ASSERT_EQ(cpu.run(100), StopReason::HALT);
+    ASSERT_EQ(cpu.reg(2), 11u);
+
+    mem.poke(p.symbol("target"), assembleOrDie("ldi #22, r2\n").image[0]);
+    cpu.reset(p.origin);
+    ASSERT_EQ(cpu.run(100), StopReason::HALT);
+    EXPECT_EQ(cpu.reg(2), 22u);
+}
+
+TEST(Functional, MemoSlotSharedByTwoPcs)
+{
+    // PCs 0 and 1024 share a memo slot; each must run its own word.
+    Program p = assembleOrDie(
+        "  movi #1, r1\n"
+        "  .space 1023\n" // no-ops up to PC 1024
+        "  movi #2, r2\n"
+        "  halt\n");
+    FunctionalRun f = runFunctional(p);
+    ASSERT_EQ(f.reason, StopReason::HALT);
+    EXPECT_EQ(f.cpu->reg(1), 1u);
+    EXPECT_EQ(f.cpu->reg(2), 2u);
+    EXPECT_EQ(f.cpu->instructions(), 1026u); // 2 movi, 1023 no-ops, halt
+}
+
+TEST(Functional, IllegalWordFaultsOnEveryRun)
+{
+    // Illegal words are not memoized: a rerun faults again.
+    PhysMemory mem;
+    mem.poke(100, 7u << 29); // reserved format
+    FunctionalCpu cpu(mem);
+    for (int run = 0; run < 2; ++run) {
+        cpu.reset(100);
+        EXPECT_EQ(cpu.run(10), StopReason::SIM_ERROR);
+        EXPECT_EQ(cpu.errorMessage(), "illegal instruction at 100");
+    }
 }
 
 } // namespace
