@@ -65,7 +65,6 @@ pl::ChainSpec
 fullChain()
 {
     pl::ChainSpec spec;
-    spec.reorganize = true;
     spec.hazard_verify = true;
     spec.translation_validate = true;
     spec.simulate = true;

@@ -91,6 +91,32 @@ run_fuzz_gate() {
     echo "check.sh: fuzz regressions replay clean ($repro_n reproducers)"
 }
 
+# Run a Python check over FILE, a stream of concatenated JSON
+# documents (mipsverify --json, --cost=json and --range=json print one
+# per unit). The check, read from stdin, sees them as the list `docs`,
+# which must not be empty; WHAT names the stream in failures.
+#
+# Usage: check_json_stream FILE WHAT <<'EOF' ... EOF
+check_json_stream() {
+    local check
+    check=$(cat)
+    python3 - "$1" "$2" <<EOF
+import json, sys
+raw = open(sys.argv[1]).read()
+dec, i, docs = json.JSONDecoder(), 0, []
+while i < len(raw):
+    while i < len(raw) and raw[i].isspace():
+        i += 1
+    if i >= len(raw):
+        break
+    doc, i = dec.raw_decode(raw, i)
+    docs.append(doc)
+if not docs:
+    sys.exit(f"{sys.argv[2]}: no documents emitted")
+$check
+EOF
+}
+
 if [ "${1:-}" = "nightly" ]; then
     shift
     build_dir=${1:-"$repo_root/build"}
@@ -254,19 +280,8 @@ if [ "$bench_only" -eq 0 ]; then
     # severity counters.
     "$mv" --corpus --json --no-time --quiet \
         > "$build_dir/verify-corpus.json"
-    python3 - "$build_dir/verify-corpus.json" <<'EOF'
-import json, sys
-raw = open(sys.argv[1]).read()
-dec, i, docs = json.JSONDecoder(), 0, []
-while i < len(raw):
-    while i < len(raw) and raw[i].isspace():
-        i += 1
-    if i >= len(raw):
-        break
-    doc, i = dec.raw_decode(raw, i)
-    docs.append(doc)
-if not docs:
-    sys.exit("mipsverify --json: no documents emitted")
+    check_json_stream "$build_dir/verify-corpus.json" "mipsverify --json" \
+        <<'EOF'
 for doc in docs:
     if doc.get("schema") != 1:
         sys.exit(f"{doc.get('unit')}: diagnostics schema is not 1")
@@ -287,19 +302,8 @@ EOF
     # every straight-line block of every reorganized corpus program.
     "$mv" --corpus --cost=json --quiet --no-time \
         > "$build_dir/cost-corpus.json"
-    python3 - "$build_dir/cost-corpus.json" <<'EOF'
-import json, sys
-raw = open(sys.argv[1]).read()
-dec, i, docs = json.JSONDecoder(), 0, []
-while i < len(raw):
-    while i < len(raw) and raw[i].isspace():
-        i += 1
-    if i >= len(raw):
-        break
-    doc, i = dec.raw_decode(raw, i)
-    docs.append(doc)
-if not docs:
-    sys.exit("mipsverify --cost=json: no documents emitted")
+    check_json_stream "$build_dir/cost-corpus.json" \
+        "mipsverify --cost=json" <<'EOF'
 checked = exact = 0
 for doc in docs:
     parity = doc.get("parity")
@@ -320,19 +324,8 @@ EOF
     # this; the JSON pass below re-checks it structurally).
     "$mv" --corpus --range=json --quiet --no-time \
         > "$build_dir/range-corpus.json"
-    python3 - "$build_dir/range-corpus.json" <<'EOF'
-import json, sys
-raw = open(sys.argv[1]).read()
-dec, i, docs = json.JSONDecoder(), 0, []
-while i < len(raw):
-    while i < len(raw) and raw[i].isspace():
-        i += 1
-    if i >= len(raw):
-        break
-    doc, i = dec.raw_decode(raw, i)
-    docs.append(doc)
-if not docs:
-    sys.exit("mipsverify --range=json: no documents emitted")
+    check_json_stream "$build_dir/range-corpus.json" \
+        "mipsverify --range=json" <<'EOF'
 may = 0
 for doc in docs:
     if doc.get("schema") != 1:

@@ -21,6 +21,9 @@ namespace {
 constexpr uint32_t kResultBase = 0x20000;
 constexpr uint32_t kResultWords = 128;
 
+/** Cost-parity slack for TRAP blocks (verify::checkCostParity). */
+constexpr double kCostTolerance = 0.02;
+
 /** Record the first failure; later layers for this program are not
  *  consulted (the minimizer wants one stable predicate, not a list). */
 void
@@ -91,9 +94,6 @@ runMatrix(pipeline::Session &session, const GeneratedProgram &program,
     const std::string text = program.render();
     const pipeline::Source source(text, pascal ? pipeline::Language::PASCAL
                                                : pipeline::Language::ASSEMBLY);
-    // Cost parity reads the profile of the simulate stage, which only
-    // Pascal units run (see the pipeline run below).
-    const bool cost_parity = pascal && options.cost_parity;
 
     // CC baseline: the legal unit on the interlocked functional
     // machine defines the expected observable output. It runs once per
@@ -113,7 +113,9 @@ runMatrix(pipeline::Session &session, const GeneratedProgram &program,
         o.compile.jump_tables = config.jump_tables;
         o.reorg = config.reorg;
         o.sim.max_cycles = options.max_cycles;
-        o.sim.profile = cost_parity;
+        // Cost parity reads the profile of the simulate stage, which
+        // only Pascal units run (see the pipeline run below).
+        o.sim.profile = pascal;
 
         // The front end must accept its own generator's output; a
         // parse/sema/assembly failure is a generator defect, not a
@@ -182,18 +184,15 @@ runMatrix(pipeline::Session &session, const GeneratedProgram &program,
             return result;
         }
 
-        if (options.value_range) {
-            auto range = session.valueRange(source, o);
-            if (!range.ok()) {
-                fail(&result, config.tag, "value-range",
-                     range.error().str());
-                return result;
-            }
-            if (size_t n = errorCount(range.value()->diags)) {
-                fail(&result, config.tag, "value-range",
-                     strprintf("%zu MUST finding(s)", n));
-                return result;
-            }
+        auto range = session.valueRange(source, o);
+        if (!range.ok()) {
+            fail(&result, config.tag, "value-range", range.error().str());
+            return result;
+        }
+        if (size_t n = errorCount(range.value()->diags)) {
+            fail(&result, config.tag, "value-range",
+                 strprintf("%zu MUST finding(s)", n));
+            return result;
         }
 
         // The pipeline run. Pascal units take the simulate stage,
@@ -217,8 +216,14 @@ runMatrix(pipeline::Session &session, const GeneratedProgram &program,
             error = profiled->error;
             console = profiled->console;
         } else {
+            const pipeline::ReorgArtifact &reorg = *v.value()->reorg;
+            if (reorg.link_error) {
+                fail(&result, config.tag, "simulate",
+                     reorg.link_error->str());
+                return result;
+            }
             machine.emplace();
-            machine->load(v.value()->reorg->program);
+            machine->load(reorg.program);
             stop = machine->cpu().run(options.max_cycles);
             sim::publishMetrics(*machine);
             if (stop != sim::StopReason::HALT)
@@ -252,7 +257,7 @@ runMatrix(pipeline::Session &session, const GeneratedProgram &program,
             }
         }
 
-        if (cost_parity) {
+        if (pascal) {
             auto cost = session.costModel(source, o);
             if (!cost.ok()) {
                 fail(&result, config.tag, "cost-model",
@@ -261,7 +266,7 @@ runMatrix(pipeline::Session &session, const GeneratedProgram &program,
             }
             verify::CostParity parity = verify::checkCostParity(
                 cost.value()->report, profiled->exec_counts,
-                options.cost_tolerance);
+                kCostTolerance);
             if (parity.violations != 0) {
                 fail(&result, config.tag, "cost-parity",
                      strprintf("%zu violation(s)", parity.violations));

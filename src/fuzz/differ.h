@@ -59,16 +59,12 @@ std::vector<FuzzConfig> pascalMatrix();
  *  case lowering are front-end knobs with no meaning for raw asm). */
 std::vector<FuzzConfig> asmMatrix();
 
-/** Driver knobs. */
+/** Driver knobs. Every oracle always runs; cost parity, which reads
+ *  the profile of the Session's simulate stage, runs for Pascal
+ *  only. */
 struct DiffOptions
 {
     uint64_t max_cycles = 50'000'000;
-    /** Run the static-vs-dynamic cost parity oracle (Pascal only —
-     *  it reads the profile of the Session's simulate stage). */
-    bool cost_parity = true;
-    /** Run the value-range / memory-safety oracle. */
-    bool value_range = true;
-    double cost_tolerance = 0.02;
     /** Test-only reorganizer fault injection, applied to every
      *  config. The minimizer tests drive this to prove a planted bug
      *  is caught and survives shrinking. */

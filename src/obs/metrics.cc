@@ -3,10 +3,12 @@
 #include <algorithm>
 
 #include "support/logging.h"
+#include "support/strings.h"
 #include "support/table.h"
 
 namespace mips::obs {
 
+using support::jsonEscape;
 using support::panic;
 using support::strprintf;
 
@@ -124,19 +126,6 @@ std::string
 numStr(double v)
 {
     return strprintf("%g", v);
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
 }
 
 } // namespace

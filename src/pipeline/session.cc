@@ -83,17 +83,19 @@ keyOf(const SimOptions &o)
 }
 
 /** The Reorganize key, which every later stage's key ends with. An
- *  assembly source has no front-end options and carries `asm` where
- *  Pascal carries the compile options, so the same text read as the
- *  two languages never shares an entry. */
+ *  assembly source has no front-end options and carries `asm` (or
+ *  `sched`) where Pascal carries the compile options, so the same text
+ *  read as two languages never shares an entry. */
 std::string
 reorgKey(const Source &source, const StageOptions &options)
 {
-    std::string key = keyOf(options.reorg) + "|" +
-                      (source.language == Language::ASSEMBLY
-                           ? std::string("asm")
-                           : keyOf(options.compile)) +
-                      "\n";
+    std::string language;
+    switch (source.language) {
+    case Language::PASCAL: language = keyOf(options.compile); break;
+    case Language::ASSEMBLY: language = "asm"; break;
+    case Language::SCHEDULED: language = "sched"; break;
+    }
+    std::string key = keyOf(options.reorg) + "|" + language + "\n";
     key.append(source.text);
     return key;
 }
@@ -425,7 +427,7 @@ Session::assemble(std::string_view asm_text)
 support::Result<LegalRef>
 Session::legal(const Source &source, const StageOptions &options)
 {
-    if (source.language == Language::ASSEMBLY) {
+    if (source.language != Language::PASCAL) {
         auto assembled = assemble(source.text);
         if (!assembled.ok())
             return assembled.error();
@@ -449,17 +451,22 @@ Session::reorganize(const Source &source, const StageOptions &options)
         impl_->reorg_cache, Stage::REORGANIZE, reorgKey(source, options),
         [&]() -> support::Result<ReorgRef> {
             const LegalRef &dep = legal_unit.value();
-            reorg::ReorgResult result =
-                reorg::reorganize(*dep, options.reorg);
             auto artifact = std::make_shared<ReorgArtifact>();
             artifact->legal = dep;
-            artifact->stats = result.stats;
-            artifact->hints = std::move(result.hints);
-            artifact->final_unit = std::move(result.unit);
+            if (source.language == Language::SCHEDULED) {
+                artifact->final_unit = *dep;
+            } else {
+                reorg::ReorgResult result =
+                    reorg::reorganize(*dep, options.reorg);
+                artifact->stats = result.stats;
+                artifact->hints = std::move(result.hints);
+                artifact->final_unit = std::move(result.unit);
+            }
             auto program = assembler::link(artifact->final_unit);
-            if (!program.ok())
-                return program.error();
-            artifact->program = program.take();
+            if (program.ok())
+                artifact->program = program.take();
+            else
+                artifact->link_error = program.error();
             return ReorgRef(artifact);
         });
 }
@@ -523,6 +530,8 @@ Session::simulate(const Source &source, const StageOptions &options)
         keyOf(options.sim) + "|" + reorgKey(source, options),
         [&]() -> support::Result<SimRef> {
             const ReorgRef &dep = reorg.value();
+            if (dep->link_error)
+                return *dep->link_error;
             sim::Machine machine;
             machine.load(dep->program);
             machine.cpu().enableProfiling(options.sim.profile);
@@ -565,9 +574,7 @@ Session::costModel(const Source &source, const StageOptions &options)
         "cost|" + reorgKey(source, options),
         [&]() -> support::Result<CostRef> {
             const ReorgRef &dep = reorg.value();
-            verify::DiagnosticEngine diags(&dep->final_unit);
-            verify::Cfg cfg =
-                verify::buildCfg(dep->final_unit, &diags);
+            verify::Cfg cfg = verify::buildCfg(dep->final_unit, nullptr);
             verify::CallGraph graph = verify::buildCallGraph(cfg);
             auto artifact = std::make_shared<CostArtifact>();
             artifact->reorg = dep;
@@ -591,10 +598,11 @@ Session::valueRange(const Source &source, const StageOptions &options)
         "range|" + keyOf(options.range) + "|" + reorgKey(source, options),
         [&]() -> support::Result<RangeRef> {
             const ReorgRef &dep = reorg.value();
-            verify::DiagnosticEngine diags(&dep->final_unit);
-            verify::Cfg cfg =
-                verify::buildCfg(dep->final_unit, &diags);
+            // The CFG's structural findings (VF*) are HazardVerify's to
+            // report: `diags` collects the MS findings only.
+            verify::Cfg cfg = verify::buildCfg(dep->final_unit, nullptr);
             verify::CallGraph graph = verify::buildCallGraph(cfg);
+            verify::DiagnosticEngine diags(&dep->final_unit);
             auto artifact = std::make_shared<RangeArtifact>();
             artifact->reorg = dep;
             artifact->report = verify::checkMemorySafety(
@@ -639,17 +647,10 @@ runAll(Session &session,
                 return fail(compiled.error());
             r.compile = compiled.value();
 
-            bool need_reorg = stages.reorganize ||
-                              stages.hazard_verify ||
-                              stages.translation_validate ||
-                              stages.simulate || stages.cost_model ||
-                              stages.value_range;
-            if (need_reorg) {
-                auto reorg = session.reorganize(program.source, options);
-                if (!reorg.ok())
-                    return fail(reorg.error());
-                r.reorg = reorg.value();
-            }
+            auto reorg = session.reorganize(program.source, options);
+            if (!reorg.ok())
+                return fail(reorg.error());
+            r.reorg = reorg.value();
             if (stages.hazard_verify) {
                 auto v = session.hazardVerify(program.source, options);
                 if (!v.ok())

@@ -19,7 +19,11 @@
  * same corpus program share one compile result instead of recompiling
  * it per table. The stages from Reorganize on take a `Source`, Pascal
  * or assembly: like the paper's reorganizer, they are one post-pass
- * over legal code, whoever wrote it. Artifacts are immutable and
+ * over legal code, whoever wrote it, and like its `.noreorder`, a
+ * `SCHEDULED` source asks that the code pass through untouched. A
+ * unit that does not link is data too: its ReorgArtifact carries the
+ * link error, the analyses still run, and only the stages that load
+ * the program fail. Artifacts are immutable and
  * handed out as `shared_ptr<const T>`; a cache hit is
  * pointer-identical to the cold run that produced it. Errors are
  * cached too: recoverable input failures (bad source) are remembered
@@ -42,6 +46,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -97,14 +102,19 @@ struct StageOptions
 enum class Language
 {
     PASCAL,
+    /** Legal assembly code, for the reorganizer to schedule. */
     ASSEMBLY,
+    /** Assembly already scheduled for the pipeline: Reorganize passes
+     *  it through unchanged, so the later stages analyse the unit as
+     *  written. */
+    SCHEDULED,
 };
 
 /**
  * The input of the stages from Reorganize on: source text plus its
  * language. Pascal text converts implicitly, so `reorganize(text)`
- * compiles; an assembly unit is `Source(text, Language::ASSEMBLY)`.
- * A view: the text must outlive the stage call.
+ * compiles; an assembly unit is `Source(text, Language::ASSEMBLY)`
+ * (or `SCHEDULED`). A view: the text must outlive the stage call.
  */
 struct Source
 {
@@ -147,12 +157,18 @@ struct AssembleArtifact
  *  artifact it belongs to. */
 using LegalRef = std::shared_ptr<const assembler::Unit>;
 
-/** Reorganize: legal code → pipeline-correct unit + linked image. */
+/** Reorganize: legal code → pipeline-correct unit + linked image.
+ *  A SCHEDULED source's `final_unit` is its legal unit, with zero
+ *  stats and no hints. */
 struct ReorgArtifact
 {
     LegalRef legal; ///< its input
     assembler::Unit final_unit;
-    assembler::Program program; ///< linked, ready to load
+    /** Linked, ready to load; empty when `final_unit` does not link. */
+    assembler::Program program;
+    /** Why `final_unit` does not link; unset when it does. The
+     *  stages that load `program` return it as their error. */
+    std::optional<support::Error> link_error;
     reorg::ReorgStats stats;
     std::vector<reorg::DupHint> hints; ///< scheme-2 provenance
 };
@@ -207,8 +223,9 @@ struct CostArtifact
 };
 
 /** ValueRange: interval/alignment fixpoint + memory-safety report for
- *  the reorganized unit (verify/memsafety.h). The MS diagnostics land
- *  in `diags`; `report` carries the statistics and stack table. */
+ *  the reorganized unit (verify/memsafety.h). `diags` holds the MS
+ *  findings and nothing else (the CFG's own structural findings belong
+ *  to HazardVerify); `report` carries the statistics and stack table. */
 struct RangeArtifact
 {
     std::shared_ptr<const ReorgArtifact> reorg;
@@ -307,7 +324,8 @@ class Session
     legal(const Source &source,
           const StageOptions &options = StageOptions{});
 
-    /** Reorganize the legal unit and link it. */
+    /** Reorganize the legal unit (a SCHEDULED one passes through) and
+     *  link it. */
     support::Result<ReorgRef>
     reorganize(const Source &source,
                const StageOptions &options = StageOptions{});
@@ -322,7 +340,8 @@ class Session
     translationValidate(const Source &source,
                         const StageOptions &options = StageOptions{});
 
-    /** Run the linked program on the pipeline machine. */
+    /** Run the linked program on the pipeline machine. A unit that
+     *  does not link returns its link error. */
     support::Result<SimRef>
     simulate(const Source &source,
              const StageOptions &options = StageOptions{});
@@ -359,11 +378,10 @@ Session &sharedSession();
 
 // -------------------------------------------------- batched chains
 
-/** Which stages a chain run executes. Compile always runs; the
- *  verify/validate/simulate stages imply reorganize. */
+/** Which stages a chain run executes. Compile and reorganize always
+ *  run. */
 struct ChainSpec
 {
-    bool reorganize = true;
     bool hazard_verify = false;
     bool translation_validate = false;
     bool simulate = false;

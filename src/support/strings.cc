@@ -2,6 +2,8 @@
 
 #include <cctype>
 
+#include "support/logging.h"
+
 namespace mips::support {
 
 std::string_view
@@ -73,6 +75,29 @@ join(const std::vector<std::string> &parts, std::string_view sep)
         if (i > 0)
             out += sep;
         out += parts[i];
+    }
+    return out;
+}
+
+std::string
+jsonEscape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                out += strprintf("\\u%04x", c);
+            } else {
+                out += c;
+            }
+            break;
+        }
     }
     return out;
 }

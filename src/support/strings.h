@@ -29,4 +29,8 @@ bool startsWith(std::string_view s, std::string_view prefix);
 std::string join(const std::vector<std::string> &parts,
                  std::string_view sep);
 
+/** Escape `s` for the inside of a JSON string literal: quotes,
+ *  backslash and control characters. */
+std::string jsonEscape(std::string_view s);
+
 } // namespace mips::support

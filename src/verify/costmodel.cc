@@ -320,7 +320,7 @@ costJson(const CostReport &report, const CostParity *parity)
 {
     std::string out = "{\n  \"schema\": 1,\n";
     out += support::strprintf("  \"unit\": \"%s\",\n",
-                              report.unit.c_str());
+                              support::jsonEscape(report.unit).c_str());
     out += support::strprintf(
         "  \"totals\": {\"words\": %llu, \"instructions\": %llu, "
         "\"nops\": %llu, \"packed\": %llu, \"delay_slots\": %llu, "
@@ -350,7 +350,7 @@ costJson(const CostReport &report, const CostParity *parity)
             "\"filled_slots\": %llu, \"dispatches\": %llu, "
             "\"rollup_words\": %llu, "
             "\"unresolved_calls\": %zu, \"recursive\": %s}",
-            f.name.c_str(), f.blocks,
+            support::jsonEscape(f.name).c_str(), f.blocks,
             static_cast<unsigned long long>(f.words),
             static_cast<unsigned long long>(f.instructions),
             static_cast<unsigned long long>(f.nops),

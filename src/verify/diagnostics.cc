@@ -272,34 +272,6 @@ renderText(const std::vector<Diagnostic> &diags,
     return out;
 }
 
-namespace {
-
-/** Minimal JSON string escaping (quotes, backslash, control chars). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                out += support::strprintf("\\u%04x", c);
-            } else {
-                out += c;
-            }
-            break;
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 std::string
 renderJson(const std::vector<Diagnostic> &diags, const std::string &name,
            double elapsed_ms)
@@ -317,7 +289,7 @@ renderJson(const std::vector<Diagnostic> &diags, const std::string &name,
     std::string out = "{\n";
     out += "  \"schema\": 1,\n";
     out += support::strprintf("  \"unit\": \"%s\",\n",
-                              jsonEscape(name).c_str());
+                              support::jsonEscape(name).c_str());
     if (elapsed_ms >= 0.0)
         out += support::strprintf("  \"elapsed_ms\": %.3f,\n", elapsed_ms);
     out += support::strprintf(
@@ -350,7 +322,7 @@ renderJson(const std::vector<Diagnostic> &diags, const std::string &name,
         }
         out += support::strprintf(
             "\"source_line\": %d, \"message\": \"%s\"}", d.source_line,
-            jsonEscape(d.message).c_str());
+            support::jsonEscape(d.message).c_str());
     }
     out += diags.empty() ? "]\n" : "\n  ]\n";
     out += "}\n";

@@ -205,30 +205,6 @@ solveOwnDepth(const CallGraph &g, const FunctionInfo &f,
     return own;
 }
 
-/** Minimal JSON string escaping (matches diagnostics.cc). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                out += strprintf("\\u%04x", c);
-            } else {
-                out += c;
-            }
-            break;
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 RangeReport
@@ -607,7 +583,7 @@ rangeJson(const RangeReport &report)
     std::string out = "{\n";
     out += "  \"schema\": 1,\n";
     out += strprintf("  \"unit\": \"%s\",\n",
-                     jsonEscape(report.unit).c_str());
+                     support::jsonEscape(report.unit).c_str());
     out += strprintf("  \"items\": %zu,\n", report.items);
     out += strprintf("  \"reachable_items\": %zu,\n",
                      report.reachable_items);
@@ -629,7 +605,7 @@ rangeJson(const RangeReport &report)
         const StackDepthInfo &s = report.stack[i];
         out += (i ? ",\n    " : "\n    ");
         out += strprintf("{\"function\": \"%s\", ",
-                         jsonEscape(s.name).c_str());
+                         support::jsonEscape(s.name).c_str());
         out += strprintf("\"own_words\": %llu, ",
                          static_cast<unsigned long long>(s.own_words));
         if (s.known)

@@ -65,9 +65,11 @@
  * which is how the tests/data/fuzz-regressions/ gate re-checks every
  * counterexample ever found.
  *
- * The corpus runs through a pipeline::Session, so repeated stages
- * share cached artifacts, and a pipeline::BatchRunner fans units
- * across the worker threads with deterministic result collection.
+ * Both modes run through a pipeline::Session, so repeated stages
+ * share cached artifacts and report pipeline.* metrics and spans. A
+ * single file is a `SCHEDULED` source unless --reorg asks for the
+ * reorganizer; the corpus fans its units across a
+ * pipeline::BatchRunner with deterministic result collection.
  *
  * Exit status: 0 = no error-severity findings, 1 = at least one error,
  * 2 = usage or input failure.
@@ -80,7 +82,7 @@
 #include <sstream>
 #include <string>
 
-#include "asm/assembler.h"
+#include "asm/unit.h"
 #include "fuzz/differ.h"
 #include "fuzz/generator.h"
 #include "fuzz/minimize.h"
@@ -94,7 +96,6 @@
 #include "verify/costmodel.h"
 #include "verify/interproc.h"
 #include "verify/memsafety.h"
-#include "verify/tv.h"
 #include "verify/verify.h"
 #include "workload/corpus.h"
 
@@ -188,19 +189,6 @@ msSince(Clock::time_point start)
         .count();
 }
 
-/** Fold the translation-validation findings into the hazard report. */
-void
-mergeReport(mips::verify::VerifyReport *into,
-            const mips::verify::VerifyReport &from)
-{
-    into->diagnostics.insert(into->diagnostics.end(),
-                             from.diagnostics.begin(),
-                             from.diagnostics.end());
-    into->errors += from.errors;
-    into->warnings += from.warnings;
-    into->notes += from.notes;
-}
-
 /**
  * Render one unit's report into `out` (unless quiet) and report
  * whether the unit verified clean. Buffering into a string (instead
@@ -255,8 +243,9 @@ costOutput(const CliOptions &cli, const mips::verify::CostReport &report,
     return out;
 }
 
-/** Fold loose diagnostics (the MS findings of a range run) into the
- *  main report's list and severity counters. */
+/** Fold more findings (translation validation's, or the MS findings
+ *  of a range run) into the main report's list and severity
+ *  counters. */
 void
 mergeDiagnostics(mips::verify::VerifyReport *into,
                  const std::vector<mips::verify::Diagnostic> &diags)
@@ -284,29 +273,30 @@ rangeOutput(const CliOptions &cli,
 
 /** Run the linked unit on the simulator and match every observed
  *  fault/overflow event against the static MS findings. Returns the
- *  gate verdict (0 covered, 1 not) and appends the summary to `out`. */
+ *  gate verdict (0 covered, 1 not; 2 if the unit does not link) and
+ *  appends the summary to `out`. */
 int
-runRangeOracle(const mips::assembler::Unit &unit,
+runRangeOracle(const mips::pipeline::ReorgArtifact &reorg,
                const std::string &name,
                const std::vector<mips::verify::Diagnostic> &diags,
                std::string *out)
 {
     using mips::support::strprintf;
-    auto program = mips::assembler::link(unit);
-    if (!program.ok()) {
+    if (reorg.link_error) {
         std::fprintf(stderr, "mipsverify: %s: link failed: %s\n",
-                     name.c_str(), program.error().message.c_str());
+                     name.c_str(), reorg.link_error->message.c_str());
         return 2;
     }
     mips::sim::Machine machine;
-    machine.load(program.value());
+    machine.load(reorg.program);
     machine.cpu().run(10'000'000);
     std::vector<mips::verify::ObservedFault> faults;
     for (const mips::sim::Cpu::FaultEvent &e :
          machine.cpu().faultEvents())
         faults.push_back({static_cast<uint8_t>(e.cause), e.pc, e.addr});
     mips::verify::FaultCoverage cov = mips::verify::checkFaultCoverage(
-        diags, program.value().origin, unit.items.size(), faults);
+        diags, reorg.program.origin, reorg.final_unit.items.size(),
+        faults);
     *out += strprintf("%s: range-oracle: %zu event(s), %zu covered, "
                       "%zu exempt\n",
                       name.c_str(), cov.events, cov.covered,
@@ -314,6 +304,21 @@ runRangeOracle(const mips::assembler::Unit &unit,
     for (const std::string &note : cov.notes)
         *out += "  " + note + "\n";
     return cov.ok() ? 0 : 1;
+}
+
+/** The stage options of a run, for the corpus and single-file modes
+ *  alike. */
+mips::pipeline::StageOptions
+stageOptions(const CliOptions &cli)
+{
+    mips::pipeline::StageOptions options;
+    options.compile = cli.compile_options;
+    options.reorg = cli.reorg_options;
+    options.verify = cli.verify;
+    options.range.stack_budget = cli.stack_budget;
+    // Corpus cost reports are checked against a profiled run.
+    options.sim.profile = cli.cost != 0;
+    return options;
 }
 
 int
@@ -329,25 +334,16 @@ runCorpus(const CliOptions &cli)
     programs.push_back(mips::workload::puzzle1Program());
 
     mips::pipeline::Session session;
-    mips::pipeline::StageOptions options;
-    options.compile = cli.compile_options;
-    options.reorg = cli.reorg_options;
-    options.verify = cli.verify;
+    const mips::pipeline::StageOptions options = stageOptions(cli);
     mips::pipeline::ChainSpec spec;
     spec.hazard_verify = true;
     spec.translation_validate = cli.tv;
-    if (cli.cost) {
-        // The cost model is validated, not trusted: every unit also
-        // runs on the simulator with profiling on, and the static
-        // report must agree with the dynamic per-word issue counts.
-        spec.cost_model = true;
-        spec.simulate = true;
-        options.sim.profile = true;
-    }
-    if (cli.range) {
-        spec.value_range = true;
-        options.range.stack_budget = cli.stack_budget;
-    }
+    // The cost model is validated, not trusted: every unit also runs on
+    // the simulator with profiling on, and the static report must agree
+    // with the dynamic per-word issue counts.
+    spec.cost_model = cli.cost != 0;
+    spec.simulate = cli.cost != 0;
+    spec.value_range = cli.range != 0;
 
     // Fail-fast still computes in parallel waves of `jobs` units, but
     // emission stops at the first failing unit, so the output matches
@@ -384,7 +380,7 @@ runCorpus(const CliOptions &cli)
             }
             mips::verify::VerifyReport report = r.verify->report;
             if (cli.tv)
-                mergeReport(&report, r.tv->report);
+                mergeDiagnostics(&report, r.tv->report.diagnostics);
             if (cli.range)
                 mergeDiagnostics(&report, r.range->diags);
             std::string out;
@@ -440,11 +436,11 @@ runCorpus(const CliOptions &cli)
 int
 runFile(const CliOptions &cli)
 {
-    std::string source;
+    std::string text;
     if (cli.file == "-") {
         std::ostringstream buf;
         buf << std::cin.rdbuf();
-        source = buf.str();
+        text = buf.str();
     } else {
         std::ifstream in(cli.file);
         if (!in) {
@@ -454,104 +450,86 @@ runFile(const CliOptions &cli)
         }
         std::ostringstream buf;
         buf << in.rdbuf();
-        source = buf.str();
+        text = buf.str();
     }
 
-    auto parsed = mips::pipeline::sharedSession().assemble(source);
-    if (!parsed.ok()) {
+    // As written, the unit is taken as already scheduled and analysed
+    // untouched; --reorg (and --tv) hand it to the reorganizer first.
+    // Stages past hazardVerify share its Reorganize artifact, so only
+    // that first call can fail (on a parse error: a unit that does not
+    // link is data).
+    mips::pipeline::Session session;
+    const mips::pipeline::StageOptions options = stageOptions(cli);
+    const mips::pipeline::Source source(
+        text, cli.reorg ? mips::pipeline::Language::ASSEMBLY
+                        : mips::pipeline::Language::SCHEDULED);
+    Clock::time_point start = Clock::now();
+    auto verified = session.hazardVerify(source, options);
+    if (!verified.ok()) {
         std::fprintf(stderr, "mipsverify: %s: %s\n", cli.file.c_str(),
-                     parsed.error().message.c_str());
+                     verified.error().message.c_str());
         return 2;
     }
-    const mips::assembler::Unit &unit = parsed.value()->unit;
+    // The unit that would run on the machine: the reorganized one
+    // under --reorg.
+    const mips::pipeline::ReorgArtifact &reorg = *verified.value()->reorg;
+    mips::verify::VerifyReport report = verified.value()->report;
+    if (cli.tv)
+        mergeDiagnostics(
+            &report,
+            session.translationValidate(source, options).value()->report
+                .diagnostics);
 
-    Clock::time_point start = Clock::now();
-    mips::verify::VerifyReport report;
-    const mips::assembler::Unit *report_unit = &unit;
-    mips::assembler::Unit reorganized;
-    if (cli.reorg) {
-        mips::reorg::ReorgResult result =
-            mips::reorg::reorganize(unit, cli.reorg_options);
-        reorganized = std::move(result.unit);
-        Clock::time_point verify_start = Clock::now();
-        report = mips::verify::verifyReorganization(unit, reorganized,
-                                                    cli.verify);
-        mips::obs::verifyUnitMs().observe(msSince(verify_start));
-        if (cli.tv) {
-            mips::verify::TvOptions tvopts;
-            tvopts.alias = cli.reorg_options.alias;
-            mergeReport(&report,
-                        mips::verify::validateTranslation(
-                            unit, reorganized, result.hints, tvopts));
-        }
-        report_unit = &reorganized;
-    } else {
-        Clock::time_point verify_start = Clock::now();
-        report = mips::verify::verifyUnit(unit, cli.verify);
-        mips::obs::verifyUnitMs().observe(msSince(verify_start));
-    }
     // Extra reports print after the verify report; the range findings
     // themselves fold *into* it, so the analysis runs before emit.
     std::string extra_out;
-    int oracle_status = -1; // -1 = oracle not requested
-    bool range_needed = cli.range || cli.range_oracle;
-    if (cli.callgraph || cli.cost || range_needed) {
-        // Build over the unit that would run on the machine (the
-        // reorganized one under --reorg). Structural diagnostics were
-        // already reported above; this engine is scratch.
-        mips::verify::DiagnosticEngine scratch(report_unit);
+    if (cli.callgraph) {
+        // No artifact carries the call graph, so build it here (the
+        // graph refers into `cfg`).
         mips::verify::Cfg cfg =
-            mips::verify::buildCfg(*report_unit, &scratch);
-        mips::verify::CallGraph graph =
-            mips::verify::buildCallGraph(cfg);
-        if (cli.callgraph) {
-            std::string dot =
-                mips::verify::callGraphDot(graph, cli.file);
-            if (cli.callgraph_out.empty()) {
-                extra_out += dot;
-            } else {
-                std::ofstream dot_out(cli.callgraph_out);
-                if (!dot_out) {
-                    std::fprintf(stderr,
-                                 "mipsverify: cannot write %s\n",
-                                 cli.callgraph_out.c_str());
-                    return 2;
-                }
-                dot_out << dot;
+            mips::verify::buildCfg(reorg.final_unit, nullptr);
+        mips::verify::CallGraph graph = mips::verify::buildCallGraph(cfg);
+        std::string dot = mips::verify::callGraphDot(graph, cli.file);
+        if (cli.callgraph_out.empty()) {
+            extra_out += dot;
+        } else {
+            std::ofstream dot_out(cli.callgraph_out);
+            if (!dot_out) {
+                std::fprintf(stderr, "mipsverify: cannot write %s\n",
+                             cli.callgraph_out.c_str());
+                return 2;
             }
+            dot_out << dot;
         }
-        if (cli.cost) {
-            // Static-only in single-file mode: parity needs a whole
-            // program to simulate (--corpus --cost).
-            mips::verify::CostReport cost =
-                mips::verify::computeCostModel(cfg, graph, cli.file);
-            mips::verify::publishCostMetrics(cost);
-            extra_out += costOutput(cli, cost, nullptr);
+    }
+    if (cli.cost) {
+        // Static-only in single-file mode: parity needs a whole program
+        // to simulate (--corpus --cost).
+        mips::verify::CostReport cost =
+            session.costModel(source, options).value()->report;
+        cost.unit = cli.file;
+        extra_out += costOutput(cli, cost, nullptr);
+    }
+    int oracle_status = -1; // -1 = oracle not requested
+    if (cli.range || cli.range_oracle) {
+        mips::pipeline::RangeRef range =
+            session.valueRange(source, options).value();
+        mergeDiagnostics(&report, range->diags);
+        if (cli.range) {
+            mips::verify::RangeReport range_report = range->report;
+            range_report.unit = cli.file;
+            extra_out += rangeOutput(cli, range_report);
         }
-        if (range_needed) {
-            mips::verify::DiagnosticEngine range_diags(report_unit);
-            mips::verify::RangeCheckOptions ropts;
-            ropts.stack_budget = cli.stack_budget;
-            mips::verify::RangeReport range =
-                mips::verify::checkMemorySafety(cfg, graph, ropts,
-                                                cli.file, &range_diags);
-            mips::verify::publishRangeMetrics(range);
-            mergeDiagnostics(&report, range_diags.diagnostics());
-            if (cli.range)
-                extra_out += rangeOutput(cli, range);
-            if (cli.range_oracle) {
-                oracle_status =
-                    runRangeOracle(*report_unit, cli.file,
-                                   range_diags.diagnostics(),
-                                   &extra_out);
-                if (oracle_status == 2)
-                    return 2;
-            }
+        if (cli.range_oracle) {
+            oracle_status =
+                runRangeOracle(reorg, cli.file, range->diags, &extra_out);
+            if (oracle_status == 2)
+                return 2;
         }
     }
 
     std::string out;
-    bool clean = emit(cli, std::move(report), *report_unit, cli.file,
+    bool clean = emit(cli, std::move(report), reorg.final_unit, cli.file,
                       msSince(start), &out);
     std::fputs(out.c_str(), stdout);
     std::fputs(extra_out.c_str(), stdout);

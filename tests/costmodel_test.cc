@@ -122,6 +122,12 @@ TEST(CostModel, TextAndJsonRenderings)
     parity.exact = 3;
     std::string with = costJson(report, &parity);
     EXPECT_NE(with.find("\"parity\""), std::string::npos) << with;
+
+    // The unit name comes from the command line: JSON escapes it.
+    report.unit = "a\"b\\c";
+    json = costJson(report);
+    EXPECT_NE(json.find("\"unit\": \"a\\\"b\\\\c\""), std::string::npos)
+        << json;
 }
 
 TEST(CostModel, DispatchBreakoutInTextAndJson)

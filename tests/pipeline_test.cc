@@ -1,10 +1,11 @@
 /**
  * @file
- * Pipeline-session tests: cache identity and keying (Pascal and
- * assembly sources), parallel/serial equivalence of `runAll`, counter
- * consistency, error caching and same-key herd coalescing, and the
- * BatchRunner's ordering, no-stranding, queue-depth, concurrent-runner
- * and exception contracts.
+ * Pipeline-session tests: cache identity and keying (Pascal, assembly
+ * and scheduled sources), link failures carried as artifact data, the
+ * range stage's MS-only diagnostics, parallel/serial equivalence of
+ * `runAll`, counter consistency, error caching and same-key herd
+ * coalescing, and the BatchRunner's ordering, no-stranding,
+ * queue-depth, concurrent-runner and exception contracts.
  */
 #include <gtest/gtest.h>
 
@@ -215,6 +216,103 @@ TEST(PipelineSession, AssemblySourceSharesStages)
               before.stage[compile_idx].misses + 1);
     EXPECT_EQ(after.stage[reorg_idx].hits, before.stage[reorg_idx].hits);
     EXPECT_EQ(after.stage[compile_idx].misses, 1u);
+}
+
+// A SCHEDULED source is analysed as written: Reorganize hands its
+// legal unit through with no stats or hints, the hazard report equals
+// verifyUnit's, and its entries never alias the ASSEMBLY reading of
+// the same text.
+TEST(PipelineSession, ScheduledSourcePassesThrough)
+{
+    pipeline::Session session;
+    const std::string text = "    movi #3, r1\n"
+                             "loop:\n"
+                             "    sub r1, #1, r1\n"
+                             "    bne r1, #0, loop\n"
+                             "    halt\n";
+    const pipeline::Source scheduled(text, pipeline::Language::SCHEDULED);
+    const pipeline::Source assembly(text, pipeline::Language::ASSEMBLY);
+
+    auto reorg = session.reorganize(scheduled);
+    ASSERT_TRUE(reorg.ok()) << reorg.error().str();
+    const pipeline::ReorgArtifact &artifact = *reorg.value();
+    EXPECT_EQ(assembler::listUnit(artifact.final_unit),
+              assembler::listUnit(*artifact.legal));
+    EXPECT_EQ(artifact.stats.output_words, 0u);
+    EXPECT_TRUE(artifact.hints.empty());
+    EXPECT_FALSE(artifact.link_error);
+    EXPECT_EQ(artifact.program.image.size(),
+              artifact.final_unit.items.size());
+
+    auto verify = session.hazardVerify(scheduled);
+    ASSERT_TRUE(verify.ok());
+    verify::VerifyReport as_written = verify::verifyUnit(*artifact.legal);
+    EXPECT_EQ(verify::reportJson(verify.value()->report, "u", -1),
+              verify::reportJson(as_written, "u", -1));
+
+    // Both readings share the one assemble artifact, not the rest.
+    auto reorganized = session.reorganize(assembly);
+    ASSERT_TRUE(reorganized.ok());
+    EXPECT_EQ(reorganized.value()->legal.get(), artifact.legal.get());
+    EXPECT_NE(reorganized.value().get(), reorg.value().get());
+}
+
+// A unit that does not link is data, not a stage error: the analyses
+// run and report it, and the stages that load the program return the
+// link error.
+TEST(PipelineSession, LinkFailureIsArtifactData)
+{
+    pipeline::Session session;
+    const std::string text = "    bra nowhere\n"
+                             "    halt\n";
+    for (pipeline::Language language :
+         {pipeline::Language::ASSEMBLY, pipeline::Language::SCHEDULED}) {
+        const pipeline::Source source(text, language);
+        auto reorg = session.reorganize(source);
+        ASSERT_TRUE(reorg.ok()) << reorg.error().str();
+        ASSERT_TRUE(reorg.value()->link_error);
+        EXPECT_NE(reorg.value()->link_error->message.find("nowhere"),
+                  std::string::npos);
+        EXPECT_TRUE(reorg.value()->program.image.empty());
+
+        auto verify = session.hazardVerify(source);
+        ASSERT_TRUE(verify.ok());
+        EXPECT_EQ(verify.value()->report.countOf(verify::Code::VF002), 1u);
+        EXPECT_TRUE(session.translationValidate(source).ok());
+        EXPECT_TRUE(session.costModel(source).ok());
+        EXPECT_TRUE(session.valueRange(source).ok());
+
+        auto sim = session.simulate(source);
+        ASSERT_FALSE(sim.ok());
+        EXPECT_EQ(sim.error().str(), reorg.value()->link_error->str());
+    }
+}
+
+// The range stage's diagnostics are its MS findings alone: a malformed
+// jump table is HazardVerify's VF004, never a "memory-safety" finding
+// too.
+TEST(PipelineSession, RangeDiagnosticsHoldMsFindingsOnly)
+{
+    pipeline::Session session;
+    const std::string text = "la tab, r2\n"
+                             "nop\n"
+                             "movi #0, r3\n"
+                             "jtab (r2+r3), tab\n"
+                             "nop\n"
+                             "nop\n"
+                             "tab: .word d\n"
+                             "d: .word 5\n";
+    const pipeline::Source source(text, pipeline::Language::ASSEMBLY);
+
+    auto verify = session.hazardVerify(source);
+    ASSERT_TRUE(verify.ok());
+    EXPECT_EQ(verify.value()->report.countOf(verify::Code::VF004), 1u);
+
+    auto range = session.valueRange(source);
+    ASSERT_TRUE(range.ok());
+    for (const verify::Diagnostic &d : range.value()->diags)
+        EXPECT_EQ(std::string(verify::codeName(d.code)).substr(0, 2), "MS")
+            << verify::codeName(d.code) << ": " << d.message;
 }
 
 // hits + misses must equal the number of stage requests, and a second

@@ -117,6 +117,10 @@ TEST(Strings, Misc)
     EXPECT_FALSE(startsWith("he", "hello"));
     EXPECT_EQ(join({"a", "b"}, ", "), "a, b");
     EXPECT_EQ(join({}, ", "), "");
+    EXPECT_EQ(jsonEscape("plain.s"), "plain.s");
+    EXPECT_EQ(jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+    EXPECT_EQ(jsonEscape("x\ny\tz"), "x\\ny\\tz");
+    EXPECT_EQ(jsonEscape(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
 }
 
 TEST(Strprintf, Formats)
