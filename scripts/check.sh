@@ -2,14 +2,13 @@
 # Tier-1 verification: build, run the full test suite, statically
 # verify the whole workload corpus with mipsverify (including the
 # value-range/memory-safety pass and its simulator-as-oracle fault
-# corpus under tests/data/range/), check the observability surface
-# (--stats=json self-consistency and a loadable --trace-out file),
-# then run the simulator throughput benchmark and sanity-check its
-# JSON report (schema 1, embedded metrics snapshot).
+# corpus under tests/data/range/), and check the observability
+# surface (--stats=json self-consistency and a loadable --trace-out
+# file). No step is timed: perfbench (perfbench/README.md) is the
+# repository's one performance measurement.
 #
 # Usage:
 #   scripts/check.sh [build-dir]               full check (default ./build)
-#   scripts/check.sh --bench-only [build-dir]  benchmark + JSON check only
 #   scripts/check.sh sanitize [build-dir]      ASan+UBSan build + ctest
 #                                              (default ./build-sanitize)
 #   scripts/check.sh tsan [build-dir]          ThreadSanitizer build; runs
@@ -35,15 +34,6 @@
 #                                              a ThreadSanitizer fuzz pass
 #                                              (--jobs 0) in ./build-tsan
 #                                              (see docs/FUZZING.md)
-#
-# The --bench-only mode is what the `check_bench_json` CTest target
-# runs: the full mode invokes ctest itself and must not recurse.
-#
-# The benchmark steps validate that the throughput and pipeline
-# reports parse and carry their aggregate numbers, scaling curve and
-# metrics snapshot. They enforce no wall-clock threshold, since hosts
-# vary (see the committed BENCH_*.json files for reference numbers);
-# the perfbench `fuzz_parallel` workload judges parallel throughput.
 set -euo pipefail
 
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
@@ -170,8 +160,7 @@ if [ "${1:-}" = "lint" ]; then
         echo "check.sh: lint: clang-tidy not installed; skipping the" \
             "tidy step (build + tests still gate)"
     fi
-    ctest --test-dir "$build_dir" -j "$(nproc)" --output-on-failure \
-        -E '^check_bench_json$'
+    ctest --test-dir "$build_dir" -j "$(nproc)" --output-on-failure
     echo "check.sh: lint green"
     exit 0
 fi
@@ -205,83 +194,77 @@ if [ "${1:-}" = "sanitize" ]; then
     build_dir=${1:-"$repo_root/build-sanitize"}
     cmake -S "$repo_root" -B "$build_dir" -DMIPS82_SANITIZE=ON
     cmake --build "$build_dir" -j "$(nproc)"
+    # ASan's shadow memory inflates peak RSS past the fuzz memory gate.
     ctest --test-dir "$build_dir" -j "$(nproc)" --output-on-failure \
-        -E '^check_bench_json$' # bench timing is meaningless under ASan
+        -E '^check_fuzz_memory$'
     echo "check.sh: sanitize green"
     exit 0
 fi
 
-bench_only=0
-if [ "${1:-}" = "--bench-only" ]; then
-    bench_only=1
-    shift
-fi
 build_dir=${1:-"$repo_root/build"}
 
-if [ "$bench_only" -eq 0 ]; then
-    if [ ! -f "$build_dir/CMakeCache.txt" ]; then
-        cmake -S "$repo_root" -B "$build_dir"
-    fi
-    cmake --build "$build_dir" -j "$(nproc)"
-    ctest --test-dir "$build_dir" -j "$(nproc)" --output-on-failure \
-        -E '^check_bench_json$' # the bench check runs below either way
+if [ ! -f "$build_dir/CMakeCache.txt" ]; then
+    cmake -S "$repo_root" -B "$build_dir"
+fi
+cmake --build "$build_dir" -j "$(nproc)"
+ctest --test-dir "$build_dir" -j "$(nproc)" --output-on-failure
 
-    # Static-analysis hygiene: the default check runs the same tidy
-    # pass as `check.sh lint` whenever clang-tidy is on PATH (the
-    # .clang-tidy config promotes every enabled check to error).
-    if command -v clang-tidy > /dev/null 2>&1; then
-        clang-tidy -p "$build_dir" --quiet \
-            "$repo_root"/src/verify/*.cc "$repo_root"/src/pipeline/*.cc
-        echo "check.sh: clang-tidy clean"
-    else
-        echo "check.sh: clang-tidy not installed; skipping the tidy step"
-    fi
+# Static-analysis hygiene: the default check runs the same tidy
+# pass as `check.sh lint` whenever clang-tidy is on PATH (the
+# .clang-tidy config promotes every enabled check to error).
+if command -v clang-tidy > /dev/null 2>&1; then
+    clang-tidy -p "$build_dir" --quiet \
+        "$repo_root"/src/verify/*.cc "$repo_root"/src/pipeline/*.cc
+    echo "check.sh: clang-tidy clean"
+else
+    echo "check.sh: clang-tidy not installed; skipping the tidy step"
+fi
 
-    # Static verification gate: every reorganized corpus program must
-    # satisfy the software-interlock contract (exit 1 on any error-
-    # severity diagnostic).
-    "$build_dir/src/verify/mipsverify" --corpus
+# Static verification gate: every reorganized corpus program must
+# satisfy the software-interlock contract (exit 1 on any error-
+# severity diagnostic).
+"$build_dir/src/verify/mipsverify" --corpus
 
-    # Determinism gate: parallel verification must emit byte-identical
-    # output to a serial run, in text and JSON mode (--no-time drops
-    # the wall-clock fields, which legitimately vary).
-    mv=$build_dir/src/verify/mipsverify
-    for mode in "" "--json"; do
-        # shellcheck disable=SC2086  # word-splitting is intended
-        "$mv" --corpus --no-time --jobs 1 $mode \
-            > "$build_dir/verify-serial.out"
-        # shellcheck disable=SC2086
-        "$mv" --corpus --no-time --jobs 8 $mode \
-            > "$build_dir/verify-parallel.out"
-        cmp "$build_dir/verify-serial.out" \
-            "$build_dir/verify-parallel.out"
-        echo "check.sh: --jobs 8 output identical (${mode:-text})"
-    done
+# Determinism gate: parallel verification must emit byte-identical
+# output to a serial run, in text and JSON mode (--no-time drops
+# the wall-clock fields, which legitimately vary).
+mv=$build_dir/src/verify/mipsverify
+for mode in "" "--json"; do
+    # shellcheck disable=SC2086  # word-splitting is intended
+    "$mv" --corpus --no-time --jobs 1 $mode \
+        > "$build_dir/verify-serial.out"
+    # shellcheck disable=SC2086
+    "$mv" --corpus --no-time --jobs 8 $mode \
+        > "$build_dir/verify-parallel.out"
+    cmp "$build_dir/verify-serial.out" \
+        "$build_dir/verify-parallel.out"
+    echo "check.sh: --jobs 8 output identical (${mode:-text})"
+done
 
-    # Translation-validation gate: the corpus must also *prove*
-    # equivalent, under the full reorganizer and each stage toggle.
-    run_tv_gate "$build_dir"
+# Translation-validation gate: the corpus must also *prove*
+# equivalent, under the full reorganizer and each stage toggle.
+run_tv_gate "$build_dir"
 
-    # Experiment-table determinism gate: the dispatch tradeoff study
-    # (chain vs jump-table CASE lowering) must render byte-identically
-    # across runs — cycle counts come from the simulator, not wall
-    # clocks, so any drift is a real nondeterminism bug.
-    "$build_dir/bench/bench_dispatch_lowering" --benchmark_filter='^$' \
-        > "$build_dir/dispatch-table-a.out"
-    "$build_dir/bench/bench_dispatch_lowering" --benchmark_filter='^$' \
-        > "$build_dir/dispatch-table-b.out"
-    cmp "$build_dir/dispatch-table-a.out" \
-        "$build_dir/dispatch-table-b.out"
-    grep -q "jump table" "$build_dir/dispatch-table-a.out"
-    echo "check.sh: dispatch experiment table byte-stable"
+# Experiment-table determinism gate: the dispatch tradeoff study
+# (chain vs jump-table CASE lowering) must render byte-identically
+# across runs — cycle counts come from the simulator, not wall
+# clocks, so any drift is a real nondeterminism bug.
+"$build_dir/bench/bench_dispatch_lowering" --benchmark_filter='^$' \
+    > "$build_dir/dispatch-table-a.out"
+"$build_dir/bench/bench_dispatch_lowering" --benchmark_filter='^$' \
+    > "$build_dir/dispatch-table-b.out"
+cmp "$build_dir/dispatch-table-a.out" \
+    "$build_dir/dispatch-table-b.out"
+grep -q "jump table" "$build_dir/dispatch-table-a.out"
+echo "check.sh: dispatch experiment table byte-stable"
 
-    # Diagnostics-JSON gate: machine output must parse as a stream of
-    # schema-1 documents whose summary blocks agree with the
-    # severity counters.
-    "$mv" --corpus --json --no-time --quiet \
-        > "$build_dir/verify-corpus.json"
-    check_json_stream "$build_dir/verify-corpus.json" "mipsverify --json" \
-        <<'EOF'
+# Diagnostics-JSON gate: machine output must parse as a stream of
+# schema-1 documents whose summary blocks agree with the
+# severity counters.
+"$mv" --corpus --json --no-time --quiet \
+    > "$build_dir/verify-corpus.json"
+check_json_stream "$build_dir/verify-corpus.json" "mipsverify --json" \
+    <<'EOF'
 for doc in docs:
     if doc.get("schema") != 1:
         sys.exit(f"{doc.get('unit')}: diagnostics schema is not 1")
@@ -297,13 +280,13 @@ print(f"diagnostics-json gate: {len(docs)} schema-1 documents, "
       f"summaries consistent")
 EOF
 
-    # Cost-model parity gate: the static cycle-cost model must agree
-    # exactly with the simulator's dynamic per-word issue counts for
-    # every straight-line block of every reorganized corpus program.
-    "$mv" --corpus --cost=json --quiet --no-time \
-        > "$build_dir/cost-corpus.json"
-    check_json_stream "$build_dir/cost-corpus.json" \
-        "mipsverify --cost=json" <<'EOF'
+# Cost-model parity gate: the static cycle-cost model must agree
+# exactly with the simulator's dynamic per-word issue counts for
+# every straight-line block of every reorganized corpus program.
+"$mv" --corpus --cost=json --quiet --no-time \
+    > "$build_dir/cost-corpus.json"
+check_json_stream "$build_dir/cost-corpus.json" \
+    "mipsverify --cost=json" <<'EOF'
 checked = exact = 0
 for doc in docs:
     parity = doc.get("parity")
@@ -319,13 +302,13 @@ print(f"cost parity gate: {len(docs)} programs, {checked} blocks "
       f"checked, {exact} exact")
 EOF
 
-    # Value-range gate (1): the clean corpus must carry zero MUST
-    # memory-safety findings (the --range exit status already enforces
-    # this; the JSON pass below re-checks it structurally).
-    "$mv" --corpus --range=json --quiet --no-time \
-        > "$build_dir/range-corpus.json"
-    check_json_stream "$build_dir/range-corpus.json" \
-        "mipsverify --range=json" <<'EOF'
+# Value-range gate (1): the clean corpus must carry zero MUST
+# memory-safety findings (the --range exit status already enforces
+# this; the JSON pass below re-checks it structurally).
+"$mv" --corpus --range=json --quiet --no-time \
+    > "$build_dir/range-corpus.json"
+check_json_stream "$build_dir/range-corpus.json" \
+    "mipsverify --range=json" <<'EOF'
 may = 0
 for doc in docs:
     if doc.get("schema") != 1:
@@ -341,27 +324,27 @@ print(f"value-range gate: {len(docs)} programs, 0 must findings, "
       f"{may} may finding(s)")
 EOF
 
-    # Value-range gate (2): simulator as oracle over the fault corpus.
-    # Every dynamically observed fault/overflow event must be covered
-    # by a MUST or MAY finding at (or reachable from) its pc; mapped
-    # instruction-fetch page faults are exempt (no resident pages).
-    oracle_n=0
-    for prog in "$repo_root"/tests/data/range/*.s; do
-        "$mv" --range-oracle --quiet --no-time "$prog" > /dev/null
-        oracle_n=$((oracle_n + 1))
-    done
-    echo "check.sh: range-oracle gate clean ($oracle_n programs)"
+# Value-range gate (2): simulator as oracle over the fault corpus.
+# Every dynamically observed fault/overflow event must be covered
+# by a MUST or MAY finding at (or reachable from) its pc; mapped
+# instruction-fetch page faults are exempt (no resident pages).
+oracle_n=0
+for prog in "$repo_root"/tests/data/range/*.s; do
+    "$mv" --range-oracle --quiet --no-time "$prog" > /dev/null
+    oracle_n=$((oracle_n + 1))
+done
+echo "check.sh: range-oracle gate clean ($oracle_n programs)"
 
-    # Differential-fuzz smoke gate + regression replay (docs/FUZZING.md).
-    run_fuzz_gate "$build_dir"
+# Differential-fuzz smoke gate + regression replay (docs/FUZZING.md).
+run_fuzz_gate "$build_dir"
 
-    # Observability gate: a parallel corpus run with --stats=json must
-    # emit a parseable, self-consistent registry snapshot (per stage,
-    # lookups == hits + misses), and --trace-out must produce a
-    # Chrome-trace document with span events.
-    "$mv" --corpus --jobs 8 --quiet --stats=json \
-        --trace-out "$build_dir/trace.json" > "$build_dir/stats.json"
-    python3 - "$build_dir/stats.json" "$build_dir/trace.json" <<'EOF'
+# Observability gate: a parallel corpus run with --stats=json must
+# emit a parseable, self-consistent registry snapshot (per stage,
+# lookups == hits + misses), and --trace-out must produce a
+# Chrome-trace document with span events.
+"$mv" --corpus --jobs 8 --quiet --stats=json \
+    --trace-out "$build_dir/trace.json" > "$build_dir/stats.json"
+python3 - "$build_dir/stats.json" "$build_dir/trace.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     stats = json.load(f)
@@ -391,92 +374,6 @@ if not trace["traceEvents"]:
     sys.exit("mipsverify --trace-out: no span events recorded")
 print(f"stats/trace gate: {len(metrics)} metrics consistent, "
       f"{len(trace['traceEvents'])} span events")
-EOF
-fi
-
-json=$build_dir/BENCH_throughput.json
-"$build_dir/bench/bench_throughput" --json="$json" \
-    --benchmark_min_time=0.1 > /dev/null
-
-python3 - "$json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-agg = report["aggregate"]
-fast = agg["fastpath_instructions_per_second"]
-slow = agg["baseline_instructions_per_second"]
-if report.get("schema") != 1:
-    sys.exit("bench_throughput report missing schema 1")
-if not report["programs"]:
-    sys.exit("bench_throughput reported no programs")
-if fast <= 0 or slow <= 0:
-    sys.exit("bench_throughput reported non-positive throughput")
-metrics = {m["name"]: m for m in report["metrics"]}
-if metrics["sim.instructions"]["value"] <= 0:
-    sys.exit("bench_throughput snapshot recorded no sim.instructions")
-print(f"bench_throughput: fastpath {fast/1e6:.1f}M instr/s, "
-      f"baseline {slow/1e6:.1f}M instr/s, speedup {agg['speedup']:.2f}x")
-EOF
-
-# Pipeline-session benchmark: corpus chains serial vs cached plus a
-# jobs ∈ {1,2,4,8} scaling sweep. Only the structure is validated.
-pjson=$build_dir/BENCH_pipeline.json
-"$build_dir/bench/bench_pipeline" --json="$pjson" \
-    --benchmark_filter='^$' > /dev/null
-
-python3 - "$pjson" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-if report.get("schema") != 4:
-    sys.exit("bench_pipeline report missing schema 4")
-for key in ("serial_ms", "cached_ms", "parallel_ms"):
-    if report[key] <= 0:
-        sys.exit(f"bench_pipeline reported non-positive {key}")
-if report["programs"] <= 0:
-    sys.exit("bench_pipeline reported no programs")
-cores = report["host_cores"]
-if cores < 1:
-    sys.exit("bench_pipeline reported no host_cores")
-scaling = report["scaling"]
-if [p["jobs"] for p in scaling] != [1, 2, 4, 8]:
-    sys.exit("bench_pipeline scaling sweep is not jobs [1, 2, 4, 8]")
-for p in scaling:
-    if p["ms"] <= 0 or p["speedup"] <= 0:
-        sys.exit(f"bench_pipeline scaling point {p} is non-positive")
-if abs(scaling[0]["speedup"] - 1.0) > 1e-6:
-    sys.exit("bench_pipeline scaling jobs=1 point is not the serial "
-             "baseline (speedup != 1.0)")
-if scaling[-1]["ms"] != report["parallel_ms"]:
-    sys.exit("bench_pipeline parallel_ms disagrees with the jobs=8 "
-             "scaling point")
-metrics = {m["name"]: m for m in report["metrics"]}
-if metrics["pipeline.compile.lookups"]["value"] <= 0:
-    sys.exit("bench_pipeline snapshot recorded no pipeline lookups")
-if metrics["verify.unit_ms"]["count"] <= 0:
-    sys.exit("bench_pipeline snapshot has a dead verify.unit_ms "
-             "histogram")
-if metrics["batch.queue_depth"]["value"] != 0:
-    sys.exit("bench_pipeline left batch.queue_depth non-zero")
-if len(report["stages"]) != 9:
-    sys.exit("bench_pipeline reported wrong stage count")
-misses = sum(s["misses"] for s in report["stages"])
-if misses <= 0:
-    sys.exit("bench_pipeline cold run recorded no cache misses")
-cost = report["cost_stage"]
-if cost["misses"] <= 0:
-    sys.exit("bench_pipeline cold run recorded no cost-stage misses")
-if metrics["verify.cost.reports"]["value"] <= 0:
-    sys.exit("bench_pipeline snapshot recorded no cost reports")
-by_stage = {s["stage"]: s for s in report["stages"]}
-if by_stage["range"]["misses"] <= 0:
-    sys.exit("bench_pipeline cold run recorded no range-stage misses")
-if metrics["verify.range.reports"]["value"] <= 0:
-    sys.exit("bench_pipeline snapshot recorded no range reports")
-curve = ", ".join(f"{p['jobs']}j={p['speedup']:.2f}x" for p in scaling)
-print(f"bench_pipeline ({cores} cores): serial "
-      f"{report['serial_ms']:.1f} ms, cached {report['cached_ms']:.1f} "
-      f"ms ({report['cache_speedup']:.1f}x), scaling [{curve}]")
 EOF
 
 echo "check.sh: all green"

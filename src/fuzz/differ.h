@@ -88,8 +88,9 @@ struct DiffResult
 
 /**
  * Run one generated program through every matrix configuration with
- * every oracle enabled. Thread-safe: callers fan programs out over a
- * BatchRunner sharing one Session.
+ * every oracle enabled. Thread-safe, so concurrent calls may share a
+ * Session; `mipsverify --fuzz` gives each program its own, since only
+ * one program's configs ever share artifacts.
  */
 DiffResult runDifferential(pipeline::Session &session,
                            const GeneratedProgram &program,

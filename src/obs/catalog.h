@@ -203,8 +203,8 @@ FuzzChainMetrics &fuzzChainMetrics();
 /**
  * Force-register every metric above (idempotent). Call before
  * snapshotting in contexts that must see the full surface —
- * `mipsverify --stats` / `--list-metrics`, the bench reports, and
- * the docs-drift gate.
+ * `mipsverify --stats` / `--list-metrics`, perfbench, and the
+ * docs-drift gate.
  */
 void registerBuiltinMetrics();
 

@@ -8,7 +8,7 @@
  * of Table 11); this module is the host-side equivalent for the
  * toolchain itself. Every subsystem (pipeline session, batch runner,
  * simulator, verifier) reports through one process-wide `Registry`,
- * and every consumer (mipsverify --stats, the bench JSON reports,
+ * and every consumer (mipsverify --stats, perfbench,
  * examples/observability) reads one `Snapshot` of it.
  *
  * Concurrency model: hot-path updates never take a lock. A `Counter`

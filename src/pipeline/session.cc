@@ -14,7 +14,6 @@
 #include "sim/machine.h"
 #include "sim/obspub.h"
 #include "support/strings.h"
-#include "support/table.h"
 
 namespace mips::pipeline {
 
@@ -137,56 +136,6 @@ PipelineStats::misses() const
     return n;
 }
 
-double
-PipelineStats::missMs() const
-{
-    double ms = 0;
-    for (const StageCounters &c : stage)
-        ms += c.miss_ms;
-    return ms;
-}
-
-std::string
-PipelineStats::table() const
-{
-    support::TextTable t("Pipeline session: per-stage cache counters");
-    t.setHeader({"Stage", "Hits", "Misses", "Waits", "Hit rate",
-                 "Miss ms"});
-    uint64_t waits = 0;
-    for (size_t i = 0; i < kStageCount; ++i) {
-        const StageCounters &c = stage[i];
-        uint64_t total = c.hits + c.misses;
-        waits += c.wait_blocks;
-        t.addRow({stageName(static_cast<Stage>(i)),
-                  strprintf("%llu",
-                            static_cast<unsigned long long>(c.hits)),
-                  strprintf("%llu",
-                            static_cast<unsigned long long>(c.misses)),
-                  strprintf("%llu", static_cast<unsigned long long>(
-                                        c.wait_blocks)),
-                  total ? support::TextTable::pct(
-                              static_cast<double>(c.hits) /
-                              static_cast<double>(total))
-                        : "-",
-                  support::TextTable::num(c.miss_ms, 1)});
-    }
-    t.addSeparator();
-    uint64_t total = hits() + misses();
-    t.addRow({"total",
-              strprintf("%llu", static_cast<unsigned long long>(hits())),
-              strprintf("%llu",
-                        static_cast<unsigned long long>(misses())),
-              strprintf("%llu", static_cast<unsigned long long>(waits)),
-              total ? support::TextTable::pct(
-                          static_cast<double>(hits()) /
-                          static_cast<double>(total))
-                    : "-",
-              support::TextTable::num(missMs(), 1)});
-    return t.render() +
-           strprintf("cache lock conflicts: %llu\n",
-                     static_cast<unsigned long long>(shard_conflicts));
-}
-
 // ------------------------------------------------------ Session::Impl
 
 struct Session::Impl
@@ -214,7 +163,10 @@ struct Session::Impl
     {
         std::mutex mu;
         std::condition_variable cv;
-        std::unordered_map<std::string, std::shared_ptr<Slot<T>>> map;
+        /** Entries are never erased, and a node-based map keeps
+         *  element addresses across rehashes, so a `Slot &` taken
+         *  under `mu` stays valid after the lock drops. */
+        std::unordered_map<std::string, Slot<T>> map;
     };
 
     /** Per-stage counters (obs::Counter cells, striped per thread).
@@ -256,31 +208,25 @@ struct Session::Impl
         om.lookups->add();
         StageLocal &local = counters[static_cast<size_t>(stage)];
 
-        std::shared_ptr<Slot<T>> slot;
-        {
-            std::unique_lock<std::mutex> lock(cache.mu, std::try_to_lock);
-            if (!lock.owns_lock()) {
-                local.conflicts.add();
-                obs::pipelineCacheShardConflicts().add();
-                lock.lock();
-            }
-            auto [it, inserted] = cache.map.try_emplace(key);
-            if (inserted)
-                it->second = std::make_shared<Slot<T>>();
-            // Hold the slot itself: clear() may drop the map entry
-            // while this thread waits or computes.
-            slot = it->second;
-            if (!inserted) {
-                if (!slot->ready) {
-                    local.wait_blocks.add();
-                    om.wait_blocks->add();
-                    cache.cv.wait(lock, [&] { return slot->ready; });
-                }
-                local.hits.add();
-                om.hits->add();
-                return *slot->result;
-            }
+        std::unique_lock<std::mutex> lock(cache.mu, std::try_to_lock);
+        if (!lock.owns_lock()) {
+            local.conflicts.add();
+            obs::pipelineCacheShardConflicts().add();
+            lock.lock();
         }
+        auto [it, inserted] = cache.map.try_emplace(key);
+        Slot<T> &slot = it->second;
+        if (!inserted) {
+            if (!slot.ready) {
+                local.wait_blocks.add();
+                om.wait_blocks->add();
+                cache.cv.wait(lock, [&] { return slot.ready; });
+            }
+            local.hits.add();
+            om.hits->add();
+            return *slot.result;
+        }
+        lock.unlock();
 
         // Registry mirror of the miss: counted on the throw path too,
         // so `lookups == hits + misses` holds even when a stage dies.
@@ -294,9 +240,9 @@ struct Session::Impl
         };
         auto publish = [&](support::Result<std::shared_ptr<const T>> r) {
             {
-                std::lock_guard<std::mutex> lock(cache.mu);
-                slot->result = std::move(r);
-                slot->ready = true;
+                std::lock_guard<std::mutex> guard(cache.mu);
+                slot.result = std::move(r);
+                slot.ready = true;
             }
             cache.cv.notify_all();
         };
@@ -315,14 +261,6 @@ struct Session::Impl
         recordMiss(msSince(start));
         publish(result);
         return result;
-    }
-
-    template <typename T>
-    void
-    clearCache(Cache<T> &cache)
-    {
-        std::lock_guard<std::mutex> lock(cache.mu);
-        cache.map.clear();
     }
 };
 
@@ -343,27 +281,6 @@ Session::stats() const
         s.shard_conflicts += c.conflicts.value();
     }
     return s;
-}
-
-void
-Session::clear()
-{
-    impl_->clearCache(impl_->parse_cache);
-    impl_->clearCache(impl_->compile_cache);
-    impl_->clearCache(impl_->assemble_cache);
-    impl_->clearCache(impl_->reorg_cache);
-    impl_->clearCache(impl_->verify_cache);
-    impl_->clearCache(impl_->tv_cache);
-    impl_->clearCache(impl_->sim_cache);
-    impl_->clearCache(impl_->cost_cache);
-    impl_->clearCache(impl_->range_cache);
-    for (Impl::StageLocal &c : impl_->counters) {
-        c.hits.reset();
-        c.misses.reset();
-        c.wait_blocks.reset();
-        c.miss_ns.reset();
-        c.conflicts.reset();
-    }
 }
 
 // ------------------------------------------------------------ stages

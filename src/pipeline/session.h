@@ -39,9 +39,10 @@
  * collection — parallel results are element-wise identical to a
  * serial run.
  *
- * Per-stage hit/miss counts and miss wall time are recorded in a
- * `PipelineStats`, renderable as a `support::TextTable` for the bench
- * binaries and CLI observability.
+ * Per-stage hit/miss counts and miss wall time are counted per
+ * Session (`stats()` returns a `PipelineStats` snapshot) and mirrored
+ * into the process-wide `pipeline.<stage>.*` metrics that `mipsverify
+ * --stats` reports.
  */
 #pragma once
 
@@ -285,17 +286,16 @@ struct PipelineStats
 
     uint64_t hits() const;
     uint64_t misses() const;
-    double missMs() const;
-
-    /** Render as a paper-style text table (support::TextTable). */
-    std::string table() const;
 };
 
 // ----------------------------------------------------------- session
 
 /**
  * One cached toolchain instance. Methods are safe to call from any
- * number of threads; artifacts are immutable once returned.
+ * number of threads; artifacts are immutable once returned. Nothing is
+ * evicted: an entry lives as long as its Session, so scope a Session
+ * to the inputs that can share its entries (the fuzzer makes one per
+ * program).
  */
 class Session
 {
@@ -361,9 +361,6 @@ class Session
     /** Snapshot the per-stage counters. */
     PipelineStats stats() const;
 
-    /** Drop every cached artifact and zero the counters. */
-    void clear();
-
   private:
     struct Impl;
     std::unique_ptr<Impl> impl_;
@@ -371,8 +368,9 @@ class Session
 
 /**
  * The process-wide session shared by the experiment drivers and the
- * bench binaries, so printing a table and then benchmarking it reuses
- * the same compile/simulate artifacts instead of redoing them.
+ * paper-table binaries, so printing a table and then benchmarking it
+ * reuses the same compile/simulate artifacts instead of redoing them.
+ * It holds a fixed corpus; never feed it an unbounded input stream.
  */
 Session &sharedSession();
 

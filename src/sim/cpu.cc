@@ -86,7 +86,7 @@ Cpu::enableFastPath(bool on)
     map_.setTlbEnabled(on);
     // The predecode cache needs no flush here: writes keep it coherent
     // whether or not the fast path consults it, so toggling modes (the
-    // benchmark does, per run) cannot expose a stale entry.
+    // parity tests do, per run) cannot expose a stale entry.
 }
 
 uint8_t

@@ -595,10 +595,12 @@ writeRepro(const mips::fuzz::GeneratedProgram &program,
 
 /**
  * Differential fuzzing: generate (or replay) programs, fan them over
- * the BatchRunner against a shared Session, and report any config or
- * oracle disagreement. Output carries no wall-clock fields, and the
- * runner collects results in input order, so a run is byte-identical
- * for a fixed (seed, N, binary) triple — the determinism contract
+ * the BatchRunner, and report any config or oracle disagreement. Each
+ * program, and each minimizer candidate, runs against its own Session:
+ * no program can hit another's artifacts, so a shared cache would only
+ * grow with N. Output carries no wall-clock fields, and the runner
+ * collects results in input order, so a run is byte-identical for a
+ * fixed (seed, N, binary) triple — the determinism contract
  * docs/FUZZING.md documents and scripts/check.sh enforces with cmp.
  */
 int
@@ -636,12 +638,11 @@ runFuzz(const CliOptions &cli)
     }
 
     fuzz::DiffOptions diff;
-    mips::pipeline::Session &session = mips::pipeline::sharedSession();
     mips::pipeline::BatchRunner runner(cli.jobs);
     std::vector<fuzz::DiffResult> results = runner.runAll(
         programs,
-        [&session, &diff](const fuzz::GeneratedProgram &program,
-                          size_t) {
+        [&diff](const fuzz::GeneratedProgram &program, size_t) {
+            mips::pipeline::Session session;
             return fuzz::runDifferential(session, program, diff);
         });
 
@@ -673,11 +674,10 @@ runFuzz(const CliOptions &cli)
         for (size_t i = 0; i < results.size(); ++i) {
             if (!results[i].mismatch())
                 continue;
-            auto still_fails =
-                [&session, &diff](const fuzz::GeneratedProgram &c) {
-                    return fuzz::runDifferential(session, c, diff)
-                        .mismatch();
-                };
+            auto still_fails = [&diff](const fuzz::GeneratedProgram &c) {
+                mips::pipeline::Session session;
+                return fuzz::runDifferential(session, c, diff).mismatch();
+            };
             fuzz::MinimizeOutcome min =
                 fuzz::minimizeProgram(programs[i], still_fails);
             std::string path = reproPath(min.program);

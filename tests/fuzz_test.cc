@@ -98,22 +98,28 @@ TEST(FuzzDiffer, SmallBatchRunsClean)
 
 // Every config chain, Pascal or assembly, runs the Session's stages:
 // each one moves the pipeline-run, value-range, hazard-verify and TV
-// unit counters exactly once.
+// unit counters exactly once, and each Pascal chain also builds one
+// cost report.
 TEST(FuzzDiffer, EveryChainReachesSimAndRangeCounters)
 {
     obs::registerBuiltinMetrics();
     const obs::Snapshot before = obs::Registry::instance().snapshot();
 
-    pipeline::Session session;
     size_t configs = 0;
+    size_t pascal_configs = 0;
     size_t assembly = 0;
     for (const fuzz::GeneratedProgram &p : fuzz::generateBatch(1982, 8)) {
+        pipeline::Session session;
         fuzz::DiffResult r = fuzz::runDifferential(session, p);
         ASSERT_TRUE(r.ok) << p.name << ": " << r.failure;
         configs += r.configs;
-        assembly += p.kind == fuzz::ProgramKind::ASM;
+        if (p.kind == fuzz::ProgramKind::ASM)
+            ++assembly;
+        else
+            pascal_configs += r.configs;
     }
     ASSERT_GT(assembly, 0u);
+    ASSERT_GT(pascal_configs, 0u);
 
     const obs::Snapshot after = obs::Registry::instance().snapshot();
     auto delta = [&](const char *name) {
@@ -124,6 +130,9 @@ TEST(FuzzDiffer, EveryChainReachesSimAndRangeCounters)
     for (const char *name : {"sim.runs", "verify.range.reports",
                              "verify.units", "tv.units"})
         EXPECT_EQ(delta(name), chains) << name;
+    EXPECT_EQ(delta("verify.cost.reports"), pascal_configs);
+    EXPECT_GT(delta("sim.instructions"), 0u);
+    EXPECT_GT(delta("pipeline.compile.lookups"), 0u);
 }
 
 // Chunks are self-contained by generator contract: dropping any

@@ -323,17 +323,20 @@ TEST(PipelineSession, StatsCountersConsistent)
     pipeline::Session session;
     pipeline::StageOptions options;
     pipeline::ChainSpec spec = fullChain();
+    spec.cost_model = true;
+    spec.value_range = true;
 
     pipeline::runAll(session, programs, spec, options, 1);
     pipeline::PipelineStats cold = session.stats();
-    // Each program touches compile, reorganize, verify, tv, simulate
-    // exactly once, cold.
+    // Each program touches compile, reorganize, verify, tv, simulate,
+    // cost and range exactly once, cold.
     size_t n = programs.size();
     for (pipeline::Stage s :
          {pipeline::Stage::COMPILE, pipeline::Stage::REORGANIZE,
           pipeline::Stage::HAZARD_VERIFY,
           pipeline::Stage::TRANSLATION_VALIDATE,
-          pipeline::Stage::SIMULATE}) {
+          pipeline::Stage::SIMULATE, pipeline::Stage::COST_MODEL,
+          pipeline::Stage::VALUE_RANGE}) {
         const pipeline::StageCounters &c =
             cold.stage[static_cast<size_t>(s)];
         SCOPED_TRACE(pipeline::stageName(s));
@@ -344,20 +347,12 @@ TEST(PipelineSession, StatsCountersConsistent)
     // so compile gets one hit per dependent stage request.
     uint64_t cold_hits = cold.hits();
     uint64_t cold_misses = cold.misses();
-    EXPECT_EQ(cold_misses, 5 * n);
+    EXPECT_EQ(cold_misses, 7 * n);
 
     pipeline::runAll(session, programs, spec, options, 1);
     pipeline::PipelineStats warm = session.stats();
     EXPECT_EQ(warm.misses(), cold_misses); // nothing recomputed
     EXPECT_GT(warm.hits(), cold_hits);
-
-    session.clear();
-    pipeline::PipelineStats cleared = session.stats();
-    EXPECT_EQ(cleared.hits(), 0u);
-    EXPECT_EQ(cleared.misses(), 0u);
-    // After clear() the same request is a miss again.
-    ASSERT_TRUE(session.compile(programs[0].source).ok());
-    EXPECT_EQ(session.stats().misses(), 1u);
 }
 
 // Recoverable input failures are cached like artifacts: the second
