@@ -5,6 +5,8 @@
  * so the hardware/software division of labour is visible.
  */
 #include <cstdio>
+#include <sstream>
+#include <string>
 
 #include "plc/driver.h"
 #include "sim/machine.h"
@@ -44,15 +46,12 @@ main()
     }
 
     std::printf("=== source (sieve of Eratosthenes) ===\n%s\n", source);
-    std::printf("=== first 24 lines of generated legal code ===\n");
-    int shown = 0;
-    for (size_t i = 0;
-         i < exe.value().asm_text.size() && shown < 24; ++i) {
-        std::putchar(exe.value().asm_text[i]);
-        if (exe.value().asm_text[i] == '\n')
-            ++shown;
-    }
-
+    std::printf("=== first 24 lines of legal code (after peephole) ===\n");
+    std::istringstream listing(
+        mips::assembler::listUnit(exe.value().legal_unit));
+    std::string line;
+    for (int i = 0; i < 24 && std::getline(listing, line); ++i)
+        std::printf("%s\n", line.c_str());
     std::printf("\n=== build statistics ===\n");
     std::printf("redundant loads eliminated: %zu\n",
                 exe.value().peephole.loads_eliminated);

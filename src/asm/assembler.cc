@@ -4,98 +4,39 @@
 #include <cstdlib>
 #include <optional>
 
-#include "support/bits.h"
+#include "asm/builder.h"
 #include "support/logging.h"
 #include "support/strings.h"
 
 namespace mips::assembler {
 
 using isa::AluOp;
-using isa::AluPiece;
-using isa::BranchPiece;
 using isa::Cond;
-using isa::Instruction;
 using isa::JumpKind;
-using isa::JumpPiece;
 using isa::MemMode;
 using isa::MemPiece;
 using isa::Reg;
 using isa::SpecialOp;
-using isa::SpecialPiece;
 using isa::SpecialReg;
-using isa::Src2;
 using support::Error;
 using support::Result;
 using support::trim;
 
 namespace {
 
-/** Parser for one source; accumulates items into a Unit. */
-class Parser
-{
-  public:
-    explicit Parser(std::string_view source) : source_(source) {}
+using Operands = std::vector<std::string>;
 
-    Result<Unit> run();
-
-  private:
-    // --- Line-level parsing -------------------------------------------
-    Result<bool> parseLine(std::string_view line);
-    Result<bool> parseDirective(std::string_view body);
-    Result<Instruction> parseInstruction(std::string_view text);
-    Result<Instruction> parsePiece(std::string_view text,
-                                   std::string *target);
-
-    // Individual statement families; `ops` holds comma-split operands.
-    Result<Instruction> parseAluLike(const std::string &mnemonic,
-                                     const std::vector<std::string> &ops);
-    Result<Instruction> parseMem(const std::string &mnemonic,
-                                 const std::vector<std::string> &ops,
-                                 std::string *target);
-    Result<Instruction> parseBranch(const std::string &mnemonic,
-                                    const std::vector<std::string> &ops,
-                                    std::string *target);
-    Result<Instruction> parseJump(const std::string &mnemonic,
-                                  const std::vector<std::string> &ops,
-                                  std::string *target);
-
-    // --- Operand parsing ----------------------------------------------
-    std::optional<Reg> parseReg(std::string_view text) const;
-    std::optional<int64_t> parseNumber(std::string_view text) const;
-    std::optional<int64_t> parseImmediate(std::string_view text) const;
-    Result<Src2> parseSrc2(std::string_view text) const;
-    Result<MemPiece> parseMemOperand(std::string_view text,
-                                     bool is_store, Reg data) const;
-
-    Error err(const std::string &message) const;
-    void addItem(Item item);
-
-    std::string_view source_;
-    Unit unit_;
-    std::vector<std::string> pending_labels_;
-    std::string pending_target_;
-    bool no_reorder_ = false;
-    int line_no_ = 0;
-};
-
+/** A parse error; parse() adds the line. */
 Error
-Parser::err(const std::string &message) const
+err(const std::string &message)
 {
-    return Error{message, line_no_, 0};
+    return Error{message, 0, 0};
 }
 
-void
-Parser::addItem(Item item)
-{
-    item.labels = pending_labels_;
-    pending_labels_.clear();
-    item.no_reorder = no_reorder_;
-    item.source_line = line_no_;
-    unit_.items.push_back(std::move(item));
-}
+// --- Operand parsing --------------------------------------------------
 
 std::optional<Reg>
-Parser::parseReg(std::string_view text) const
+parseReg(std::string_view text)
 {
     text = trim(text);
     if (text.size() < 2 || text.size() > 3 || text[0] != 'r')
@@ -112,7 +53,7 @@ Parser::parseReg(std::string_view text) const
 }
 
 std::optional<int64_t>
-Parser::parseNumber(std::string_view text) const
+parseNumber(std::string_view text)
 {
     text = trim(text);
     if (text.empty())
@@ -129,7 +70,7 @@ Parser::parseNumber(std::string_view text) const
 }
 
 std::optional<int64_t>
-Parser::parseImmediate(std::string_view text) const
+parseImmediate(std::string_view text)
 {
     text = trim(text);
     if (text.empty() || text[0] != '#')
@@ -137,40 +78,30 @@ Parser::parseImmediate(std::string_view text) const
     return parseNumber(text.substr(1));
 }
 
-Result<Src2>
-Parser::parseSrc2(std::string_view text) const
+/** Register or #constant (the builder range-checks the constant). */
+std::optional<Operand>
+parseOperand(std::string_view text)
 {
     if (auto reg = parseReg(text))
-        return Src2::fromReg(*reg);
-    if (auto imm = parseImmediate(text)) {
-        if (*imm < 0 || *imm > 15) {
-            return err("inline constant out of range 0..15 "
-                       "(use reverse operators for negatives, "
-                       "movi/ldi for larger values)");
-        }
-        return Src2::fromImm(static_cast<uint8_t>(*imm));
-    }
-    return err("bad operand '" + std::string(text) +
-               "' (expected register or #constant)");
+        return Operand::ofReg(*reg);
+    if (auto imm = parseImmediate(text))
+        return Operand::ofImm(*imm);
+    return std::nullopt;
 }
 
+/** The address operand of ld/st: @addr, @label (into `*target`),
+ *  disp(base), (base+index) or (base+index>>shift). */
 Result<MemPiece>
-Parser::parseMemOperand(std::string_view text, bool is_store,
-                        Reg data) const
+parseAddress(std::string_view text, std::string *target)
 {
     text = trim(text);
-    MemPiece m;
-    m.is_store = is_store;
-    m.rd = data;
-
     if (!text.empty() && text[0] == '@') {
-        // Absolute: @addr
         auto addr = parseNumber(text.substr(1));
-        if (!addr)
+        if (!addr && text.size() > 1)
+            *target = std::string(text.substr(1)); // resolved by link()
+        else if (!addr)
             return err("bad absolute address");
-        m.mode = MemMode::ABSOLUTE;
-        m.imm = static_cast<int32_t>(*addr);
-        return m;
+        return atAbsolute(addr.value_or(0));
     }
 
     size_t open = text.find('(');
@@ -182,7 +113,6 @@ Parser::parseMemOperand(std::string_view text, bool is_store,
 
     size_t plus = inner.find('+');
     if (plus != std::string_view::npos) {
-        // (base+index) or (base+index>>shift)
         if (!disp_text.empty())
             return err("displacement not allowed with (base+index)");
         auto base = parseReg(inner.substr(0, plus));
@@ -194,20 +124,13 @@ Parser::parseMemOperand(std::string_view text, bool is_store,
             auto index = parseReg(rest);
             if (!index)
                 return err("bad index register");
-            m.mode = MemMode::BASE_INDEX;
-            m.base = *base;
-            m.index = *index;
-        } else {
-            auto index = parseReg(rest.substr(0, shift_pos));
-            auto shift = parseNumber(rest.substr(shift_pos + 2));
-            if (!index || !shift || *shift < 0 || *shift > 7)
-                return err("bad base-shifted operand");
-            m.mode = MemMode::BASE_SHIFT;
-            m.base = *base;
-            m.index = *index;
-            m.shift = static_cast<uint8_t>(*shift);
+            return atIndex(*base, *index);
         }
-        return m;
+        auto index = parseReg(rest.substr(0, shift_pos));
+        auto shift = parseNumber(rest.substr(shift_pos + 2));
+        if (!index || !shift || *shift < 0 || *shift > 7)
+            return err("bad base-shifted operand");
+        return atShift(*base, *index, static_cast<uint8_t>(*shift));
     }
 
     // disp(base); empty displacement means 0.
@@ -221,19 +144,16 @@ Parser::parseMemOperand(std::string_view text, bool is_store,
             return err("bad displacement '" + std::string(disp_text) + "'");
         disp = *d;
     }
-    m.mode = MemMode::DISP;
-    m.base = *base;
-    m.imm = static_cast<int32_t>(disp);
-    return m;
+    return atDisp(disp, *base);
 }
 
-Result<Instruction>
-Parser::parseAluLike(const std::string &mnemonic,
-                     const std::vector<std::string> &ops)
-{
-    AluPiece a;
+// --- Statement families -----------------------------------------------
+// Each checks the operand count and shapes, then hands the operands to
+// the builder; `target` receives a label operand.
 
-    // set<cond>
+InstResult
+parseAluLike(const std::string &mnemonic, const Operands &ops)
+{
     if (support::startsWith(mnemonic, "set") && mnemonic.size() > 3) {
         Cond cond;
         if (!isa::parseCond(mnemonic.substr(3), &cond))
@@ -241,82 +161,28 @@ Parser::parseAluLike(const std::string &mnemonic,
         if (ops.size() != 3)
             return err("set<cond> needs 3 operands: rs, src2, rd");
         auto rs = parseReg(ops[0]);
-        auto src2 = parseSrc2(ops[1]);
+        auto src2 = parseOperand(ops[1]);
         auto rd = parseReg(ops[2]);
-        if (!rs || !src2.ok() || !rd)
+        if (!rs || !src2 || !rd)
             return err("bad set<cond> operands");
-        a.op = AluOp::SET;
-        a.cond = cond;
-        a.rs = *rs;
-        a.src2 = src2.value();
-        a.rd = *rd;
-        return Instruction::makeAlu(a);
+        return set(cond, *rs, *src2, *rd);
     }
 
-    if (mnemonic == "movi") {
-        if (ops.size() != 2)
-            return err("movi needs 2 operands: #imm8, rd");
+    // #imm, rd
+    static const std::pair<const char *, InstResult (*)(int64_t, Reg)>
+        kImmForms[] = {{"movi", movi}, {"li", li}, {"ldi", ldi}};
+    for (const auto &[name, build] : kImmForms) {
+        if (mnemonic != name)
+            continue;
+        if (ops.size() != 2) {
+            return err(mnemonic + " needs 2 operands: #imm" +
+                       (mnemonic == "movi" ? "8" : "") + ", rd");
+        }
         auto imm = parseImmediate(ops[0]);
         auto rd = parseReg(ops[1]);
         if (!imm || !rd)
-            return err("bad movi operands");
-        if (*imm < 0 || *imm > 255)
-            return err("movi constant out of range 0..255");
-        a.op = AluOp::MOVI8;
-        a.imm8 = static_cast<uint8_t>(*imm);
-        a.rd = *rd;
-        return Instruction::makeAlu(a);
-    }
-
-    if (mnemonic == "li") {
-        // Pseudo: pick the cheapest encoding.
-        if (ops.size() != 2)
-            return err("li needs 2 operands: #imm, rd");
-        auto imm = parseImmediate(ops[0]);
-        auto rd = parseReg(ops[1]);
-        if (!imm || !rd)
-            return err("bad li operands");
-        if (*imm >= 0 && *imm <= 255) {
-            a.op = AluOp::MOVI8;
-            a.imm8 = static_cast<uint8_t>(*imm);
-            a.rd = *rd;
-            return Instruction::makeAlu(a);
-        }
-        if (support::fitsSigned(*imm, isa::kLongImmBits)) {
-            MemPiece m;
-            m.mode = MemMode::LONG_IMM;
-            m.rd = *rd;
-            m.imm = static_cast<int32_t>(*imm);
-            return Instruction::makeMem(m);
-        }
-        return err("li constant exceeds 21 bits; use a .word pool");
-    }
-
-    if (mnemonic == "mov") {
-        if (ops.size() != 2)
-            return err("mov needs 2 operands: rs, rd");
-        auto rs = parseReg(ops[0]);
-        auto rd = parseReg(ops[1]);
-        if (!rs || !rd)
-            return err("bad mov operands");
-        a.op = AluOp::ADD;
-        a.rs = *rs;
-        a.src2 = Src2::fromImm(0);
-        a.rd = *rd;
-        return Instruction::makeAlu(a);
-    }
-
-    if (mnemonic == "not") {
-        if (ops.size() != 2)
-            return err("not needs 2 operands: rs, rd");
-        auto rs = parseReg(ops[0]);
-        auto rd = parseReg(ops[1]);
-        if (!rs || !rd)
-            return err("bad not operands");
-        a.op = AluOp::NOT;
-        a.rs = *rs;
-        a.rd = *rd;
-        return Instruction::makeAlu(a);
+            return err("bad " + mnemonic + " operands");
+        return build(*imm, *rd);
     }
 
     if (mnemonic == "mtlo" || mnemonic == "mflo") {
@@ -325,26 +191,28 @@ Parser::parseAluLike(const std::string &mnemonic,
         auto r = parseReg(ops[0]);
         if (!r)
             return err("bad register");
-        a.op = mnemonic == "mtlo" ? AluOp::MTLO : AluOp::MFLO;
-        (mnemonic == "mtlo" ? a.rs : a.rd) = *r;
-        return Instruction::makeAlu(a);
+        return mnemonic == "mtlo" ? alu(AluOp::MTLO, *r, isa::kZeroReg)
+                                  : alu(AluOp::MFLO, isa::kZeroReg, *r);
     }
 
-    if (mnemonic == "ic" || mnemonic == "mstep" || mnemonic == "dstep") {
+    // rs, rd (mov expands to add rs, #0, rd)
+    static const std::pair<const char *, AluOp> kTwoOps[] = {
+        {"mov", AluOp::ADD}, {"not", AluOp::NOT}, {"ic", AluOp::IC},
+        {"mstep", AluOp::MSTEP}, {"dstep", AluOp::DSTEP},
+    };
+    for (const auto &[name, op] : kTwoOps) {
+        if (mnemonic != name)
+            continue;
         if (ops.size() != 2)
             return err(mnemonic + " needs 2 operands: rs, rd");
         auto rs = parseReg(ops[0]);
         auto rd = parseReg(ops[1]);
         if (!rs || !rd)
-            return err("bad operands");
-        a.op = mnemonic == "ic" ? AluOp::IC
-             : mnemonic == "mstep" ? AluOp::MSTEP : AluOp::DSTEP;
-        a.rs = *rs;
-        a.rd = *rd;
-        return Instruction::makeAlu(a);
+            return err("bad " + mnemonic + " operands");
+        return op == AluOp::ADD ? mov(*rs, *rd) : alu(op, *rs, *rd);
     }
 
-    // Three-operand ALU ops.
+    // rs, src2, rd
     static const std::pair<const char *, AluOp> kThreeOps[] = {
         {"add", AluOp::ADD}, {"sub", AluOp::SUB}, {"rsub", AluOp::RSUB},
         {"and", AluOp::AND}, {"or", AluOp::OR}, {"xor", AluOp::XOR},
@@ -357,42 +225,35 @@ Parser::parseAluLike(const std::string &mnemonic,
         if (ops.size() != 3)
             return err(mnemonic + " needs 3 operands: rs, src2, rd");
         auto rs = parseReg(ops[0]);
-        auto src2 = parseSrc2(ops[1]);
+        auto src2 = parseOperand(ops[1]);
         auto rd = parseReg(ops[2]);
-        if (!rs || !src2.ok() || !rd) {
-            return src2.ok() ? err("bad " + mnemonic + " operands")
-                             : src2.error();
+        if (!src2) {
+            return err("bad operand '" + ops[1] +
+                       "' (expected register or #constant)");
         }
-        a.op = op;
-        a.rs = *rs;
-        a.src2 = src2.value();
-        a.rd = *rd;
-        return Instruction::makeAlu(a);
+        if (!rs || !rd)
+            return err("bad " + mnemonic + " operands");
+        return alu(op, *rs, *src2, *rd);
     }
 
     return err("unknown mnemonic '" + mnemonic + "'");
 }
 
-Result<Instruction>
-Parser::parseMem(const std::string &mnemonic,
-                 const std::vector<std::string> &ops,
-                 std::string *target)
+InstResult
+parseMem(const std::string &mnemonic, const Operands &ops,
+         std::string *target)
 {
-    if (mnemonic == "ldi") {
+    if (mnemonic == "la") {
+        // Load address: a long immediate whose value is a label.
         if (ops.size() != 2)
-            return err("ldi needs 2 operands: #imm, rd");
-        auto imm = parseImmediate(ops[0]);
+            return err("la needs 2 operands: label, rd");
         auto rd = parseReg(ops[1]);
-        if (!imm || !rd)
-            return err("bad ldi operands");
-        MemPiece m;
-        m.mode = MemMode::LONG_IMM;
-        m.rd = *rd;
-        m.imm = static_cast<int32_t>(*imm);
-        std::string verr = isa::memValidate(m);
-        if (!verr.empty())
-            return err(verr);
-        return Instruction::makeMem(m);
+        if (!rd)
+            return err("bad la destination register");
+        auto num = parseNumber(ops[0]);
+        if (!num)
+            *target = ops[0];
+        return la(num.value_or(0), *rd);
     }
 
     bool is_store = mnemonic == "st";
@@ -405,87 +266,47 @@ Parser::parseMem(const std::string &mnemonic,
     auto data = parseReg(data_text);
     if (!data)
         return err("bad data register '" + data_text + "'");
-
-    // Symbolic absolute: "@label" resolves at link time.
-    std::string_view addr_view = trim(addr_text);
-    if (addr_view.size() > 1 && addr_view[0] == '@' &&
-        !parseNumber(addr_view.substr(1))) {
-        MemPiece m;
-        m.mode = MemMode::ABSOLUTE;
-        m.is_store = is_store;
-        m.rd = *data;
-        m.imm = 0;
-        *target = std::string(addr_view.substr(1));
-        return Instruction::makeMem(m);
-    }
-
-    auto mem = parseMemOperand(addr_text, is_store, *data);
-    if (!mem.ok())
-        return mem.error();
-    std::string verr = isa::memValidate(mem.value());
-    if (!verr.empty())
-        return err(verr);
-    return Instruction::makeMem(mem.value());
+    auto address = parseAddress(addr_text, target);
+    if (!address.ok())
+        return address.error();
+    return is_store ? store(*data, address.value())
+                    : load(address.value(), *data);
 }
 
-Result<Instruction>
-Parser::parseBranch(const std::string &mnemonic,
-                    const std::vector<std::string> &ops,
-                    std::string *target)
+/** `addr` is the branch's own address, for a numeric target. */
+InstResult
+parseBranch(const std::string &mnemonic, const Operands &ops,
+            uint32_t addr, std::string *target)
 {
-    BranchPiece b;
-    const std::string *target_text = nullptr;
-
-    if (mnemonic == "bra") {
+    Cond cond = Cond::ALWAYS;
+    if (mnemonic != "bra" && !isa::parseCond(mnemonic.substr(1), &cond))
+        return err("unknown branch '" + mnemonic + "'");
+    std::optional<Reg> rs = isa::kZeroReg;
+    std::optional<Operand> src2 = Operand{};
+    if (cond == Cond::ALWAYS || cond == Cond::NEVER) {
         if (ops.size() != 1)
-            return err("bra needs 1 operand: target");
-        b.cond = Cond::ALWAYS;
-        target_text = &ops[0];
+            return err(mnemonic + " needs 1 operand: target");
     } else {
-        Cond cond;
-        if (!isa::parseCond(mnemonic.substr(1), &cond))
-            return err("unknown branch '" + mnemonic + "'");
-        b.cond = cond;
-        if (cond == Cond::ALWAYS || cond == Cond::NEVER) {
-            if (ops.size() != 1)
-                return err(mnemonic + " needs 1 operand: target");
-            target_text = &ops[0];
-        } else {
-            if (ops.size() != 3)
-                return err(mnemonic +
-                           " needs 3 operands: rs, src2, target");
-            auto rs = parseReg(ops[0]);
-            auto src2 = parseSrc2(ops[1]);
-            if (!rs || !src2.ok())
-                return err("bad branch operands");
-            b.rs = *rs;
-            b.src2 = src2.value();
-            target_text = &ops[2];
-        }
+        if (ops.size() != 3)
+            return err(mnemonic + " needs 3 operands: rs, src2, target");
+        rs = parseReg(ops[0]);
+        src2 = parseOperand(ops[1]);
+        if (!rs || !src2)
+            return err("bad branch operands");
     }
-
-    if (auto num = parseNumber(*target_text)) {
-        // Absolute numeric target: caller resolves relative offset at
-        // link time via the synthetic label path; store directly.
-        b.offset = 0;
-        Instruction inst = Instruction::makeBranch(b);
-        // Encode the absolute target as a synthetic label "@N" so the
-        // linker computes the relative offset from the final address.
-        *target = support::strprintf("@abs:%lld",
-                                     static_cast<long long>(*num));
-        return inst;
-    }
-    *target = *target_text;
-    return Instruction::makeBranch(b);
+    // A numeric target is an absolute address, fixed whatever the
+    // reorganizer later moves.
+    auto num = parseNumber(ops.back());
+    if (!num)
+        *target = ops.back();
+    int64_t offset = num ? *num - (static_cast<int64_t>(addr) + 1) : 0;
+    return branch(cond, *rs, *src2, offset);
 }
 
-Result<Instruction>
-Parser::parseJump(const std::string &mnemonic,
-                  const std::vector<std::string> &ops,
-                  std::string *target)
+InstResult
+parseJump(const std::string &mnemonic, const Operands &ops,
+          std::string *target)
 {
-    JumpPiece j;
-    bool is_call = mnemonic == "call";
     if (mnemonic == "jtab") {
         // jtab (base+index)[, table_label] — PC = mem[base + index].
         // The label names the table's first .word entry; it is not
@@ -494,57 +315,75 @@ Parser::parseJump(const std::string &mnemonic,
         if (ops.empty() || ops.size() > 2)
             return err("jtab needs (base+index) and an optional "
                        "table label");
-        std::string_view tv = trim(ops[0]);
-        if (tv.size() < 2 || tv.front() != '(' || tv.back() != ')')
-            return err("bad jtab operand '" + ops[0] + "'");
-        std::string_view inner = trim(tv.substr(1, tv.size() - 2));
-        size_t plus = inner.find('+');
-        if (plus == std::string_view::npos)
+        auto address = parseAddress(ops[0], target);
+        if (!address.ok() || address.value().mode != MemMode::BASE_INDEX)
             return err("jtab needs a (base+index) operand");
-        auto base = parseReg(inner.substr(0, plus));
-        auto index = parseReg(inner.substr(plus + 1));
-        if (!base || !index)
-            return err("bad jtab registers");
-        j.kind = JumpKind::TABLE;
-        j.target_reg = *base;
-        j.index = *index;
         if (ops.size() == 2)
             *target = ops[1];
-        return Instruction::makeJump(j);
+        return jtab(address.value().base, address.value().index);
     }
+
+    bool is_call = mnemonic == "call";
+    std::optional<Reg> link;
     if (is_call) {
         if (ops.size() != 2)
             return err("call needs 2 operands: target, link");
-        auto link = parseReg(ops[1]);
+        link = parseReg(ops[1]);
         if (!link)
             return err("bad link register");
-        j.link = *link;
     } else if (ops.size() != 1) {
         return err("jmp needs 1 operand");
     }
 
-    const std::string &t = ops[0];
-    std::string_view tv = trim(t);
+    std::string_view tv = trim(ops[0]);
     if (!tv.empty() && tv.front() == '(' && tv.back() == ')') {
         auto reg = parseReg(tv.substr(1, tv.size() - 2));
         if (!reg)
             return err("bad indirect jump register");
-        j.kind = is_call ? JumpKind::CALL_INDIRECT : JumpKind::INDIRECT;
-        j.target_reg = *reg;
-        return Instruction::makeJump(j);
+        return jump(is_call ? JumpKind::CALL_INDIRECT : JumpKind::INDIRECT,
+                    0, *reg, link.value_or(isa::kLinkReg));
     }
 
-    j.kind = is_call ? JumpKind::CALL_DIRECT : JumpKind::DIRECT;
-    if (auto num = parseNumber(tv)) {
-        j.target_addr = static_cast<uint32_t>(*num);
-    } else {
+    auto num = parseNumber(tv);
+    if (!num)
         *target = std::string(tv);
-    }
-    return Instruction::makeJump(j);
+    return jump(is_call ? JumpKind::CALL_DIRECT : JumpKind::DIRECT,
+                static_cast<uint32_t>(num.value_or(0)), isa::kZeroReg,
+                link.value_or(isa::kLinkReg));
 }
 
-Result<Instruction>
-Parser::parsePiece(std::string_view text, std::string *target)
+InstResult
+parseSpecial(const std::string &mnemonic, const Operands &ops)
+{
+    if (mnemonic == "trap") {
+        if (ops.size() != 1)
+            return err("trap needs 1 operand: #code");
+        auto code = parseImmediate(ops[0]);
+        if (!code)
+            return err("bad trap code");
+        return trap(*code);
+    }
+    // mfs sreg, rd  /  mts rs, sreg
+    if (ops.size() != 2)
+        return err(mnemonic + " needs 2 operands");
+    bool is_mfs = mnemonic == "mfs";
+    const std::string &sreg_text = is_mfs ? ops[0] : ops[1];
+    auto reg = parseReg(is_mfs ? ops[1] : ops[0]);
+    if (!reg)
+        return err("bad register");
+    for (int i = 0; i < isa::kNumSpecialRegs; ++i) {
+        auto sr = static_cast<SpecialReg>(i);
+        if (isa::specialRegName(sr) == support::toLower(sreg_text))
+            return special(is_mfs ? SpecialOp::MFS : SpecialOp::MTS, *reg,
+                           sr);
+    }
+    return err("unknown special register '" + sreg_text + "'");
+}
+
+/** One piece at `addr`: lex the mnemonic and operands, dispatch by
+ *  family. */
+InstResult
+parsePiece(std::string_view text, uint32_t addr, std::string *target)
 {
     text = trim(text);
     size_t sp = text.find_first_of(" \t");
@@ -553,129 +392,56 @@ Parser::parsePiece(std::string_view text, std::string *target)
     std::string_view rest =
         sp == std::string_view::npos ? "" : trim(text.substr(sp));
 
-    std::vector<std::string> ops;
+    Operands ops;
     if (!rest.empty()) {
         for (std::string_view piece : support::split(rest, ','))
             ops.emplace_back(trim(piece));
     }
 
     if (mnemonic == "nop")
-        return Instruction::makeNop();
+        return nop();
     if (mnemonic == "halt")
-        return Instruction::makeHalt();
-    if (mnemonic == "rfe") {
-        SpecialPiece p;
-        p.op = SpecialOp::RFE;
-        return Instruction::makeSpecial(p);
-    }
-    if (mnemonic == "trap") {
-        if (ops.size() != 1)
-            return err("trap needs 1 operand: #code");
-        auto code = parseImmediate(ops[0]);
-        if (!code || *code < 0 || *code >= 4096)
-            return err("bad trap code");
-        return Instruction::makeTrap(static_cast<uint16_t>(*code));
-    }
-    if (mnemonic == "mfs" || mnemonic == "mts") {
-        if (ops.size() != 2)
-            return err(mnemonic + " needs 2 operands");
-        SpecialPiece p;
-        p.op = mnemonic == "mfs" ? SpecialOp::MFS : SpecialOp::MTS;
-        const std::string &sreg_text = mnemonic == "mfs" ? ops[0] : ops[1];
-        const std::string &reg_text = mnemonic == "mfs" ? ops[1] : ops[0];
-        auto reg = parseReg(reg_text);
-        if (!reg)
-            return err("bad register");
-        p.reg = *reg;
-        bool found = false;
-        for (int i = 0; i < isa::kNumSpecialRegs; ++i) {
-            auto sr = static_cast<SpecialReg>(i);
-            if (isa::specialRegName(sr) == support::toLower(sreg_text)) {
-                p.sreg = sr;
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            return err("unknown special register '" + sreg_text + "'");
-        return Instruction::makeSpecial(p);
-    }
-
-    if (mnemonic == "la") {
-        // Load address: a long immediate whose value is a label.
-        if (ops.size() != 2)
-            return err("la needs 2 operands: label, rd");
-        auto rd = parseReg(ops[1]);
-        if (!rd)
-            return err("bad la destination register");
-        MemPiece m;
-        m.mode = MemMode::LONG_IMM;
-        m.rd = *rd;
-        if (auto num = parseNumber(ops[0]))
-            m.imm = static_cast<int32_t>(*num);
-        else
-            *target = ops[0];
-        return Instruction::makeMem(m);
-    }
-    if (mnemonic == "ld" || mnemonic == "st" || mnemonic == "ldi")
+        return special(SpecialOp::HALT);
+    if (mnemonic == "rfe")
+        return special(SpecialOp::RFE);
+    if (mnemonic == "trap" || mnemonic == "mfs" || mnemonic == "mts")
+        return parseSpecial(mnemonic, ops);
+    if (mnemonic == "la" || mnemonic == "ld" || mnemonic == "st")
         return parseMem(mnemonic, ops, target);
-    if (mnemonic == "bra" ||
-        (mnemonic.size() > 1 && mnemonic[0] == 'b' &&
-         mnemonic != "and")) {
-        Cond c;
-        if (mnemonic == "bra" || isa::parseCond(mnemonic.substr(1), &c))
-            return parseBranch(mnemonic, ops, target);
-    }
+    Cond c;
+    if (mnemonic == "bra" || (support::startsWith(mnemonic, "b") &&
+                              isa::parseCond(mnemonic.substr(1), &c)))
+        return parseBranch(mnemonic, ops, addr, target);
     if (mnemonic == "jmp" || mnemonic == "call" || mnemonic == "jtab")
         return parseJump(mnemonic, ops, target);
 
     return parseAluLike(mnemonic, ops);
 }
 
-Result<Instruction>
-Parser::parseInstruction(std::string_view text)
+/** A statement: one piece, or "alu | mem" (either order) packed. */
+InstResult
+parseInstruction(std::string_view text, uint32_t addr,
+                 std::string *target)
 {
-    // Packed source form: "alu | mem" (either order).
     size_t bar = text.find('|');
-    std::string target;
-    if (bar == std::string_view::npos) {
-        auto inst = parsePiece(text, &target);
-        if (!inst.ok())
-            return inst;
-        Instruction result = inst.value();
-        if (!target.empty()) {
-            // Communicated via member below (addItem attaches it).
-            pending_target_ = target;
-        }
-        return result;
-    }
+    if (bar == std::string_view::npos)
+        return parsePiece(text, addr, target);
 
-    auto first = parsePiece(text.substr(0, bar), &target);
+    auto first = parsePiece(text.substr(0, bar), addr, target);
     if (!first.ok())
         return first;
-    if (!target.empty())
+    if (!target->empty())
         return err("branches cannot be packed");
-    auto second = parsePiece(text.substr(bar + 1), &target);
+    auto second = parsePiece(text.substr(bar + 1), addr, target);
     if (!second.ok())
         return second;
-    if (!target.empty())
+    if (!target->empty())
         return err("branches cannot be packed");
-
-    Instruction a = first.value(), b = second.value();
-    const Instruction &alu_word = a.alu ? a : b;
-    const Instruction &mem_word = a.alu ? b : a;
-    if (!alu_word.alu || !mem_word.mem)
-        return err("a packed word needs one ALU and one memory piece");
-    Instruction packed =
-        Instruction::makePacked(*alu_word.alu, *mem_word.mem);
-    std::string verr = isa::validate(packed);
-    if (!verr.empty())
-        return err(verr);
-    return packed;
+    return pack(first.value(), second.value());
 }
 
 Result<bool>
-Parser::parseDirective(std::string_view body)
+parseDirective(std::string_view body, UnitBuilder &unit)
 {
     auto tokens = support::splitWhitespace(body);
     std::string name = support::toLower(tokens[0]);
@@ -686,37 +452,27 @@ Parser::parseDirective(std::string_view body)
         auto addr = parseNumber(tokens[1]);
         if (!addr || *addr < 0)
             return err("bad .org address");
-        if (!unit_.items.empty())
+        if (!unit.empty())
             return err(".org must precede all instructions");
-        unit_.origin = static_cast<uint32_t>(*addr);
+        unit.setOrigin(static_cast<uint32_t>(*addr));
         return true;
     }
     if (name == ".word") {
         if (tokens.size() != 2)
             return err(".word needs a value");
-        Item item;
-        item.is_data = true;
-        if (auto value = parseNumber(tokens[1])) {
-            item.data_value = static_cast<uint32_t>(*value);
-        } else {
-            // Symbolic entry: the label's address becomes the word at
-            // link time (jump-table entries are built from these).
-            item.target = std::string(tokens[1]);
-        }
-        addItem(std::move(item));
+        // A symbolic entry is the label's address, filled in by link()
+        // (jump-table entries are built from these).
+        auto value = parseNumber(tokens[1]);
+        unit.data(static_cast<uint32_t>(value.value_or(0)),
+                  value ? "" : std::string(tokens[1]));
         return true;
     }
     if (name == ".space") {
         if (tokens.size() != 2)
             return err(".space needs a count");
         auto count = parseNumber(tokens[1]);
-        if (!count || *count < 0 || *count > (1 << 20))
+        if (!count || !unit.space(*count))
             return err("bad .space count");
-        for (int64_t i = 0; i < *count; ++i) {
-            Item item;
-            item.is_data = true;
-            addItem(std::move(item));
-        }
         return true;
     }
     if (name == ".asciiw") {
@@ -734,29 +490,23 @@ Parser::parseDirective(std::string_view body)
                 ? static_cast<uint8_t>(text[i]) : 0;
             word |= static_cast<uint32_t>(c) << (8 * nbytes);
             if (++nbytes == 4 || i == text.size()) {
-                Item item;
-                item.is_data = true;
-                item.data_value = word;
-                addItem(std::move(item));
+                unit.data(word);
                 word = 0;
                 nbytes = 0;
             }
         }
         return true;
     }
-    if (name == ".noreorder") {
-        no_reorder_ = true;
-        return true;
-    }
-    if (name == ".reorder") {
-        no_reorder_ = false;
+    if (name == ".noreorder" || name == ".reorder") {
+        unit.no_reorder = name == ".noreorder";
         return true;
     }
     return err("unknown directive '" + name + "'");
 }
 
+/** One source line into `unit`. */
 Result<bool>
-Parser::parseLine(std::string_view line)
+parseLine(std::string_view line, UnitBuilder &unit)
 {
     // Strip comment.
     size_t semi = line.find(';');
@@ -782,56 +532,21 @@ Parser::parseLine(std::string_view line)
         }
         if (!is_ident)
             break;
-        pending_labels_.emplace_back(head);
+        unit.label(std::string(head));
         line = trim(line.substr(colon + 1));
         if (line.empty())
             return true;
     }
 
     if (line[0] == '.')
-        return parseDirective(line);
+        return parseDirective(line, unit);
 
-    auto inst = parseInstruction(line);
+    std::string target;
+    auto inst = parseInstruction(line, unit.next(), &target);
     if (!inst.ok())
         return inst.error();
-    Item item;
-    item.inst = inst.value();
-    item.target = std::move(pending_target_);
-    pending_target_.clear();
-    addItem(std::move(item));
+    unit.add(inst.value(), std::move(target));
     return true;
-}
-
-Result<Unit>
-Parser::run()
-{
-    for (std::string_view raw : support::split(source_, '\n')) {
-        ++line_no_;
-        auto ok = parseLine(raw);
-        if (!ok.ok())
-            return ok.error();
-    }
-    unit_.trailing_labels = pending_labels_;
-
-    // Synthesize labels for absolute numeric branch targets ("@abs:N").
-    // They resolve to fixed addresses regardless of code motion.
-    // We implement them by pre-seeding the link()-visible label space:
-    // link() cannot know them, so rewrite into offsets now.
-    uint32_t addr = unit_.origin;
-    for (Item &item : unit_.items) {
-        if (support::startsWith(item.target, "@abs:")) {
-            long long target = std::strtoll(item.target.c_str() + 5,
-                                            nullptr, 10);
-            if (item.inst.branch) {
-                item.inst.branch->offset =
-                    static_cast<int32_t>(target -
-                                         (static_cast<int64_t>(addr) + 1));
-            }
-            item.target.clear();
-        }
-        ++addr;
-    }
-    return unit_;
 }
 
 } // namespace
@@ -839,8 +554,14 @@ Parser::run()
 Result<Unit>
 parse(std::string_view source)
 {
-    Parser parser(source);
-    return parser.run();
+    UnitBuilder unit;
+    for (std::string_view raw : support::split(source, '\n')) {
+        auto ok = parseLine(raw, unit);
+        if (!ok.ok())
+            return Error{ok.error().message, unit.line, 0};
+        ++unit.line;
+    }
+    return unit.finish();
 }
 
 Result<Program>

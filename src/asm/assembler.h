@@ -1,6 +1,8 @@
 /**
  * @file
- * Two-pass textual assembler for the MIPS-82 ISA.
+ * Textual assembler for the MIPS-82 ISA: parse() lexes each line and
+ * its operands and hands them to the instruction builder
+ * (asm/builder.h), which expands and range-checks every mnemonic.
  *
  * Syntax (sources first, destination last, matching the paper's
  * examples like "sub #1, r0, r2" and "ld 2(sp), r0"):
@@ -22,8 +24,8 @@
  *           halt
  *
  * Two pieces joined with " | " share one packed word (validated
- * against the packed format). Pseudo-instructions: "mov rs, rd" and
- * "li #imm, rd" (which picks movi/ldi).
+ * against the packed format). Pseudo-instructions: "mov rs, rd",
+ * "li #imm, rd" (which picks movi/ldi) and "la label, rd".
  *
  * Directives: .org N, .word N, .space N, .asciiw "text" (packs four
  * 8-bit characters per 32-bit word, zero terminated), .noreorder /

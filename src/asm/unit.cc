@@ -131,16 +131,16 @@ listUnit(const Unit &unit)
                        isa::jumpIsTable(item.inst.jump->kind)) {
                 text = isa::disasm(item.inst, addr) + ", " + item.target;
             } else if (item.inst.mem) {
+                // A long immediate with a label is `la`; any other
+                // memory piece with one is an absolute load or store.
                 const isa::MemPiece &mp = *item.inst.mem;
-                if (mp.is_store) {
-                    text = support::strprintf(
-                        "st %s, @%s", isa::regName(mp.rd).c_str(),
-                        item.target.c_str());
-                } else {
-                    text = support::strprintf(
-                        "ld @%s, %s", item.target.c_str(),
-                        isa::regName(mp.rd).c_str());
-                }
+                std::string rd = isa::regName(mp.rd);
+                if (mp.is_store)
+                    text = "st " + rd + ", @" + item.target;
+                else if (mp.mode == isa::MemMode::LONG_IMM)
+                    text = "la " + item.target + ", " + rd;
+                else
+                    text = "ld @" + item.target + ", " + rd;
             } else {
                 text = isa::disasm(item.inst, addr);
                 size_t pos = text.find_last_of(' ');

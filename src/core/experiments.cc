@@ -3,6 +3,7 @@
 #include "asm/assembler.h"
 #include "ccm/taxonomy.h"
 #include "pipeline/session.h"
+#include "plc/codegen.h"
 #include "support/logging.h"
 #include "support/table.h"
 #include "workload/corpus.h"
@@ -151,16 +152,14 @@ runTable3()
 {
     Table3Result result;
     for (const workload::CorpusProgram &program : workload::corpus()) {
-        auto compiled =
-            pipeline::sharedSession().compile(program.source);
+        // The paper measures the code generator's output, before the
+        // peephole pass.
+        auto compiled = plc::compile(program.source);
         if (!compiled.ok()) {
             support::panic("compiling %s failed: %s", program.name,
                            compiled.error().str().c_str());
         }
-        // The paper measures the code generator's output, before the
-        // peephole pass (CompileArtifact::unit).
-        workload::collectCcSavings(compiled.value()->unit,
-                                   &result.savings);
+        workload::collectCcSavings(compiled.value(), &result.savings);
     }
 
     TextTable t("Table 3: Use of condition codes");

@@ -35,7 +35,7 @@ metricKindName(MetricKind kind)
 // --------------------------------------------------------- Histogram
 
 Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds))
+    : bounds_(std::move(bounds)), counts_(bounds_.size() + 1)
 {
     if (bounds_.empty())
         panic("Histogram: empty bucket bounds");
@@ -43,8 +43,6 @@ Histogram::Histogram(std::vector<double> bounds)
         if (bounds_[i] <= bounds_[i - 1])
             panic("Histogram: bounds not strictly increasing at %zu",
                   i);
-    for (Shard &s : shards_)
-        s.counts = std::vector<std::atomic<uint64_t>>(bounds_.size() + 1);
 }
 
 void
@@ -56,47 +54,40 @@ Histogram::observe(double v)
     // v <= bound, so step back when v sits exactly on a bound.
     if (idx > 0 && v == bounds_[idx - 1])
         --idx;
-    Shard &s = shards_[threadId() & (kShards - 1)];
-    s.counts[idx].fetch_add(1, std::memory_order_relaxed);
-    s.sum.fetch_add(v, std::memory_order_relaxed);
+    counts_[idx].fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(v, std::memory_order_relaxed);
 }
 
 std::vector<uint64_t>
 Histogram::bucketCounts() const
 {
-    std::vector<uint64_t> merged(bounds_.size() + 1, 0);
-    for (const Shard &s : shards_)
-        for (size_t i = 0; i < merged.size(); ++i)
-            merged[i] += s.counts[i].load(std::memory_order_relaxed);
-    return merged;
+    std::vector<uint64_t> counts;
+    for (const auto &c : counts_)
+        counts.push_back(c.load(std::memory_order_relaxed));
+    return counts;
 }
 
 uint64_t
 Histogram::count() const
 {
     uint64_t total = 0;
-    for (uint64_t c : bucketCounts())
-        total += c;
+    for (const auto &c : counts_)
+        total += c.load(std::memory_order_relaxed);
     return total;
 }
 
 double
 Histogram::sum() const
 {
-    double total = 0.0;
-    for (const Shard &s : shards_)
-        total += s.sum.load(std::memory_order_relaxed);
-    return total;
+    return sum_.load(std::memory_order_relaxed);
 }
 
 void
 Histogram::reset()
 {
-    for (Shard &s : shards_) {
-        for (auto &c : s.counts)
-            c.store(0, std::memory_order_relaxed);
-        s.sum.store(0.0, std::memory_order_relaxed);
-    }
+    for (auto &c : counts_)
+        c.store(0, std::memory_order_relaxed);
+    sum_.store(0.0, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------- Snapshot

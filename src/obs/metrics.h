@@ -12,17 +12,12 @@
  * examples/observability) reads one `Snapshot` of it.
  *
  * Concurrency model: hot-path updates never take a lock. A `Counter`
- * (and each `Histogram` bucket row) is striped across `kShards`
- * cache-line-sized cells; a thread updates the cell picked by its
- * small sequential thread id with a relaxed atomic add, so unrelated
- * threads touch unrelated cache lines and the common increment is one
- * uncontended `fetch_add`. Readers merge the shards on demand —
- * `value()` and `Registry::snapshot()` sum over all cells, which makes
- * reads linear in `kShards` but leaves writers entirely undisturbed.
+ * (and each `Histogram` bucket) is one relaxed atomic. Every update in
+ * the toolchain happens once per unit, run, lookup or miss, a few
+ * thousand per second at most, so contention never pays for striping.
  * Relaxed ordering is deliberate: metrics are monotonic event counts,
  * not synchronization; a snapshot taken while writers run is a
- * consistent *per-metric* view (each cell read once), not a global
- * atomic cut.
+ * consistent *per-metric* view, not a global atomic cut.
  *
  * Registration is idempotent and keyed by name: the first
  * `counter(name, ...)` call defines the metric, later calls return
@@ -40,7 +35,6 @@
  */
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -52,14 +46,8 @@
 
 namespace mips::obs {
 
-/** Shard count for striped metrics (power of two). 16 covers the
- *  repo's widest fan-out (mipsverify --jobs 8 plus the main thread)
- *  without making merged reads expensive. */
-constexpr size_t kShards = 16;
-
 /** Small dense id of the calling thread (0, 1, 2, ... in first-use
- *  order, process-wide). Shared with the tracer, which uses it as the
- *  Chrome-trace tid. */
+ *  order, process-wide): the tracer's Chrome-trace tid. */
 unsigned threadId();
 
 /** What a metric measures. */
@@ -73,50 +61,23 @@ enum class MetricKind : uint8_t
 /** Kind name for rendering, e.g. "counter". */
 const char *metricKindName(MetricKind kind);
 
-/** Monotonic counter, striped per thread. */
+/** Monotonic counter. */
 class Counter
 {
   public:
-    Counter() = default;
-    Counter(const Counter &) = delete;
-    Counter &operator=(const Counter &) = delete;
-
     /** Add `n` (relaxed; never takes a lock). */
-    void
-    add(uint64_t n = 1)
-    {
-        cells_[threadId() & (kShards - 1)].v.fetch_add(
-            n, std::memory_order_relaxed);
-    }
+    void add(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
 
-    /** Merged value over all shards. */
-    uint64_t
-    value() const
-    {
-        uint64_t total = 0;
-        for (const Cell &c : cells_)
-            total += c.v.load(std::memory_order_relaxed);
-        return total;
-    }
+    uint64_t value() const { return v_.load(std::memory_order_relaxed); }
 
-    /** Zero every shard (tests and Registry::reset only). */
-    void
-    reset()
-    {
-        for (Cell &c : cells_)
-            c.v.store(0, std::memory_order_relaxed);
-    }
+    /** Zero (tests and Registry::reset only). */
+    void reset() { v_.store(0, std::memory_order_relaxed); }
 
   private:
-    struct alignas(64) Cell
-    {
-        std::atomic<uint64_t> v{0};
-    };
-    std::array<Cell, kShards> cells_;
+    std::atomic<uint64_t> v_{0};
 };
 
-/** Instantaneous level. A single atomic: `set` does not merge across
- *  threads, so sharding would change its meaning. */
+/** Instantaneous level. */
 class Gauge
 {
   public:
@@ -136,8 +97,8 @@ class Gauge
 /**
  * Fixed-bucket histogram. Bucket `i` counts observations with
  * `v <= bounds[i]` (and greater than the previous bound); one overflow
- * bucket past the last bound catches the rest. Counts are striped like
- * Counter cells; the observed-value sum is a per-shard atomic double.
+ * bucket past the last bound catches the rest. Each bucket count and
+ * the observed-value sum is one relaxed atomic.
  */
 class Histogram
 {
@@ -145,34 +106,27 @@ class Histogram
     /** `bounds` must be non-empty and strictly increasing (panics
      *  otherwise: bucket layout is part of the documented surface). */
     explicit Histogram(std::vector<double> bounds);
-    Histogram(const Histogram &) = delete;
-    Histogram &operator=(const Histogram &) = delete;
 
     /** Record one observation (relaxed; never takes a lock). */
     void observe(double v);
 
     const std::vector<double> &bounds() const { return bounds_; }
 
-    /** Merged per-bucket counts, size bounds().size() + 1 (the last
-     *  entry is the overflow bucket). */
+    /** Per-bucket counts, size bounds().size() + 1 (the last entry is
+     *  the overflow bucket). */
     std::vector<uint64_t> bucketCounts() const;
 
-    /** Merged observation count / value sum over all shards. */
+    /** Observation count / value sum. */
     uint64_t count() const;
     double sum() const;
 
-    /** Zero every shard (tests and Registry::reset only). */
+    /** Zero (tests and Registry::reset only). */
     void reset();
 
   private:
-    struct alignas(64) Shard
-    {
-        std::vector<std::atomic<uint64_t>> counts; ///< bounds + 1
-        std::atomic<double> sum{0.0};
-    };
-
     std::vector<double> bounds_;
-    std::array<Shard, kShards> shards_;
+    std::vector<std::atomic<uint64_t>> counts_; ///< bounds + 1
+    std::atomic<double> sum_{0.0};
 };
 
 /** One merged metric value inside a Snapshot. */

@@ -61,7 +61,7 @@ keyOf(const reorg::ReorgOptions &o)
 std::string
 keyOf(const verify::VerifyOptions &o)
 {
-    return strprintf("l%d;i%d;A%04x;S%04x", o.lint, o.interproc,
+    return strprintf("l%d;A%04x;S%04x", o.lint,
                      static_cast<unsigned>(o.assume_initialized),
                      static_cast<unsigned>(o.callee_saved));
 }
@@ -317,8 +317,7 @@ Session::compile(std::string_view source, const StageOptions &options)
             if (!compiled.ok())
                 return compiled.error();
             auto artifact = std::make_shared<CompileArtifact>();
-            artifact->unit = compiled.value().unit;
-            artifact->legal_unit = std::move(compiled.value().unit);
+            artifact->legal_unit = compiled.take();
             artifact->peephole =
                 plc::eliminateRedundantLoads(&artifact->legal_unit);
             return CompileRef(artifact);

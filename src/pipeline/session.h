@@ -142,7 +142,6 @@ struct ParseArtifact
 /** Compile: Pascal-like source → legal code. */
 struct CompileArtifact
 {
-    assembler::Unit unit;       ///< as emitted (pre-peephole)
     assembler::Unit legal_unit; ///< peephole-optimized legal code
     plc::PeepholeStats peephole;
 };

@@ -42,25 +42,18 @@ struct CompileOptions
     bool jump_tables = true;
 };
 
-/** A compiled program (legal code; run the reorganizer before the
- *  pipeline machine). */
-struct Compiled
-{
-    assembler::Unit unit;
-    std::string asm_text; ///< the generated assembly source
-};
-
 /**
- * Generate code for an analyzed program. `sema` must come from
+ * Generate code for an analyzed program: legal code (run the
+ * reorganizer before the pipeline machine). `sema` must come from
  * analyze() on the same (annotated) AST.
  */
-support::Result<Compiled> generateCode(const ProgramAst &program,
-                                       const SemaResult &sema,
-                                       const CompileOptions &options);
+support::Result<assembler::Unit> generateCode(const ProgramAst &program,
+                                              const SemaResult &sema,
+                                              const CompileOptions &options);
 
 /** Parse + analyze + generate in one call. */
-support::Result<Compiled> compile(std::string_view source,
-                                  const CompileOptions &options =
-                                      CompileOptions{});
+support::Result<assembler::Unit> compile(std::string_view source,
+                                         const CompileOptions &options =
+                                             CompileOptions{});
 
 } // namespace mips::plc

@@ -14,8 +14,7 @@ buildExecutable(std::string_view source,
         return compiled.error();
 
     Executable exe;
-    exe.asm_text = compiled.value().asm_text;
-    exe.legal_unit = std::move(compiled.value().unit);
+    exe.legal_unit = compiled.take();
     exe.peephole = eliminateRedundantLoads(&exe.legal_unit);
 
     reorg::ReorgResult reorganized =

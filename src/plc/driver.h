@@ -23,7 +23,6 @@ struct Executable
     /** Scheme-2 provenance, for the translation validator. */
     std::vector<reorg::DupHint> tv_hints;
     PeepholeStats peephole;
-    std::string asm_text;        ///< generated assembly source
 };
 
 /** Compile, reorganize, and link. */

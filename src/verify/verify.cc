@@ -42,13 +42,11 @@ runPasses(const assembler::Unit &unit, const VerifyOptions &options,
     checkHazards(cfg, &engine);
     if (options.lint)
         checkLints(cfg, options, &engine);
-    if (options.interproc) {
-        CallGraph graph = buildCallGraph(cfg);
-        InterprocOptions io;
-        io.callee_saved = options.callee_saved;
-        io.assume_initialized = options.assume_initialized;
-        checkCallingConventions(graph, io, &engine);
-    }
+    CallGraph graph = buildCallGraph(cfg);
+    InterprocOptions io;
+    io.callee_saved = options.callee_saved;
+    io.assume_initialized = options.assume_initialized;
+    checkCallingConventions(graph, io, &engine);
 }
 
 } // namespace

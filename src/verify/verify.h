@@ -53,12 +53,6 @@ struct VerifyOptions
     /** Run the LT* lint passes (hazard checks always run). */
     bool lint = true;
     /**
-     * Run the interprocedural passes: call-graph construction plus
-     * the CC001-CC004 calling-convention checks and LT004 dead-
-     * function detection (see verify/interproc.h).
-     */
-    bool interproc = true;
-    /**
      * GPR mask assumed written before entry. Defaults to the ABI
      * registers the runtime contract guarantees: the global pointer,
      * stack pointer, and link register.

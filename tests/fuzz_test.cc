@@ -7,7 +7,8 @@
  * oracle sensitivity to every ReorgBugs fault flag, and minimizer
  * convergence — a planted reorganizer bug must still trip the oracle
  * after shrinking, and the shrunk program must replay clean once the
- * fault is removed.
+ * fault is removed. Compiled corpus and generated units must also
+ * survive a listing round trip (listUnit, then parse).
  */
 #include <gtest/gtest.h>
 
@@ -15,12 +16,15 @@
 #include <string>
 #include <vector>
 
+#include "asm/assembler.h"
 #include "fuzz/differ.h"
 #include "fuzz/generator.h"
 #include "fuzz/minimize.h"
 #include "obs/catalog.h"
 #include "obs/metrics.h"
 #include "pipeline/session.h"
+#include "plc/codegen.h"
+#include "workload/corpus.h"
 
 namespace {
 
@@ -249,6 +253,53 @@ TEST(FuzzMinimizer, NonFailingInputReturnsUnchanged)
     EXPECT_EQ(outcome.program.render(), program.render());
     EXPECT_EQ(outcome.removed, 0u);
     EXPECT_EQ(outcome.steps, 1u);
+}
+
+// ---- listing round trip ---------------------------------------------
+
+/** The compiled units of the corpora, the Table 11 programs and a
+ *  generated Pascal batch list as text that parses back to the same
+ *  items: the code generator's builder calls expand exactly as their
+ *  listed mnemonics do. */
+TEST(ListUnit, CompiledUnitsRoundTripThroughText)
+{
+    std::vector<std::pair<std::string, std::string>> programs;
+    for (const auto *set : {&workload::corpus(), &workload::dispatchCorpus()})
+        for (const workload::CorpusProgram &p : *set)
+            programs.emplace_back(p.name, p.source);
+    for (const workload::CorpusProgram *p :
+         {&workload::fibonacciProgram(), &workload::puzzle0Program(),
+          &workload::puzzle1Program()})
+        programs.emplace_back(p->name, p->source);
+    for (const fuzz::GeneratedProgram &g : fuzz::generateBatch(1982, 100))
+        if (g.kind == fuzz::ProgramKind::PASCAL)
+            programs.emplace_back(g.name, g.render());
+
+    auto same = [](const assembler::Item &a, const assembler::Item &b) {
+        return a.inst == b.inst && a.target == b.target &&
+               a.labels == b.labels && a.is_data == b.is_data &&
+               a.data_value == b.data_value &&
+               a.no_reorder == b.no_reorder;
+    };
+    for (const auto &[name, source] : programs) {
+        auto unit = plc::compile(source);
+        ASSERT_TRUE(unit.ok()) << name << ": " << unit.error().str();
+        std::string text = assembler::listUnit(unit.value());
+        auto back = assembler::parse(text);
+        ASSERT_TRUE(back.ok()) << name << ": " << back.error().str();
+        const auto &items = unit.value().items;
+        ASSERT_EQ(back.value().items.size(), items.size()) << name;
+        for (size_t i = 0; i < items.size(); ++i) {
+            if (!same(items[i], back.value().items[i])) {
+                assembler::Unit one;
+                one.items = {items[i]};
+                ADD_FAILURE() << name << ": item " << i
+                              << " does not round-trip; it lists as\n"
+                              << assembler::listUnit(one);
+                break;
+            }
+        }
+    }
 }
 
 } // namespace

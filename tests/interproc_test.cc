@@ -481,21 +481,6 @@ TEST(Golden, Lt004CalledFunctionIsLive)
     EXPECT_EQ(report.countOf(Code::LT004), 0u) << dump(report, u);
 }
 
-TEST(Golden, InterprocOptOutSilencesEverything)
-{
-    Unit u = parseUnit(
-        "call f, r15\n"
-        "nop\n"
-        "halt\n"
-        "f: sub r14, #2, r14\n"
-        "jmp (r15)\n"
-        "nop\n");
-    VerifyOptions options;
-    options.interproc = false;
-    VerifyReport report = verifyUnit(u, options);
-    EXPECT_EQ(report.countOf(Code::CC003), 0u) << dump(report, u);
-}
-
 // ------------------------------------------------------- rendering
 
 TEST(Render, JsonCarriesCallingConventionFinding)

@@ -22,6 +22,9 @@
 
 namespace obs = mips::obs;
 
+// One relaxed atomic per counter: no per-thread cells.
+static_assert(sizeof(obs::Counter) == sizeof(uint64_t));
+
 TEST(Counter, ConcurrentIncrementsSumExactly)
 {
     obs::Counter &c = obs::Registry::instance().counter(
