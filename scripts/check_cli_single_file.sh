@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Single-file CLI gate: `mipsverify FILE`, in every single-file mode,
 # must print exactly its checked-in golden, byte for byte: stdout,
-# stderr and exit status. Each tests/golden/mipsverify/NAME.txt holds
-# the cases of one input, in the order `cases` lists them below, and
-# one case renders as
+# stderr and exit status. The same holds for the corpus analysis
+# reports (`--corpus` as text and JSON, with `--cost`, and with
+# `--range=json`), which share one golden named `corpus`. Each
+# tests/golden/mipsverify/NAME.txt holds the cases of one input, in the
+# order `cases` lists them below, and one case renders as
 #
 #   $ mipsverify --no-time ARGS
 #   <stdout>
@@ -53,12 +55,17 @@ cases() {
         echo "$(basename "$f" .s) /dev/null $flags $f"
     done
     for f in tests/data/cli/*.s; do
-        for flags in "" "--reorg --range" "--reorg --range-oracle"; do
+        for flags in "" "--reorg --range" "--reorg --range-oracle" \
+            "--callgraph"; do
             echo "$(basename "$f" .s) /dev/null $flags $f"
         done
     done
     echo "stdin tests/data/cli/table_entry_data.s -"
     echo "missing /dev/null tests/data/cli/missing.s"
+    for flags in "--corpus" "--corpus --json" "--corpus --cost --quiet" \
+        "--corpus --range=json --quiet"; do
+        echo "corpus /dev/null $flags"
+    done
 }
 
 # Render every case of golden $2 with binary $1.

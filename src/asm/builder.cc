@@ -239,7 +239,7 @@ UnitBuilder::data(uint32_t value, std::string target)
 bool
 UnitBuilder::space(int64_t count)
 {
-    if (count < 0 || count > (1 << 20))
+    if (count < 0 || count > kMaxSpaceWords)
         return false;
     for (int64_t i = 0; i < count; ++i)
         data(0);

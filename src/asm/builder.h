@@ -23,6 +23,9 @@ namespace mips::assembler {
 
 using InstResult = support::Result<isa::Instruction>;
 
+/** Most zero words one `.space` (UnitBuilder::space) appends. */
+constexpr int64_t kMaxSpaceWords = int64_t{1} << 20;
+
 /** A second source (ALU src2, branch comparand): a register or a
  *  #constant, range-checked to the 4-bit inline field when built. */
 struct Operand
@@ -106,7 +109,7 @@ class UnitBuilder
     Item &data(uint32_t value, std::string target = {});
 
     /** Append `count` zero data words (.space). False, appending
-     *  nothing, when `count` is negative or above 1M words. */
+     *  nothing, when `count` is negative or above kMaxSpaceWords. */
     bool space(int64_t count);
 
     /** Append every item of `unit`, its lines shifted to start at

@@ -37,7 +37,7 @@ constexpr const char *kDiagCodeNames[kVerifyDiagCodes] = {
     "TV001", "TV002", "TV003", "TV004", "TV005", "TV006", "TV090",
     "CC001", "CC002", "CC003", "CC004", "LT004",
     "MS001", "MS002", "MS003", "MS004", "MS005", "MS006",
-    "VF003", "VF004", "HZ007", "MS007", "TV007", "TV008",
+    "VF003", "VF004", "HZ007", "MS007", "TV007", "TV008", "VF005",
 };
 
 StageMetrics

@@ -110,7 +110,7 @@ SimMetrics &simMetrics();
 // ----------------------------------------------------------- verifier
 
 /** Mirrors verify::kNumCodes / codeName (asserted by obs_test). */
-constexpr size_t kVerifyDiagCodes = 35;
+constexpr size_t kVerifyDiagCodes = 36;
 const char *verifyDiagCodeName(size_t code);
 
 /** Handles for `verify.*`: per-code diagnostic counts plus unit

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <set>
 
+#include "asm/builder.h"
+#include "isa/mem.h"
 #include "support/logging.h"
 
 namespace mips::plc {
@@ -15,6 +17,12 @@ constexpr int kMaxParams = 4;
 
 /** Expression evaluation registers r1..r8: maximum tree depth. */
 constexpr int kEvalDepth = 8;
+
+/** Largest frame. Scalar and spill slots are addressed by a signed
+ *  displacement from the stack pointer, and the spill slots come last,
+ *  so every word of the frame must be within its reach. (The stack
+ *  adjustment by the frame size, a long immediate, then fits too.) */
+constexpr int64_t kMaxFrameWords = int64_t{1} << (isa::kDispBits - 1);
 
 bool
 typeBytePacked(const Type &type, Layout layout)
@@ -33,6 +41,21 @@ typeSizeWords(const Type &type, Layout layout)
         return (type.elementCount() + 3) / 4;
     return type.elementCount();
 }
+
+namespace {
+
+/** Words a variable of `type` occupies, in 64 bits so that extreme
+ *  bounds cannot overflow before the storage limits reject them. */
+int64_t
+storageWords(const Type &type, bool byte_packed)
+{
+    if (!type.is_array)
+        return 1;
+    int64_t elements = int64_t{type.hi} - type.lo + 1;
+    return byte_packed ? (elements + 3) / 4 : elements;
+}
+
+} // namespace
 
 int32_t
 Symbol::sizeWords() const
@@ -63,6 +86,8 @@ class Analyzer
 
   private:
     [[noreturn]] void fail(int line, const std::string &message);
+    [[noreturn]] void failFrame(int line, const Routine &routine,
+                                int64_t words);
 
     Symbol *addSymbol(std::map<std::string, Symbol *> *scope,
                       Symbol sym, int line);
@@ -107,6 +132,16 @@ Analyzer::addSymbol(std::map<std::string, Symbol *> *scope, Symbol sym,
     Symbol *stored = &result_.symbols.back();
     (*scope)[stored->name] = stored;
     return stored;
+}
+
+void
+Analyzer::failFrame(int line, const Routine &routine, int64_t words)
+{
+    fail(line, support::strprintf(
+                   "the frame of '%s' needs %lld words; a frame may "
+                   "take at most %lld", routine.name.c_str(),
+                   static_cast<long long>(words),
+                   static_cast<long long>(kMaxFrameWords)));
 }
 
 Symbol *
@@ -160,6 +195,15 @@ Analyzer::declareGlobals()
         sym.type = decl.type;
         sym.byte_packed = typeBytePacked(decl.type, layout_);
         sym.label = "g_" + decl.name;
+        int64_t words = storageWords(sym.type, sym.byte_packed);
+        if (words > assembler::kMaxSpaceWords) {
+            fail(decl.line,
+                 support::strprintf(
+                     "global '%s' takes %lld words; a global may take "
+                     "at most %lld", decl.name.c_str(),
+                     static_cast<long long>(words),
+                     static_cast<long long>(assembler::kMaxSpaceWords)));
+        }
         addSymbol(&result_.global_scope, std::move(sym), decl.line);
         result_.global_words +=
             result_.global_scope[decl.name]->sizeWords();
@@ -521,7 +565,10 @@ Analyzer::analyzeRoutine(Routine &routine, int routine_index)
         sym.type = decl.type;
         sym.byte_packed = typeBytePacked(decl.type, layout_);
         sym.frame_offset = offset;
-        offset += sym.sizeWords();
+        int64_t words = storageWords(sym.type, sym.byte_packed);
+        if (offset + words + kEvalDepth > kMaxFrameWords)
+            failFrame(decl.line, routine, offset + words + kEvalDepth);
+        offset += static_cast<int>(words);
         addSymbol(&locals_, std::move(sym), decl.line);
     }
     if (routine.is_function && routine_index >= 0) {
@@ -541,6 +588,8 @@ Analyzer::analyzeRoutine(Routine &routine, int routine_index)
     // Eval-stack spill slots (one per register) plus FOR-limit slots.
     frame.temps_count = kEvalDepth + max_for_temps_;
     frame.size = offset + frame.temps_count;
+    if (frame.size > kMaxFrameWords)
+        failFrame(routine.line, routine, frame.size);
     result_.frames[static_cast<size_t>(routine_index >= 0
         ? routine_index : static_cast<int>(program_.routines.size()))] =
         frame;

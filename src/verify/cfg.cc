@@ -24,7 +24,7 @@ struct Transfer
     size_t target = kNoItem; ///< item index when target_known
     bool to_unknown = false; ///< callee / indirect / trap / RFE
     /** Table-dispatch successor set (one per table entry). */
-    std::vector<size_t> multi_targets;
+    const std::vector<size_t> *multi_targets = nullptr;
     ShadowKind shadow = ShadowKind::NONE;
 };
 
@@ -93,7 +93,7 @@ classify(const Cfg &cfg, size_t i, DiagnosticEngine *diags)
             if (it == cfg.tables.end())
                 t.to_unknown = true;
             else
-                t.multi_targets = it->second.targets;
+                t.multi_targets = &it->second.targets;
             return t;
         }
         if (isa::jumpIsCall(j.kind) || isa::jumpIsIndirect(j.kind)) {
@@ -134,6 +134,40 @@ classify(const Cfg &cfg, size_t i, DiagnosticEngine *diags)
         }
     }
     return t;
+}
+
+/**
+ * Index every label definition. A name defined again (on a later item
+ * or among the trailing labels) keeps its first definition, which is
+ * where references resolve; each later definition is a VF005, since
+ * the linker rejects the unit.
+ */
+void
+indexLabels(Cfg &cfg, DiagnosticEngine *diags)
+{
+    const Unit &unit = *cfg.unit;
+    size_t n = unit.items.size();
+    size_t count = unit.trailing_labels.size();
+    for (const Item &item : unit.items)
+        count += item.labels.size();
+    cfg.labels.reserve(count);
+    auto define = [&](const std::string &label, size_t i) {
+        auto [it, fresh] = cfg.labels.emplace(label, i);
+        if (fresh || !diags)
+            return;
+        size_t first = it->second == kNoItem ? n : it->second;
+        diags->report(Code::VF005, Severity::ERROR, i,
+                      support::strprintf(
+                          "duplicate label '%s' (first defined at %u); "
+                          "the unit does not link",
+                          label.c_str(),
+                          unit.origin + static_cast<uint32_t>(first)));
+    };
+    for (size_t i = 0; i < n; ++i)
+        for (const std::string &label : unit.items[i].labels)
+            define(label, i);
+    for (const std::string &label : unit.trailing_labels)
+        define(label, kNoItem); // defined, but past the end
 }
 
 /**
@@ -220,6 +254,59 @@ resolveTables(Cfg &cfg, DiagnosticEngine *diags)
     }
 }
 
+/**
+ * Lay the edges out flat. Item i's successors are its fall-through
+ * (when `falls[i]`) merged with the override edges leaving it;
+ * `extra` holds those as (from, to) pairs and is sorted here.
+ * Predecessors are the inverse, filled by a counting pass so that
+ * each list comes out ascending.
+ */
+void
+layOutEdges(Cfg &cfg, const std::vector<char> &falls,
+            std::vector<std::pair<uint32_t, uint32_t>> &extra)
+{
+    size_t n = cfg.size();
+    std::sort(extra.begin(), extra.end());
+    cfg.succ_begin.resize(n + 1);
+    cfg.succ_list.reserve(n + extra.size());
+    size_t e = 0;
+    for (size_t i = 0; i < n; ++i) {
+        size_t begin = cfg.succ_list.size();
+        cfg.succ_begin[i] = static_cast<uint32_t>(begin);
+        // Everything arrives in ascending order: dropping repeats of
+        // the last edge dedups (overlapping overrides on erroneous
+        // code can double up).
+        auto push = [&](uint32_t s) {
+            if (cfg.succ_list.size() == begin || cfg.succ_list.back() != s)
+                cfg.succ_list.push_back(s);
+        };
+        uint32_t next = static_cast<uint32_t>(i + 1);
+        bool fall = falls[i];
+        for (; e < extra.size() && extra[e].first == i; ++e) {
+            if (fall && next <= extra[e].second) {
+                push(next);
+                fall = false;
+            }
+            push(extra[e].second);
+        }
+        if (fall)
+            push(next);
+    }
+    cfg.succ_begin[n] = static_cast<uint32_t>(cfg.succ_list.size());
+
+    cfg.pred_begin.assign(n + 1, 0);
+    for (uint32_t s : cfg.succ_list)
+        ++cfg.pred_begin[s + 1];
+    for (size_t i = 0; i < n; ++i)
+        cfg.pred_begin[i + 1] += cfg.pred_begin[i];
+    cfg.pred_list.resize(cfg.succ_list.size());
+    std::vector<uint32_t> cursor(cfg.pred_begin.begin(),
+                                 cfg.pred_begin.end() - 1);
+    for (size_t i = 0; i < n; ++i)
+        for (uint32_t s : cfg.succs(i))
+            cfg.pred_list[cursor[s]++] = static_cast<uint32_t>(i);
+}
+
 } // namespace
 
 Cfg
@@ -229,29 +316,30 @@ buildCfg(const Unit &unit, DiagnosticEngine *diags)
     cfg.unit = &unit;
     size_t n = unit.items.size();
     cfg.nodes.resize(n);
+    cfg.uses.resize(n);
 
-    for (size_t i = 0; i < n; ++i)
-        for (const std::string &label : unit.items[i].labels)
-            cfg.labels.emplace(label, i);
-    for (const std::string &label : unit.trailing_labels)
-        cfg.labels.emplace(label, kNoItem); // defined, but past the end
+    indexLabels(cfg, diags);
 
     // Jump-table recovery (before classification, which consumes it).
     resolveTables(cfg, diags);
 
-    // Structural validation and label-operand resolution for
-    // non-transfer label uses (ld @sym / st @sym / li @sym).
+    // Each word's register use, then (when reported) structural
+    // validation and label-operand resolution for non-transfer label
+    // uses (ld @sym / st @sym / li @sym).
     for (size_t i = 0; i < n; ++i) {
         const Item &item = unit.items[i];
         if (item.is_data)
             continue;
+        cfg.uses[i] = isa::regUse(item.inst);
+        if (!diags)
+            continue;
         std::string err = isa::validate(item.inst);
-        if (!err.empty() && diags) {
+        if (!err.empty()) {
             diags->report(Code::VF001, Severity::ERROR, i,
                           "invalid instruction word: " + err);
         }
-        if (!item.target.empty() && item.inst.mem && diags &&
-            !cfg.labels.count(item.target)) {
+        if (!item.target.empty() && item.inst.mem &&
+            !cfg.labels.contains(item.target)) {
             diags->report(Code::VF002, Severity::ERROR, i,
                           support::strprintf("undefined label '%s'",
                                              item.target.c_str()));
@@ -260,7 +348,8 @@ buildCfg(const Unit &unit, DiagnosticEngine *diags)
 
     // Default sequential edges, then transfer overrides hung off each
     // transfer's last delay slot.
-    std::vector<bool> overridden(n, false);
+    std::vector<char> falls(n, 0);
+    std::vector<std::pair<size_t, Transfer>> delayed;
     for (size_t i = 0; i < n; ++i) {
         CfgNode &node = cfg.nodes[i];
         const Item &item = unit.items[i];
@@ -276,18 +365,15 @@ buildCfg(const Unit &unit, DiagnosticEngine *diags)
             continue;
         }
         if (i + 1 < n)
-            node.succs.push_back(i + 1);
+            falls[i] = 1;
         else
             node.unknown_succ = true; // falls off the unit
+        if (t.is_transfer)
+            delayed.emplace_back(i, t);
     }
-    for (size_t i = 0; i < n; ++i) {
-        const Item &item = unit.items[i];
-        if (item.is_data)
-            continue;
-        Transfer t = classify(cfg, i, nullptr);
-        if (!t.is_transfer || t.delay == 0)
-            continue;
-
+    std::vector<char> overridden(n, 0);
+    std::vector<std::pair<uint32_t, uint32_t>> extra;
+    for (const auto &[i, t] : delayed) {
         // Mark the delay shadow.
         for (int d = 1; d <= t.delay && i + d < n; ++d) {
             CfgNode &slot = cfg.nodes[i + d];
@@ -303,21 +389,24 @@ buildCfg(const Unit &unit, DiagnosticEngine *diags)
             continue; // slots fall off the unit; already unknown_succ
         CfgNode &slot = cfg.nodes[last_slot];
         if (!overridden[last_slot]) {
-            overridden[last_slot] = true;
+            overridden[last_slot] = 1;
             if (!t.conditional) {
-                slot.succs.clear();
+                falls[last_slot] = 0;
                 slot.unknown_succ = false;
             }
         }
+        auto from = static_cast<uint32_t>(last_slot);
         if (t.to_unknown)
             slot.unknown_succ = true;
         else if (t.target_known)
-            slot.succs.push_back(t.target);
-        for (size_t arm : t.multi_targets)
-            slot.succs.push_back(arm);
+            extra.emplace_back(from, static_cast<uint32_t>(t.target));
+        if (t.multi_targets)
+            for (size_t arm : *t.multi_targets)
+                extra.emplace_back(from, static_cast<uint32_t>(arm));
 
         // A call returns past its delay slots: that resume point can
         // be entered from the callee's indirect jump.
+        const Item &item = unit.items[i];
         if (item.inst.jump && isa::jumpIsCall(item.inst.jump->kind) &&
             last_slot + 1 < n) {
             cfg.nodes[last_slot + 1].unknown_pred = true;
@@ -336,7 +425,11 @@ buildCfg(const Unit &unit, DiagnosticEngine *diags)
         size_t safe_refs = 0;
         bool unsafe = false;
     };
-    std::map<std::string, LabelRefs> label_refs;
+    std::unordered_map<std::string_view, LabelRefs> label_refs;
+    auto definesCode = [&](const std::string &label) {
+        auto it = cfg.labels.find(label);
+        return it != cfg.labels.end() && it->second != kNoItem;
+    };
     for (size_t i = 0; i < n; ++i) {
         const Item &item = unit.items[i];
         if (item.is_data || item.target.empty())
@@ -347,8 +440,7 @@ buildCfg(const Unit &unit, DiagnosticEngine *diags)
         } else if (item.inst.branch) {
             bool wired = item.inst.branch->cond != Cond::NEVER &&
                          i + isa::kBranchDelay < n &&
-                         cfg.labels.count(item.target) &&
-                         cfg.labels[item.target] != kNoItem;
+                         definesCode(item.target);
             if (wired)
                 ++refs.safe_refs;
             else
@@ -356,8 +448,7 @@ buildCfg(const Unit &unit, DiagnosticEngine *diags)
         } else if (item.inst.jump &&
                    item.inst.jump->kind == JumpKind::DIRECT &&
                    i + isa::kBranchDelay < n &&
-                   cfg.labels.count(item.target) &&
-                   cfg.labels[item.target] != kNoItem) {
+                   definesCode(item.target)) {
             ++refs.safe_refs;
         } else {
             refs.unsafe = true; // call target, indirect, or off-unit
@@ -371,7 +462,7 @@ buildCfg(const Unit &unit, DiagnosticEngine *diags)
                 return false;
             // A duplicate definition means references resolve to the
             // other item; keep this one conservative.
-            if (cfg.labels[label] != i)
+            if (cfg.labels.find(label)->second != i)
                 return false;
         }
         return true;
@@ -394,15 +485,7 @@ buildCfg(const Unit &unit, DiagnosticEngine *diags)
         }
     }
 
-    // Dedup successor lists (overlapping overrides on erroneous code
-    // can double up) and invert into predecessor lists.
-    for (size_t i = 0; i < n; ++i) {
-        auto &s = cfg.nodes[i].succs;
-        std::sort(s.begin(), s.end());
-        s.erase(std::unique(s.begin(), s.end()), s.end());
-        for (size_t succ : s)
-            cfg.nodes[succ].preds.push_back(i);
-    }
+    layOutEdges(cfg, falls, extra);
     return cfg;
 }
 

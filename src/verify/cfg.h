@@ -20,10 +20,13 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
+#include <span>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "asm/unit.h"
+#include "isa/instruction.h"
 #include "verify/diagnostics.h"
 
 namespace mips::verify {
@@ -36,13 +39,9 @@ enum class ShadowKind : uint8_t
     INDIRECT, ///< shadow of an indirect jump/call (2 slots)
 };
 
-/** Per-item CFG node. */
+/** Per-item CFG flags. The edges live in Cfg's flat arrays. */
 struct CfgNode
 {
-    /** Items that can execute on the next cycle. */
-    std::vector<size_t> succs;
-    /** Items that can execute on the previous cycle. */
-    std::vector<size_t> preds;
     /** The next executed word is statically unknown (call/indirect
      *  target, trap handler, or execution fell off the unit). */
     bool unknown_succ = false;
@@ -66,26 +65,62 @@ struct JumpTable
     std::vector<size_t> targets;  ///< resolved arm item indices
 };
 
-/** The graph plus label resolution for one unit. */
+/** Label name -> defining item index; kNoItem for a trailing label,
+ *  defined past the last item. Keys view the unit's own label
+ *  strings. When a name is defined twice the first definition wins,
+ *  as references resolve to it. Unordered: never iterate it where
+ *  the order could reach an output. */
+using LabelIndex = std::unordered_map<std::string_view, size_t>;
+
+/**
+ * The graph plus label resolution for one unit. Edges are stored flat
+ * (compressed sparse rows): item i's successors are
+ * `succ_list[succ_begin[i] .. succ_begin[i + 1])`, ascending and
+ * unique, and its predecessors, the inverse relation, are laid out
+ * the same way in `pred_begin` / `pred_list`, also ascending. Read
+ * them through succs() and preds().
+ */
 struct Cfg
 {
     const assembler::Unit *unit = nullptr;
     std::vector<CfgNode> nodes;
-    std::map<std::string, size_t> labels; ///< label -> item index
+    std::vector<uint32_t> succ_begin, succ_list;
+    std::vector<uint32_t> pred_begin, pred_list;
+    /** isa::regUse of each instruction item, computed once by
+     *  buildCfg (all zero for data items). */
+    std::vector<isa::RegUse> uses;
+    LabelIndex labels;
     /** Well-formed jump tables, keyed by the dispatch item's index.
      *  A table dispatch absent from this map could not be recovered
      *  (VF003/VF004) and contributes `unknown_succ` instead. */
     std::map<size_t, JumpTable> tables;
 
     size_t size() const { return nodes.size(); }
+
+    /** Items that can execute on the cycle after item i. */
+    std::span<const uint32_t>
+    succs(size_t i) const
+    {
+        return {succ_list.data() + succ_begin[i],
+                succ_list.data() + succ_begin[i + 1]};
+    }
+
+    /** Items that can execute on the cycle before item i. */
+    std::span<const uint32_t>
+    preds(size_t i) const
+    {
+        return {pred_list.data() + pred_begin[i],
+                pred_list.data() + pred_begin[i + 1]};
+    }
 };
 
 /**
  * Build the execution CFG. Structural problems found along the way —
  * invalid instruction words (VF001), undefined label operands
- * (VF002), malformed jump tables (VF003), and table entries that
- * escape the unit's code (VF004) — are reported to `diags` (which may
- * be null to skip them); the offending edges become `unknown_succ`.
+ * (VF002), malformed jump tables (VF003), table entries that escape
+ * the unit's code (VF004), and labels defined more than once (VF005,
+ * at each later definition) — are reported to `diags` (which may be
+ * null to skip them); the offending edges become `unknown_succ`.
  * A table dispatch whose table is well formed contributes one edge
  * per entry instead of an unknown successor.
  */

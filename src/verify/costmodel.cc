@@ -66,12 +66,12 @@ isLeader(const Cfg &cfg, size_t i)
         return true;
     if (!unit.items[i].labels.empty() || cfg.nodes[i].unknown_pred)
         return true;
-    const CfgNode &prev = cfg.nodes[i - 1];
-    if (prev.unknown_succ || prev.succs.size() != 1 ||
-        prev.succs[0] != i)
+    auto succs = cfg.succs(i - 1);
+    if (cfg.nodes[i - 1].unknown_succ || succs.size() != 1 ||
+        succs[0] != i)
         return true;
-    const CfgNode &node = cfg.nodes[i];
-    return node.preds.size() != 1 || node.preds[0] != i - 1;
+    auto preds = cfg.preds(i);
+    return preds.size() != 1 || preds[0] != i - 1;
 }
 
 } // namespace

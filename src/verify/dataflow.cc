@@ -1,6 +1,5 @@
 #include "verify/dataflow.h"
 
-#include "isa/instruction.h"
 #include "support/logging.h"
 
 namespace mips::verify {
@@ -48,7 +47,7 @@ solve(const Cfg &cfg, const DataflowProblem &problem)
             const CfgNode &node = cfg.nodes[i];
             uint16_t edge = meetIdentity(problem.meet);
             if (forward) {
-                for (size_t p : node.preds)
+                for (uint32_t p : cfg.preds(i))
                     edge = meetOp(problem.meet, edge, sol.out[p]);
                 if (node.unknown_pred) {
                     edge = meetOp(problem.meet, edge,
@@ -56,7 +55,7 @@ solve(const Cfg &cfg, const DataflowProblem &problem)
                                          : problem.boundary);
                 }
             } else {
-                for (size_t s : node.succs)
+                for (uint32_t s : cfg.succs(i))
                     edge = meetOp(problem.meet, edge, sol.in[s]);
                 if (node.unknown_succ)
                     edge = meetOp(problem.meet, edge, problem.boundary);
@@ -83,15 +82,11 @@ liveness(const Cfg &cfg)
     p.meet = Meet::UNION;
     p.boundary = kAllRegs; // unknown code may read anything
     size_t n = cfg.size();
-    p.gen.assign(n, 0);
-    p.kill.assign(n, 0);
+    p.gen.resize(n);
+    p.kill.resize(n);
     for (size_t i = 0; i < n; ++i) {
-        const assembler::Item &item = cfg.unit->items[i];
-        if (item.is_data)
-            continue;
-        isa::RegUse use = isa::regUse(item.inst);
-        p.gen[i] = use.gpr_reads;
-        p.kill[i] = use.gpr_writes;
+        p.gen[i] = cfg.uses[i].gpr_reads;
+        p.kill[i] = cfg.uses[i].gpr_writes;
     }
     return solve(cfg, p);
 }
@@ -105,14 +100,10 @@ definiteAssignment(const Cfg &cfg, uint16_t assumed)
     p.boundary = 0xffff; // unknown callers may have set up anything
     p.entry = assumed | 1; // r0 always reads as a defined zero
     size_t n = cfg.size();
-    p.gen.assign(n, 0);
+    p.gen.resize(n);
     p.kill.assign(n, 0);
-    for (size_t i = 0; i < n; ++i) {
-        const assembler::Item &item = cfg.unit->items[i];
-        if (item.is_data)
-            continue;
-        p.gen[i] = isa::regUse(item.inst).gpr_writes;
-    }
+    for (size_t i = 0; i < n; ++i)
+        p.gen[i] = cfg.uses[i].gpr_writes;
     return solve(cfg, p);
 }
 

@@ -47,6 +47,7 @@ codeName(Code code)
       case Code::MS007: return "MS007";
       case Code::TV007: return "TV007";
       case Code::TV008: return "TV008";
+      case Code::VF005: return "VF005";
     }
     support::panic("codeName: bad code %d", static_cast<int>(code));
 }
@@ -195,6 +196,10 @@ codeDescription(Code code)
         return "the jump tables named by a paired table-dispatch exit "
                "resolve to different entry-label sequences, so some "
                "case arm dispatches to a different target";
+      case Code::VF005:
+        return "a label is defined more than once in the unit: "
+               "references resolve to the first definition, and the "
+               "unit does not link";
     }
     support::panic("codeDescription: bad code %d",
                    static_cast<int>(code));

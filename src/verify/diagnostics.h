@@ -69,10 +69,11 @@ enum class Code : uint8_t
     MS007,     ///< table-dispatch fetch may read outside its table
     TV007,     ///< translation validation: table dispatch divergence
     TV008,     ///< translation validation: table entry divergence
+    VF005,     ///< label defined more than once
 };
 
 /** Number of distinct diagnostic codes. */
-constexpr int kNumCodes = static_cast<int>(Code::TV008) + 1;
+constexpr int kNumCodes = static_cast<int>(Code::VF005) + 1;
 
 /** Stable textual name of a code, e.g. "HZ001". */
 const char *codeName(Code code);

@@ -51,12 +51,8 @@ checkLoadDelays(const Cfg &cfg, DiagnosticEngine *diags)
         uint16_t delayed = loadDelayWrites(items[i]);
         if (!delayed)
             continue;
-        const CfgNode &node = cfg.nodes[i];
-        for (size_t s : node.succs) {
-            if (items[s].is_data)
-                continue;
-            uint16_t stale =
-                isa::regUse(items[s].inst).gpr_reads & delayed;
+        for (uint32_t s : cfg.succs(i)) {
+            uint16_t stale = cfg.uses[s].gpr_reads & delayed;
             if (!stale)
                 continue;
             // Inside a .noreorder region the front end owns the
@@ -72,7 +68,7 @@ checkLoadDelays(const Cfg &cfg, DiagnosticEngine *diags)
                     maskNames(stale).c_str(),
                     cfg.unit->origin + static_cast<uint32_t>(i)));
         }
-        if (node.unknown_succ) {
+        if (cfg.nodes[i].unknown_succ) {
             diags->report(
                 Code::HZ006, Severity::WARNING, i,
                 support::strprintf(

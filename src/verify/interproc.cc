@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <unordered_set>
 
 #include "isa/branch.h"
 #include "isa/instruction.h"
@@ -47,7 +48,7 @@ localDefBefore(const Cfg &cfg, size_t i, isa::Reg reg)
         const Item &it = items[j];
         if (it.is_data)
             return kNoItem;
-        if (isa::regUse(it.inst).writesGpr(reg))
+        if (cfg.uses[j].writesGpr(reg))
             return j;
         if (it.inst.branch || it.inst.jump || it.inst.special)
             return kNoItem;
@@ -127,44 +128,53 @@ dotEscape(const std::string &s)
 // ------------------------------------------------- per-function edges
 
 /**
- * Edge view of one function: for each region item, the in-region CFG
- * predecessors plus (for call resume points) the last delay slot of
- * the call the control returns past. The resume edge is the resolved
- * interprocedural edge the base CFG leaves unknown: the convention
- * says the callee eventually returns to it with callee-owned state
- * restored, which is exactly what each analysis below assumes (and
- * what CC001-CC003 verify on the callee side).
+ * Edge view of the functions: for each item, the CFG predecessors
+ * inside its own function's region plus (for call resume points) the
+ * last delay slot of the call the control returns past. The resume
+ * edge is the resolved interprocedural edge the base CFG leaves
+ * unknown: the convention says the callee eventually returns to it
+ * with callee-owned state restored, which is exactly what each
+ * analysis below assumes (and what CC001-CC003 verify on the callee
+ * side). The regions partition the unit, so one flat layout, indexed
+ * by item like the CFG's, serves every function.
  */
 struct FuncEdges
 {
-    size_t begin = 0, end = 0;
-    /** Per region item: in-region predecessor items. */
-    std::vector<std::vector<size_t>> preds;
-    /** Per region item: feeding call's last slot, or kNoItem. */
+    /** In-region predecessors of item i:
+     *  `pred_list[pred_begin[i] .. pred_begin[i + 1])`. */
+    std::vector<uint32_t> pred_begin, pred_list;
+    /** Per item: feeding call's last slot, or kNoItem. */
     std::vector<size_t> resume_from;
 
-    size_t local(size_t item) const { return item - begin; }
+    std::span<const uint32_t>
+    preds(size_t i) const
+    {
+        return {pred_list.data() + pred_begin[i],
+                pred_list.data() + pred_begin[i + 1]};
+    }
 };
 
 FuncEdges
-makeFuncEdges(const CallGraph &g, const FunctionInfo &f)
+makeFuncEdges(const CallGraph &g)
 {
     const Cfg &cfg = *g.cfg;
     FuncEdges e;
-    e.begin = f.begin;
-    e.end = f.end;
-    size_t n = f.end - f.begin;
-    e.preds.resize(n);
-    e.resume_from.assign(n, kNoItem);
-    for (size_t i = f.begin; i < f.end; ++i)
-        for (size_t p : cfg.nodes[i].preds)
-            if (p >= f.begin && p < f.end)
-                e.preds[i - f.begin].push_back(p);
-    for (size_t si : f.sites) {
-        const CallSite &s = g.sites[si];
-        if (s.resume != kNoItem && s.resume < f.end)
-            e.resume_from[s.resume - f.begin] = s.last_slot;
+    e.pred_begin.reserve(cfg.size() + 1);
+    e.pred_list.reserve(cfg.pred_list.size());
+    for (const FunctionInfo &f : g.functions) {
+        for (size_t i = f.begin; i < f.end; ++i) {
+            e.pred_begin.push_back(
+                static_cast<uint32_t>(e.pred_list.size()));
+            for (uint32_t p : cfg.preds(i))
+                if (p >= f.begin && p < f.end)
+                    e.pred_list.push_back(p);
+        }
     }
+    e.pred_begin.push_back(static_cast<uint32_t>(e.pred_list.size()));
+    e.resume_from.assign(cfg.size(), kNoItem);
+    for (const CallSite &s : g.sites)
+        if (s.resume != kNoItem && s.resume < g.functions[s.caller].end)
+            e.resume_from[s.resume] = s.last_slot;
     return e;
 }
 
@@ -221,7 +231,7 @@ solveMayDirty(const CallGraph &g, const FunctionInfo &f,
         if (item.inst.mem && !item.inst.mem->is_store &&
             isa::memReferencesMemory(*item.inst.mem))
             kill[k] = static_cast<uint16_t>(1u << item.inst.mem->rd);
-        gen[k] = isa::regUse(item.inst).gpr_writes & ~kill[k];
+        gen[k] = cfg.uses[i].gpr_writes & ~kill[k];
         if (item.inst.alu && identityMove(*item.inst.alu)) {
             isa::Instruction rest = item.inst;
             rest.alu.reset();
@@ -234,11 +244,12 @@ solveMayDirty(const CallGraph &g, const FunctionInfo &f,
     while (changed) {
         changed = false;
         for (size_t k = 0; k < n; ++k) {
+            size_t i = f.begin + k;
             uint16_t edge = 0;
-            for (size_t p : e.preds[k])
+            for (uint32_t p : e.preds(i))
                 edge |= sol.out[p - f.begin];
-            if (e.resume_from[k] != kNoItem)
-                edge |= sol.out[e.resume_from[k] - f.begin];
+            if (e.resume_from[i] != kNoItem)
+                edge |= sol.out[e.resume_from[i] - f.begin];
             uint16_t after =
                 static_cast<uint16_t>((edge & ~kill[k]) | gen[k]);
             if (sol.in[k] != edge || sol.out[k] != after) {
@@ -321,7 +332,7 @@ transferDelta(const Cfg &cfg, size_t i, const Delta &in)
     const Item &item = cfg.unit->items[i];
     if (item.is_data || in.kind == Delta::TOP)
         return in;
-    if (!isa::regUse(item.inst).writesGpr(isa::kStackReg))
+    if (!cfg.uses[i].writesGpr(isa::kStackReg))
         return in;
     if (in.kind == Delta::GIVEUP)
         return in;
@@ -360,14 +371,15 @@ solveStackDelta(const CallGraph &g, const FunctionInfo &f,
     while (changed) {
         changed = false;
         for (size_t k = 0; k < n; ++k) {
+            size_t i = f.begin + k;
             Delta edge;
-            if (f.begin + k == f.entry)
+            if (i == f.entry)
                 edge = {Delta::VAL, 0};
-            for (size_t p : e.preds[k])
+            for (uint32_t p : e.preds(i))
                 edge = meetDelta(edge, sol.out[p - f.begin]);
-            if (e.resume_from[k] != kNoItem &&
+            if (e.resume_from[i] != kNoItem &&
                 fix[k].kind != ResumeFix::SKIP) {
-                Delta via = sol.out[e.resume_from[k] - f.begin];
+                Delta via = sol.out[e.resume_from[i] - f.begin];
                 if (via.kind != Delta::TOP) {
                     if (fix[k].kind == ResumeFix::GIVEUP)
                         via = {Delta::GIVEUP, 0};
@@ -376,7 +388,7 @@ solveStackDelta(const CallGraph &g, const FunctionInfo &f,
                 }
                 edge = meetDelta(edge, via);
             }
-            Delta after = transferDelta(cfg, f.begin + k, edge);
+            Delta after = transferDelta(cfg, i, edge);
             if (!(sol.in[k] == edge) || !(sol.out[k] == after)) {
                 sol.in[k] = edge;
                 sol.out[k] = after;
@@ -406,22 +418,19 @@ solveMustWrite(const CallGraph &g, const FunctionInfo &f,
     MaskSolution sol;
     sol.in.assign(n, 0xffff);
     sol.out.assign(n, 0xffff);
-    std::vector<uint16_t> gen(n, 0);
-    for (size_t i = f.begin; i < f.end; ++i)
-        if (!cfg.unit->items[i].is_data)
-            gen[i - f.begin] = isa::regUse(cfg.unit->items[i].inst)
-                                   .gpr_writes;
     bool changed = true;
     while (changed) {
         changed = false;
         for (size_t k = 0; k < n; ++k) {
+            size_t i = f.begin + k;
             uint16_t edge = 0xffff;
-            if (f.begin + k == entered)
+            if (i == entered)
                 edge &= seed;
-            for (size_t p : e.preds[k])
+            for (uint32_t p : e.preds(i))
                 edge &= sol.out[p - f.begin];
             // resume_from: a call defines everything (identity meet)
-            uint16_t after = static_cast<uint16_t>(edge | gen[k]);
+            uint16_t after =
+                static_cast<uint16_t>(edge | cfg.uses[i].gpr_writes);
             if (sol.in[k] != edge || sol.out[k] != after) {
                 sol.in[k] = edge;
                 sol.out[k] = after;
@@ -455,8 +464,13 @@ buildCallGraph(const Cfg &cfg)
         bool indirect;
     };
     std::vector<RawSite> raw;
-    std::set<size_t> address_taken;
-    std::set<std::string> referenced;
+    std::vector<char> address_taken(n, 0); ///< per item
+    std::unordered_set<std::string_view> referenced;
+    auto takeAddress = [&](const std::string &label) {
+        auto it = cfg.labels.find(label);
+        if (it != cfg.labels.end() && it->second != kNoItem)
+            address_taken[it->second] = 1;
+    };
     for (size_t i = 0; i < n; ++i) {
         const Item &item = unit.items[i];
         if (item.is_data) {
@@ -464,19 +478,14 @@ buildCallGraph(const Cfg &cfg)
             // its arm and takes its address.
             if (!item.target.empty()) {
                 referenced.insert(item.target);
-                auto it = cfg.labels.find(item.target);
-                if (it != cfg.labels.end() && it->second != kNoItem)
-                    address_taken.insert(it->second);
+                takeAddress(item.target);
             }
             continue;
         }
         if (!item.target.empty()) {
             referenced.insert(item.target);
-            if (item.inst.mem) {
-                auto it = cfg.labels.find(item.target);
-                if (it != cfg.labels.end() && it->second != kNoItem)
-                    address_taken.insert(it->second);
-            }
+            if (item.inst.mem)
+                takeAddress(item.target);
         }
         if (item.inst.jump && isa::jumpIsCall(item.inst.jump->kind))
             raw.push_back({i, resolveCallTarget(cfg, i),
@@ -491,39 +500,43 @@ buildCallGraph(const Cfg &cfg)
     // reorganizer's retargeted-call labels one word past a real
     // entry — stay inside the containing region as secondary entries;
     // splitting there would sever prologues from their bodies.
-    std::set<size_t> entries;
-    entries.insert(0);
+    std::vector<char> is_entry(n, 0); ///< per item
+    is_entry[0] = 1;
     for (const RawSite &r : raw)
         if (r.target_item != kNoItem &&
             !unit.items[r.target_item].is_data &&
-            cfg.nodes[r.target_item].preds.empty())
-            entries.insert(r.target_item);
-    for (size_t i : address_taken)
-        if (i != 0 && !unit.items[i].is_data &&
-            cfg.nodes[i].preds.empty())
-            entries.insert(i);
+            cfg.preds(r.target_item).empty())
+            is_entry[r.target_item] = 1;
     for (size_t i = 1; i < n; ++i) {
         const Item &item = unit.items[i];
-        if (item.is_data || item.labels.empty() ||
-            !cfg.nodes[i].preds.empty())
+        if (item.is_data || !cfg.preds(i).empty())
+            continue;
+        if (address_taken[i]) {
+            is_entry[i] = 1;
+            continue;
+        }
+        if (item.labels.empty())
             continue;
         bool unreferenced = true;
         for (const std::string &label : item.labels)
-            if (referenced.count(label))
+            if (referenced.contains(label))
                 unreferenced = false;
         if (unreferenced)
-            entries.insert(i);
+            is_entry[i] = 1;
     }
 
     // Contiguous regions between entries.
-    std::vector<size_t> sorted(entries.begin(), entries.end());
-    g.functions.resize(sorted.size());
-    for (size_t k = 0; k < sorted.size(); ++k) {
+    std::vector<size_t> entries;
+    for (size_t i = 0; i < n; ++i)
+        if (is_entry[i])
+            entries.push_back(i);
+    g.functions.resize(entries.size());
+    for (size_t k = 0; k < entries.size(); ++k) {
         FunctionInfo &f = g.functions[k];
-        f.entry = f.begin = sorted[k];
-        f.end = k + 1 < sorted.size() ? sorted[k + 1] : n;
+        f.entry = f.begin = entries[k];
+        f.end = k + 1 < entries.size() ? entries[k + 1] : n;
         f.is_root = f.entry == 0;
-        f.address_taken = address_taken.count(f.entry) > 0;
+        f.address_taken = address_taken[f.entry];
         f.entries.push_back(f.entry);
         const auto &labels = unit.items[f.entry].labels;
         f.name = labels.empty() ? std::string("<entry>") : labels[0];
@@ -670,7 +683,7 @@ buildCallGraph(const Cfg &cfg)
                 mark(g.function_of[s.resume]);
         }
         for (size_t i = fn.begin; i < fn.end; ++i)
-            for (size_t succ : cfg.nodes[i].succs)
+            for (uint32_t succ : cfg.succs(i))
                 if (g.function_of[succ] != f)
                     mark(g.function_of[succ]);
     }
@@ -760,21 +773,18 @@ checkCallingConventions(const CallGraph &g,
         static_cast<uint16_t>(options.assume_initialized | 1u);
     size_t fcount = g.functions.size();
 
-    std::vector<FuncEdges> edges;
+    FuncEdges edges = makeFuncEdges(g);
     std::vector<MaskSolution> dirty;
-    edges.reserve(fcount);
     dirty.reserve(fcount);
-    for (const FunctionInfo &f : g.functions) {
-        edges.push_back(makeFuncEdges(g, f));
-        dirty.push_back(solveMayDirty(g, f, edges.back()));
-    }
+    for (const FunctionInfo &f : g.functions)
+        dirty.push_back(solveMayDirty(g, f, edges));
     // Must-write solutions are per entry point (an invocation enters
     // at exactly one of FunctionInfo::entries), indexed in parallel.
     std::vector<std::vector<MaskSolution>> must(fcount);
     for (size_t fi = 0; fi < fcount; ++fi)
         for (size_t entered : g.functions[fi].entries)
             must[fi].push_back(solveMustWrite(
-                g, g.functions[fi], edges[fi], seed, entered));
+                g, g.functions[fi], edges, seed, entered));
     auto entryIndex = [&](size_t fi, size_t entered) {
         const auto &es = g.functions[fi].entries;
         return static_cast<size_t>(
@@ -863,7 +873,7 @@ checkCallingConventions(const CallGraph &g,
             }
             fix[s.resume - f.begin] = rf;
         }
-        delta[fi] = solveStackDelta(g, f, edges[fi], fix);
+        delta[fi] = solveStackDelta(g, f, edges, fix);
         Delta r;
         for (size_t ri : f.returns) {
             size_t last = std::min(
@@ -920,9 +930,19 @@ checkCallingConventions(const CallGraph &g,
     // sites where the demand provably cannot be met. Demands are per
     // entry point: a retargeted call entering past the prologue does
     // not inherit reads only the skipped prologue performs.
-    std::vector<std::vector<uint16_t>> entry_reads(fcount);
-    for (size_t fi = 0; fi < fcount; ++fi)
-        entry_reads[fi].assign(g.functions[fi].entries.size(), 0);
+    // The reads of an entry's own region come first; they do not
+    // change while the demands propagate.
+    std::vector<std::vector<uint16_t>> own_reads(fcount), entry_reads(fcount);
+    for (size_t fi = 0; fi < fcount; ++fi) {
+        const FunctionInfo &f = g.functions[fi];
+        for (const MaskSolution &m : must[fi]) {
+            uint16_t er = 0;
+            for (size_t i = f.begin; i < f.end; ++i)
+                er |= cfg.uses[i].gpr_reads & ~m.in[i - f.begin];
+            own_reads[fi].push_back(er);
+        }
+        entry_reads[fi].assign(f.entries.size(), 0);
+    }
     bool changed = true;
     while (changed) {
         changed = false;
@@ -930,14 +950,7 @@ checkCallingConventions(const CallGraph &g,
             const FunctionInfo &f = g.functions[fi];
             for (size_t ei = 0; ei < f.entries.size(); ++ei) {
                 const MaskSolution &m = must[fi][ei];
-                uint16_t er = 0;
-                for (size_t i = f.begin; i < f.end; ++i) {
-                    const Item &item = cfg.unit->items[i];
-                    if (item.is_data)
-                        continue;
-                    er |= isa::regUse(item.inst).gpr_reads &
-                          ~m.in[i - f.begin];
-                }
+                uint16_t er = own_reads[fi][ei];
                 for (size_t si : f.sites) {
                     const CallSite &s = g.sites[si];
                     if (s.resolved())

@@ -33,12 +33,9 @@ checkUninitializedReads(const Cfg &cfg, const VerifyOptions &options,
 {
     DataflowSolution da =
         definiteAssignment(cfg, options.assume_initialized);
-    const auto &items = cfg.unit->items;
     for (size_t i = 0; i < cfg.size(); ++i) {
-        if (items[i].is_data)
-            continue;
-        uint16_t reads = isa::regUse(items[i].inst).gpr_reads;
-        uint16_t undef = static_cast<uint16_t>(reads & ~da.in[i]);
+        uint16_t undef =
+            static_cast<uint16_t>(cfg.uses[i].gpr_reads & ~da.in[i]);
         if (!undef)
             continue;
         diags->report(
@@ -93,7 +90,7 @@ checkUnreachable(const Cfg &cfg, DiagnosticEngine *diags)
     while (!work.empty()) {
         size_t i = work.back();
         work.pop_back();
-        for (size_t s : cfg.nodes[i].succs)
+        for (uint32_t s : cfg.succs(i))
             push(s);
     }
     const auto &items = cfg.unit->items;

@@ -136,7 +136,7 @@ solveOwnDepth(const CallGraph &g, const FunctionInfo &f,
         const Item &item = cfg.unit->items[item_index];
         if (item.is_data || d.kind != SpDelta::VAL)
             return d;
-        if (!isa::regUse(item.inst).writesGpr(isa::kStackReg))
+        if (!cfg.uses[item_index].writesGpr(isa::kStackReg))
             return d;
         const auto &alu = item.inst.alu;
         bool tracked = alu && alu->rd == isa::kStackReg &&
@@ -169,7 +169,7 @@ solveOwnDepth(const CallGraph &g, const FunctionInfo &f,
             if (std::find(f.entries.begin(), f.entries.end(), i) !=
                 f.entries.end())
                 edge = {SpDelta::VAL, 0};
-            for (size_t p : cfg.nodes[i].preds)
+            for (uint32_t p : cfg.preds(i))
                 if (p >= f.begin && p < f.end)
                     edge = meetDelta(edge, out[p - f.begin]);
             if (resume_from[k] != kNoItem)
@@ -436,7 +436,7 @@ checkMemorySafety(const Cfg &cfg, const CallGraph &graph,
                 exit_found = true;
                 break;
             }
-            for (size_t succ : cfg.nodes[i].succs)
+            for (uint32_t succ : cfg.succs(i))
                 if (!seen[succ] && !must_fault[succ]) {
                     seen[succ] = 1;
                     stack.push_back(succ);

@@ -643,7 +643,7 @@ analyzeValueRanges(const Cfg &cfg, const RangeOptions &options)
         work.erase(work.begin());
         ++a.iterations;
         RegState out = transferItem(cfg, i, a.in[i]);
-        for (size_t succ : cfg.nodes[i].succs)
+        for (uint32_t succ : cfg.succs(i))
             inject(succ, out);
     }
 

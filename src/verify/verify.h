@@ -25,7 +25,7 @@
  *
  * plus lint findings (LT001 possibly-uninitialized read, LT002 dead
  * store, LT003 unreachable code) and structural checks (VF001 invalid
- * word, VF002 undefined label).
+ * word, VF002 undefined label, VF005 label defined twice).
  *
  * Inside `.noreorder` regions, load-delay and packed-dependence
  * findings are *notes*, not errors: the stale-value semantics are

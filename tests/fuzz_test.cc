@@ -8,10 +8,14 @@
  * convergence — a planted reorganizer bug must still trip the oracle
  * after shrinking, and the shrunk program must replay clean once the
  * fault is removed. Compiled corpus and generated units must also
- * survive a listing round trip (listUnit, then parse).
+ * survive a listing round trip (listUnit, then parse), and the flat
+ * CFG and call graph of every reorganized unit must keep their
+ * invariants.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -24,6 +28,8 @@
 #include "obs/metrics.h"
 #include "pipeline/session.h"
 #include "plc/codegen.h"
+#include "verify/cfg.h"
+#include "verify/interproc.h"
 #include "workload/corpus.h"
 
 namespace {
@@ -300,6 +306,126 @@ TEST(ListUnit, CompiledUnitsRoundTripThroughText)
             }
         }
     }
+}
+
+// ---- flat CFG invariants -------------------------------------------
+
+/** The first violated invariant of `unit`'s CFG and call graph, or
+ *  the empty string. */
+std::string
+flatCfgViolation(const assembler::Unit &unit)
+{
+    verify::Cfg cfg = verify::buildCfg(unit, nullptr);
+    const auto &items = unit.items;
+    size_t n = items.size();
+    if (cfg.size() != n || cfg.succ_begin.size() != n + 1 ||
+        cfg.pred_begin.size() != n + 1 || cfg.uses.size() != n)
+        return "array sizes do not match the unit";
+
+    // Successors sorted and unique; predecessors exactly the inverse
+    // relation, ascending.
+    std::vector<std::vector<size_t>> inverse(n);
+    for (size_t j = 0; j < n; ++j) {
+        auto succs = cfg.succs(j);
+        if (!std::is_sorted(succs.begin(), succs.end()) ||
+            std::adjacent_find(succs.begin(), succs.end()) != succs.end())
+            return "succs(" + std::to_string(j) + ") not sorted unique";
+        for (uint32_t i : succs) {
+            if (i >= n)
+                return "succs(" + std::to_string(j) + ") leaves the unit";
+            inverse[i].push_back(j);
+        }
+    }
+    for (size_t i = 0; i < n; ++i) {
+        auto preds = cfg.preds(i);
+        if (std::vector<size_t>(preds.begin(), preds.end()) != inverse[i])
+            return "preds(" + std::to_string(i) + ") is not the inverse";
+    }
+
+    for (size_t i = 0; i < n; ++i) {
+        if (items[i].is_data)
+            continue;
+        isa::RegUse want = isa::regUse(items[i].inst);
+        const isa::RegUse &got = cfg.uses[i];
+        if (got.gpr_reads != want.gpr_reads ||
+            got.gpr_writes != want.gpr_writes ||
+            got.reads_lo != want.reads_lo ||
+            got.writes_lo != want.writes_lo ||
+            got.touches_system_state != want.touches_system_state ||
+            got.reads_memory != want.reads_memory ||
+            got.writes_memory != want.writes_memory)
+            return "uses[" + std::to_string(i) + "] != regUse";
+    }
+
+    // Every label resolves to its first definition.
+    std::map<std::string, size_t> first;
+    for (size_t i = 0; i < n; ++i)
+        for (const std::string &label : items[i].labels)
+            first.emplace(label, i);
+    for (const std::string &label : unit.trailing_labels)
+        first.emplace(label, verify::kNoItem);
+    if (cfg.labels.size() != first.size())
+        return "label index size differs from the defined names";
+    for (const auto &[label, at] : first) {
+        auto it = cfg.labels.find(label);
+        if (it == cfg.labels.end() || it->second != at)
+            return "label '" + label + "' misresolved";
+    }
+
+    verify::CallGraph graph = verify::buildCallGraph(cfg);
+    if (graph.function_of.size() != n)
+        return "function_of size differs from the unit";
+    for (size_t i = 0; i < n; ++i)
+        if (graph.function_of[i] >= graph.size())
+            return "item " + std::to_string(i) + " has no function";
+    return "";
+}
+
+/** The reorganized units of the corpora, the Table 11 programs and a
+ *  generated batch, under every fuzz matrix config, keep the flat
+ *  CFG's invariants. */
+TEST(FlatCfg, InvariantsHoldOnEveryReorganizedUnit)
+{
+    struct Program
+    {
+        std::string name;
+        std::string text;
+        bool pascal;
+    };
+    std::vector<Program> programs;
+    for (const auto *set : {&workload::corpus(), &workload::dispatchCorpus()})
+        for (const workload::CorpusProgram &p : *set)
+            programs.push_back({p.name, p.source, true});
+    for (const workload::CorpusProgram *p :
+         {&workload::fibonacciProgram(), &workload::puzzle0Program(),
+          &workload::puzzle1Program()})
+        programs.push_back({p->name, p->source, true});
+    for (const fuzz::GeneratedProgram &g : fuzz::generateBatch(1982, 100))
+        programs.push_back(
+            {g.name, g.render(), g.kind == fuzz::ProgramKind::PASCAL});
+
+    size_t units = 0;
+    for (const Program &p : programs) {
+        pipeline::Session session; // one program's configs share it
+        const pipeline::Source source(
+            p.text, p.pascal ? pipeline::Language::PASCAL
+                             : pipeline::Language::ASSEMBLY);
+        for (const fuzz::FuzzConfig &config :
+             p.pascal ? fuzz::pascalMatrix() : fuzz::asmMatrix()) {
+            pipeline::StageOptions o;
+            o.compile.layout = config.layout;
+            o.compile.jump_tables = config.jump_tables;
+            o.reorg = config.reorg;
+            auto reorg = session.reorganize(source, o);
+            ASSERT_TRUE(reorg.ok())
+                << p.name << " " << config.tag << ": "
+                << reorg.error().str();
+            EXPECT_EQ(flatCfgViolation(reorg.value()->final_unit), "")
+                << p.name << " " << config.tag;
+            ++units;
+        }
+    }
+    EXPECT_GE(units, 500u);
 }
 
 } // namespace

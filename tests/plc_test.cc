@@ -585,6 +585,38 @@ TEST(Execution, ReorganizerImprovesCompiledCode)
     }
 }
 
+TEST(Sema, OversizedGlobalRejectedAtItsLine)
+{
+    // Regression: code generation used to abort the process when a
+    // global outgrew one `.space`. The second span overflows 32 bits.
+    for (const char *bounds : {"0..2000000", "-2000000000..2000000000"}) {
+        auto r = compile(std::string("program p;\nvar a: array [") +
+                         bounds + "] of integer;\nbegin a[0] := 1; end.");
+        ASSERT_FALSE(r.ok()) << bounds;
+        EXPECT_EQ(r.error().line, 2) << r.error().str();
+        EXPECT_NE(r.error().message.find("'a'"), std::string::npos)
+            << r.error().str();
+    }
+}
+
+TEST(Sema, OversizedFrameRejectedAtItsLine)
+{
+    // Regression: a frame that outgrew the long immediate failed at
+    // code generation with no line, and one whose scalar slots lay
+    // past the displacement range aborted the process.
+    for (const char *bounds : {"0..2000000", "0..100000"}) {
+        auto r = compile(std::string("program p;\nprocedure q;\n"
+                                     "var a: array [") +
+                         bounds + "] of integer;\n    i: integer;\n"
+                         "begin i := 1; a[i] := i; end;\n"
+                         "begin q; end.");
+        ASSERT_FALSE(r.ok()) << bounds;
+        EXPECT_EQ(r.error().line, 3) << r.error().str();
+        EXPECT_NE(r.error().message.find("'q'"), std::string::npos)
+            << r.error().str();
+    }
+}
+
 TEST(Execution, CompileErrorsSurface)
 {
     EXPECT_FALSE(compile("program p; begin x := 1; end.").ok());

@@ -49,6 +49,13 @@ dump(const VerifyReport &report, const Unit &unit)
 
 // ----------------------------------------------------------------- CFG
 
+/** An edge list of the CFG as a vector, for EXPECT_EQ. */
+std::vector<size_t>
+edges(std::span<const uint32_t> list)
+{
+    return {list.begin(), list.end()};
+}
+
 TEST(Cfg, BranchEdgesHangOffDelaySlot)
 {
     Unit u = parseUnit(
@@ -57,11 +64,11 @@ TEST(Cfg, BranchEdgesHangOffDelaySlot)
         "add r3, #1, r3\n"  // 2: fall-through only
         "out: halt\n");     // 3
     Cfg cfg = buildCfg(u, nullptr);
-    EXPECT_EQ(cfg.nodes[0].succs, (std::vector<size_t>{1}));
-    EXPECT_EQ(cfg.nodes[1].succs, (std::vector<size_t>{2, 3}));
+    EXPECT_EQ(edges(cfg.succs(0)), (std::vector<size_t>{1}));
+    EXPECT_EQ(edges(cfg.succs(1)), (std::vector<size_t>{2, 3}));
     EXPECT_EQ(cfg.nodes[1].shadow, ShadowKind::BRANCH);
     EXPECT_EQ(cfg.nodes[1].shadow_owner, 0u);
-    EXPECT_TRUE(cfg.nodes[3].succs.empty());
+    EXPECT_TRUE(cfg.succs(3).empty());
     EXPECT_FALSE(cfg.nodes[3].unknown_succ); // halt stops, cleanly
 }
 
@@ -73,7 +80,7 @@ TEST(Cfg, UnconditionalBranchKillsFallThrough)
         "add r3, #1, r3\n"  // 2: unreachable
         "out: halt\n");     // 3
     Cfg cfg = buildCfg(u, nullptr);
-    EXPECT_EQ(cfg.nodes[1].succs, (std::vector<size_t>{3}));
+    EXPECT_EQ(edges(cfg.succs(1)), (std::vector<size_t>{3}));
 }
 
 TEST(Cfg, IndirectJumpHasTwoSlotShadow)
@@ -87,7 +94,7 @@ TEST(Cfg, IndirectJumpHasTwoSlotShadow)
     EXPECT_EQ(cfg.nodes[1].shadow, ShadowKind::INDIRECT);
     EXPECT_EQ(cfg.nodes[2].shadow, ShadowKind::INDIRECT);
     EXPECT_EQ(cfg.nodes[2].shadow_owner, 0u);
-    EXPECT_TRUE(cfg.nodes[2].succs.empty());
+    EXPECT_TRUE(cfg.succs(2).empty());
     EXPECT_TRUE(cfg.nodes[2].unknown_succ);
 }
 
@@ -116,9 +123,7 @@ TEST(Cfg, LocallyResolvedBranchLabelIsNotUnknownPred)
         "out: halt\n");     // 3
     Cfg cfg = buildCfg(u, nullptr);
     EXPECT_FALSE(cfg.nodes[3].unknown_pred);
-    std::vector<size_t> preds = cfg.nodes[3].preds;
-    std::sort(preds.begin(), preds.end());
-    EXPECT_EQ(preds, (std::vector<size_t>{1, 2}));
+    EXPECT_EQ(edges(cfg.preds(3)), (std::vector<size_t>{1, 2}));
 }
 
 TEST(Cfg, AddressTakenBranchLabelKeepsUnknownPred)
@@ -409,6 +414,38 @@ TEST(Golden, Vf002UndefinedLabel)
     VerifyReport report = verifyUnit(u);
     ASSERT_EQ(report.countOf(Code::VF002), 1u) << dump(report, u);
     EXPECT_EQ(find(report, Code::VF002)->severity, Severity::ERROR);
+}
+
+TEST(Golden, Vf005DuplicateLabel)
+{
+    // Parses, but does not link. The second definition is reported;
+    // the branch still resolves to the first.
+    Unit u = parseUnit(
+        "a: add r0, #1, r1\n" // 0
+        "bra b\n"             // 1
+        "nop\n"               // 2: slot
+        "b: halt\n"           // 3
+        "b: halt\n");         // 4
+    VerifyReport report = verifyUnit(u);
+    ASSERT_EQ(report.countOf(Code::VF005), 1u) << dump(report, u);
+    const Diagnostic *d = find(report, Code::VF005);
+    EXPECT_EQ(d->severity, Severity::ERROR);
+    EXPECT_EQ(d->item_index, 4u);
+    EXPECT_FALSE(report.clean());
+    Cfg cfg = buildCfg(u, nullptr);
+    EXPECT_EQ(cfg.labels.at("b"), 3u);
+    EXPECT_EQ(edges(cfg.succs(2)), (std::vector<size_t>{3}));
+}
+
+TEST(Golden, Vf005DuplicateTrailingLabel)
+{
+    Unit u = parseUnit(
+        "end: halt\n"
+        "end:\n");
+    ASSERT_EQ(u.trailing_labels, (std::vector<std::string>{"end"}));
+    VerifyReport report = verifyUnit(u);
+    ASSERT_EQ(report.countOf(Code::VF005), 1u) << dump(report, u);
+    EXPECT_EQ(find(report, Code::VF005)->item_index, kNoItem);
 }
 
 /** A well-formed two-entry jump-table dispatch unit. */
