@@ -2,13 +2,16 @@
  * @file
  * The full tool chain on a Pascal-like program: compile, peephole,
  * reorganize, link, execute — with the intermediate artifacts printed
- * so the hardware/software division of labour is visible.
+ * so the hardware/software division of labour is visible. The stages
+ * come from a pipeline::Session: `compile` holds the legal unit and
+ * the peephole statistics, `reorganize` the reorganizer statistics
+ * and the linked program.
  */
 #include <cstdio>
 #include <sstream>
 #include <string>
 
-#include "plc/driver.h"
+#include "pipeline/session.h"
 #include "sim/machine.h"
 
 int
@@ -38,24 +41,32 @@ main()
         "  writeint(count);\n"
         "end.\n";
 
-    auto exe = mips::plc::buildExecutable(source);
-    if (!exe.ok()) {
+    mips::pipeline::Session session;
+    auto reorganized = session.reorganize(source);
+    if (!reorganized.ok()) {
         std::fprintf(stderr, "compile error: %s\n",
-                     exe.error().str().c_str());
+                     reorganized.error().str().c_str());
         return 1;
     }
+    if (reorganized.value()->link_error) {
+        std::fprintf(stderr, "link error: %s\n",
+                     reorganized.value()->link_error->str().c_str());
+        return 1;
+    }
+    // A cache hit: reorganize compiled the source first.
+    auto compiled = session.compile(source);
 
     std::printf("=== source (sieve of Eratosthenes) ===\n%s\n", source);
     std::printf("=== first 24 lines of legal code (after peephole) ===\n");
     std::istringstream listing(
-        mips::assembler::listUnit(exe.value().legal_unit));
+        mips::assembler::listUnit(compiled.value()->legal_unit));
     std::string line;
     for (int i = 0; i < 24 && std::getline(listing, line); ++i)
         std::printf("%s\n", line.c_str());
     std::printf("\n=== build statistics ===\n");
     std::printf("redundant loads eliminated: %zu\n",
-                exe.value().peephole.loads_eliminated);
-    const mips::reorg::ReorgStats &rs = exe.value().reorg_stats;
+                compiled.value()->peephole.loads_eliminated);
+    const mips::reorg::ReorgStats &rs = reorganized.value()->stats;
     std::printf("reorganizer: %zu -> %zu words, %zu no-ops, "
                 "%zu packed, %zu/%zu/%zu slots (move/dup/hoist)\n",
                 rs.input_words, rs.output_words, rs.noops_inserted,
@@ -63,7 +74,7 @@ main()
                 rs.slots_filled_dup, rs.slots_filled_hoist);
 
     mips::sim::Machine machine;
-    machine.load(exe.value().program);
+    machine.load(reorganized.value()->program);
     if (machine.cpu().run() != mips::sim::StopReason::HALT) {
         std::fprintf(stderr, "run failed: %s\n",
                      machine.cpu().errorMessage().c_str());

@@ -245,19 +245,6 @@ done
 # equivalent, under the full reorganizer and each stage toggle.
 run_tv_gate "$build_dir"
 
-# Experiment-table determinism gate: the dispatch tradeoff study
-# (chain vs jump-table CASE lowering) must render byte-identically
-# across runs — cycle counts come from the simulator, not wall
-# clocks, so any drift is a real nondeterminism bug.
-"$build_dir/bench/bench_dispatch_lowering" --benchmark_filter='^$' \
-    > "$build_dir/dispatch-table-a.out"
-"$build_dir/bench/bench_dispatch_lowering" --benchmark_filter='^$' \
-    > "$build_dir/dispatch-table-b.out"
-cmp "$build_dir/dispatch-table-a.out" \
-    "$build_dir/dispatch-table-b.out"
-grep -q "jump table" "$build_dir/dispatch-table-a.out"
-echo "check.sh: dispatch experiment table byte-stable"
-
 # Diagnostics-JSON gate: machine output must parse as a stream of
 # schema-1 documents whose summary blocks agree with the
 # severity counters.

@@ -82,7 +82,7 @@ struct CcInst
     std::string var;               ///< STORE_VAR destination
     char alu = '|';                ///< ALU: '|', '&', '^'
 
-    /** Assembly-flavoured rendering for the figure benches. */
+    /** Assembly-flavoured rendering for Figures 1-3. */
     std::string str() const;
 };
 
@@ -102,7 +102,7 @@ struct CcProgram
     /** Static count of one class. */
     int staticCount(CcClass cls) const;
 
-    /** Listing for the figure benches. */
+    /** Listing for Figures 1-3. */
     std::string listing() const;
 };
 

@@ -15,10 +15,11 @@ using support::TextTable;
 
 namespace {
 
-// Every corpus chain below goes through the shared pipeline session:
-// drivers that touch the same program (e.g. Tables 3 and 11, or a
-// bench binary printing a table and then benchmarking it) share one
-// compile/simulate artifact instead of re-running the chain.
+// Every driver that runs the toolchain owns one pipeline::Session and
+// passes it to the helpers below, so the stage calls of one table
+// share artifacts (Table 11's four reorganizer configurations reuse
+// one compile) and no Session outlives its driver or is reachable
+// from another thread.
 
 pipeline::StageOptions
 layoutOptions(plc::Layout layout)
@@ -30,9 +31,9 @@ layoutOptions(plc::Layout layout)
 
 /** Paper cost assumption: memory instructions 4 cycles, ALU 1. */
 double
-sequenceCost(std::string_view asm_text)
+sequenceCost(pipeline::Session &session, std::string_view asm_text)
 {
-    auto assembled = pipeline::sharedSession().assemble(asm_text);
+    auto assembled = session.assemble(asm_text);
     if (!assembled.ok())
         support::panic("sequence fragment: %s",
                        assembled.error().str().c_str());
@@ -45,12 +46,13 @@ sequenceCost(std::string_view asm_text)
     return cost;
 }
 
-/** Parse + analyze a corpus program through the session cache. */
+/** Parse + analyze a corpus program; the AST lives as long as the
+ *  session. */
 const plc::ProgramAst &
-parseOrDie(const workload::CorpusProgram &program, plc::Layout layout)
+parseOrDie(pipeline::Session &session,
+           const workload::CorpusProgram &program, plc::Layout layout)
 {
-    auto parsed =
-        pipeline::sharedSession().parse(program.source, layout);
+    auto parsed = session.parse(program.source, layout);
     if (!parsed.ok()) {
         support::panic("parsing %s failed: %s", program.name,
                        parsed.error().str().c_str());
@@ -60,11 +62,12 @@ parseOrDie(const workload::CorpusProgram &program, plc::Layout layout)
 
 /** Run one program with reference profiling through the session. */
 pipeline::SimRef
-profileOrDie(const char *name, const char *source, plc::Layout layout)
+profileOrDie(pipeline::Session &session, const char *name,
+             const char *source, plc::Layout layout)
 {
     pipeline::StageOptions options = layoutOptions(layout);
     options.sim.profile = true;
-    auto result = pipeline::sharedSession().simulate(source, options);
+    auto result = session.simulate(source, options);
     if (!result.ok()) {
         support::panic("profiling %s failed: %s", name,
                        result.error().str().c_str());
@@ -76,14 +79,14 @@ profileOrDie(const char *name, const char *source, plc::Layout layout)
     return result.value();
 }
 
-/** Profile the whole corpus and merge (cached per program). */
+/** Profile the whole corpus and merge. */
 workload::ProfileResult
-profileCorpusOrDie(plc::Layout layout)
+profileCorpusOrDie(pipeline::Session &session, plc::Layout layout)
 {
     workload::ProfileResult merged;
     for (const workload::CorpusProgram &program : workload::corpus()) {
         pipeline::SimRef run =
-            profileOrDie(program.name, program.source, layout);
+            profileOrDie(session, program.name, program.source, layout);
         merged.refs.merge(run->refs);
         merged.cycles += run->cycles;
         merged.free_data_cycles += run->free_data_cycles;
@@ -111,10 +114,11 @@ Table1Result::coveredByImm8() const
 Table1Result
 runTable1()
 {
+    pipeline::Session session;
     Table1Result result;
     for (const workload::CorpusProgram &program : workload::corpus()) {
         workload::collectConstants(
-            parseOrDie(program, plc::Layout::WORD_ALLOCATED),
+            parseOrDie(session, program, plc::Layout::WORD_ALLOCATED),
             &result.dist);
     }
 
@@ -183,10 +187,11 @@ runTable3()
 Table4Result
 runTable4()
 {
+    pipeline::Session session;
     Table4Result result;
     for (const workload::CorpusProgram &program : workload::corpus()) {
         workload::collectBoolExprs(
-            parseOrDie(program, plc::Layout::WORD_ALLOCATED),
+            parseOrDie(session, program, plc::Layout::WORD_ALLOCATED),
             &result.shape);
     }
 
@@ -320,7 +325,8 @@ RefPatternResult
 runRefPattern(plc::Layout layout, const char *title,
               const double paper[4])
 {
-    workload::ProfileResult profile = profileCorpusOrDie(layout);
+    pipeline::Session session;
+    workload::ProfileResult profile = profileCorpusOrDie(session, layout);
 
     RefPatternResult result;
     result.refs = profile.refs;
@@ -383,6 +389,7 @@ runTable8()
 Table9Result
 runTable9(double overhead)
 {
+    pipeline::Session session;
     Table9Result result;
     result.overhead = overhead;
 
@@ -422,7 +429,7 @@ runTable9(double overhead)
         row.cost_byte_machine = spec.byte_machine_cost;
         row.cost_byte_overhead = spec.byte_machine_cost *
                                  (1.0 + overhead);
-        row.cost_mips = sequenceCost(spec.mips_seq);
+        row.cost_mips = sequenceCost(session, spec.mips_seq);
         t.addRow({spec.name, spec.paper,
                   TextTable::num(row.cost_byte_machine, 1),
                   TextTable::num(row.cost_byte_overhead, 1),
@@ -464,8 +471,10 @@ runTable10(double overhead)
                  "Byte-addr MIPS cost/ref", "Byte penalty",
                  "Paper penalty"});
     const char *paper_penalty[2] = {"9 - 11.8%", "7.7 - 14.6%"};
+    pipeline::Session session;
     for (int i = 0; i < 2; ++i) {
-        workload::ProfileResult profile = profileCorpusOrDie(layouts[i]);
+        workload::ProfileResult profile =
+            profileCorpusOrDie(session, layouts[i]);
         const workload::RefPattern &r = profile.refs;
         double total = static_cast<double>(r.total());
 
@@ -503,6 +512,7 @@ runTable10(double overhead)
 Table11Result
 runTable11()
 {
+    pipeline::Session session;
     Table11Result result;
 
     const workload::CorpusProgram *programs[] = {
@@ -533,8 +543,7 @@ runTable11()
         // The four configurations share one compile artifact; only
         // the reorganize stage re-runs per toggle.
         auto countStage = [&](const pipeline::StageOptions &opts) {
-            auto exe = pipeline::sharedSession().reorganize(
-                program->source, opts);
+            auto exe = session.reorganize(program->source, opts);
             if (!exe.ok())
                 support::panic("building %s failed: %s", program->name,
                                exe.error().str().c_str());
@@ -551,8 +560,7 @@ runTable11()
         entry.branch_delay = countStage(full);
 
         // Correctness: the fully optimized program must still run.
-        auto run =
-            pipeline::sharedSession().simulate(program->source, full);
+        auto run = session.simulate(program->source, full);
         if (!run.ok())
             support::panic("running %s failed: %s", program->name,
                            run.error().str().c_str());
@@ -651,8 +659,9 @@ runFigure4()
         "    st r4, 5(r13)\n"
         "    halt\n";
     const pipeline::Source source(fragment, pipeline::Language::ASSEMBLY);
+    pipeline::Session session;
     auto reorganized = [&](const pipeline::StageOptions &options) {
-        auto reorg = pipeline::sharedSession().reorganize(source, options);
+        auto reorg = session.reorganize(source, options);
         if (!reorg.ok())
             support::panic("figure 4 fragment: %s",
                            reorg.error().str().c_str());
@@ -689,7 +698,8 @@ namespace {
 
 /** Measure one source under both CASE lowerings. */
 DispatchMeasurement
-measureDispatch(const std::string &name, const char *source)
+measureDispatch(pipeline::Session &session, const std::string &name,
+                const char *source)
 {
     DispatchMeasurement m;
     m.name = name;
@@ -697,13 +707,13 @@ measureDispatch(const std::string &name, const char *source)
         pipeline::StageOptions options;
         options.compile.jump_tables = tables;
 
-        auto exe = pipeline::sharedSession().reorganize(source, options);
+        auto exe = session.reorganize(source, options);
         if (!exe.ok())
             support::panic("building %s failed: %s", name.c_str(),
                            exe.error().str().c_str());
         size_t words = exe.value()->final_unit.items.size();
 
-        auto run = pipeline::sharedSession().simulate(source, options);
+        auto run = session.simulate(source, options);
         if (!run.ok())
             support::panic("running %s failed: %s", name.c_str(),
                            run.error().str().c_str());
@@ -758,18 +768,19 @@ densityProgram(int arms)
 DispatchResult
 runDispatchStudy()
 {
+    pipeline::Session session;
     DispatchResult result;
     for (const workload::CorpusProgram &program :
          workload::dispatchCorpus()) {
         result.programs.push_back(
-            measureDispatch(program.name, program.source));
+            measureDispatch(session, program.name, program.source));
     }
 
     static const int kArms[] = {2, 4, 8, 16, 32};
     for (int arms : kArms) {
         std::string source = densityProgram(arms);
         result.density.push_back(measureDispatch(
-            strprintf("case/%d", arms), source.c_str()));
+            session, strprintf("case/%d", arms), source.c_str()));
     }
 
     TextTable t("Dispatch tradeoff: branch chain vs jump table "
@@ -799,17 +810,20 @@ runDispatchStudy()
 FreeCyclesResult
 runFreeCycles()
 {
+    pipeline::Session session;
     FreeCyclesResult result;
 
     result.corpus_free =
-        profileCorpusOrDie(plc::Layout::WORD_ALLOCATED).freeBandwidth();
+        profileCorpusOrDie(session, plc::Layout::WORD_ALLOCATED)
+            .freeBandwidth();
 
     workload::ProfileResult merged;
     for (const workload::CorpusProgram *program :
          {&workload::fibonacciProgram(), &workload::puzzle0Program(),
           &workload::puzzle1Program()}) {
-        pipeline::SimRef p = profileOrDie(
-            program->name, program->source, plc::Layout::WORD_ALLOCATED);
+        pipeline::SimRef p =
+            profileOrDie(session, program->name, program->source,
+                         plc::Layout::WORD_ALLOCATED);
         merged.cycles += p->cycles;
         merged.free_data_cycles += p->free_data_cycles;
     }

@@ -5,8 +5,8 @@
  * Each driver runs the relevant substrates (corpus, compiler,
  * reorganizer, simulators, condition-code baseline) and returns both
  * the raw numbers and a rendered paper-style table that places our
- * measurement next to the paper's published value. The bench binaries
- * under bench/ are thin wrappers over these drivers; tests assert the
+ * measurement next to the paper's published value. The paper_tables
+ * binary prints every table in the paper's order; tests assert the
  * qualitative shape (who wins, roughly by how much, where crossovers
  * fall).
  */

@@ -529,13 +529,6 @@ Session::valueRange(const Source &source, const StageOptions &options)
         });
 }
 
-Session &
-sharedSession()
-{
-    static Session session;
-    return session;
-}
-
 // --------------------------------------------------- batched chains
 
 std::vector<ChainResult>

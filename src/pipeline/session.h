@@ -5,7 +5,7 @@
  * Every multi-step consumer in this repo used to hand-roll the same
  * chain — `plc::compile` → peephole → `reorg::reorganize` → link →
  * verify / translation-validate / simulate — serially and from
- * scratch, once per experiment driver, bench binary, and CLI run. A
+ * scratch, once per experiment driver and CLI run. A
  * `Session` models that chain as explicitly-dependent stages
  *
  *   Parse → Compile ─┐
@@ -364,14 +364,6 @@ class Session
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
-
-/**
- * The process-wide session shared by the experiment drivers and the
- * paper-table binaries, so printing a table and then benchmarking it
- * reuses the same compile/simulate artifacts instead of redoing them.
- * It holds a fixed corpus; never feed it an unbounded input stream.
- */
-Session &sharedSession();
 
 // -------------------------------------------------- batched chains
 

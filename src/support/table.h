@@ -1,6 +1,6 @@
 /**
  * @file
- * Plain-text table renderer used by the benchmark harness to print
+ * Plain-text table renderer used by the experiment drivers to print
  * paper-style tables (rows of labelled values, optionally with a
  * "paper" column next to the "measured" column).
  */

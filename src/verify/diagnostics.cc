@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "isa/disasm.h"
+#include "isa/registers.h"
 #include "support/logging.h"
 #include "support/strings.h"
 
@@ -233,6 +234,20 @@ DiagnosticEngine::report(Code code, Severity severity, size_t item_index,
     d.message = std::move(message);
     ++counts_[static_cast<int>(severity)];
     diags_.push_back(std::move(d));
+}
+
+std::string
+regListNames(uint16_t mask)
+{
+    std::string out;
+    for (int r = 0; r < isa::kNumRegs; ++r) {
+        if ((mask >> r) & 1) {
+            if (!out.empty())
+                out += ", ";
+            out += isa::regName(static_cast<isa::Reg>(r));
+        }
+    }
+    return out;
 }
 
 void

@@ -131,6 +131,9 @@ class DiagnosticEngine
     size_t counts_[3] = {0, 0, 0};
 };
 
+/** "r3, r7"-style list of the registers set in `mask`, for messages. */
+std::string regListNames(uint16_t mask);
+
 /**
  * Human rendering, one line per finding:
  *   <name>:<pc>: error: HZ001: <message>   [<listing of the word>]

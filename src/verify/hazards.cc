@@ -26,21 +26,6 @@ loadDelayWrites(const Item &item)
     return static_cast<uint16_t>(1u << item.inst.mem->rd);
 }
 
-/** Render "r3" / "r3, r5" for a register mask. */
-std::string
-maskNames(uint16_t mask)
-{
-    std::string out;
-    for (int r = 0; r < isa::kNumRegs; ++r) {
-        if ((mask >> r) & 1) {
-            if (!out.empty())
-                out += ", ";
-            out += isa::regName(static_cast<isa::Reg>(r));
-        }
-    }
-    return out;
-}
-
 /** HZ001 / HZ006: every dynamically-next word of a load must not read
  *  the register whose write is still in flight. */
 void
@@ -65,7 +50,7 @@ checkLoadDelays(const Cfg &cfg, DiagnosticEngine *diags)
                 support::strprintf(
                     "reads %s in the delay slot of the load at %u "
                     "(the pipeline serves the stale value)",
-                    maskNames(stale).c_str(),
+                    regListNames(stale).c_str(),
                     cfg.unit->origin + static_cast<uint32_t>(i)));
         }
         if (cfg.nodes[i].unknown_succ) {
@@ -74,7 +59,7 @@ checkLoadDelays(const Cfg &cfg, DiagnosticEngine *diags)
                 support::strprintf(
                     "load delay of %s escapes into statically unknown "
                     "code; its first consumer cannot be verified",
-                    maskNames(delayed).c_str()));
+                    regListNames(delayed).c_str()));
         }
     }
 }
@@ -160,7 +145,7 @@ checkPackedWords(const Cfg &cfg, DiagnosticEngine *diags)
             support::strprintf(
                 "packed pieces are not independent: %s is touched by "
                 "both the ALU piece and the memory piece",
-                maskNames(conflict).c_str()));
+                regListNames(conflict).c_str()));
     }
 }
 

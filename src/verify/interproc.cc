@@ -17,21 +17,6 @@ using isa::JumpKind;
 
 namespace {
 
-/** "r3, r7"-style list for a register mask. */
-std::string
-maskNames(uint16_t mask)
-{
-    std::string out;
-    for (int r = 0; r < isa::kNumRegs; ++r) {
-        if ((mask >> r) & 1) {
-            if (!out.empty())
-                out += ", ";
-            out += isa::regName(static_cast<isa::Reg>(r));
-        }
-    }
-    return out;
-}
-
 /**
  * Find the unique local definition of `reg` visible at item `i` by a
  * backward straight-line scan. Fails (kNoItem) at joins (labels),
@@ -125,34 +110,9 @@ dotEscape(const std::string &s)
     return out;
 }
 
+} // namespace
+
 // ------------------------------------------------- per-function edges
-
-/**
- * Edge view of the functions: for each item, the CFG predecessors
- * inside its own function's region plus (for call resume points) the
- * last delay slot of the call the control returns past. The resume
- * edge is the resolved interprocedural edge the base CFG leaves
- * unknown: the convention says the callee eventually returns to it
- * with callee-owned state restored, which is exactly what each
- * analysis below assumes (and what CC001-CC003 verify on the callee
- * side). The regions partition the unit, so one flat layout, indexed
- * by item like the CFG's, serves every function.
- */
-struct FuncEdges
-{
-    /** In-region predecessors of item i:
-     *  `pred_list[pred_begin[i] .. pred_begin[i + 1])`. */
-    std::vector<uint32_t> pred_begin, pred_list;
-    /** Per item: feeding call's last slot, or kNoItem. */
-    std::vector<size_t> resume_from;
-
-    std::span<const uint32_t>
-    preds(size_t i) const
-    {
-        return {pred_list.data() + pred_begin[i],
-                pred_list.data() + pred_begin[i + 1]};
-    }
-};
 
 FuncEdges
 makeFuncEdges(const CallGraph &g)
@@ -177,6 +137,8 @@ makeFuncEdges(const CallGraph &g)
             e.resume_from[s.resume] = s.last_slot;
     return e;
 }
+
+namespace {
 
 // ----------------------------------- may-dirty masks (CC001 / CC002)
 
@@ -813,7 +775,7 @@ checkCallingConventions(const CallGraph &g,
                         "%s possibly clobbered (written after entry "
                         "with no restoring load on some path)",
                         f.name.c_str(),
-                        maskNames(clobbered).c_str()));
+                        regListNames(clobbered).c_str()));
             }
             isa::Reg link =
                 cfg.unit->items[r].inst.jump->target_reg;
@@ -992,7 +954,7 @@ checkCallingConventions(const CallGraph &g,
                     "call to '%s' reads argument register(s) %s on "
                     "entry, but no definition reaches this site",
                     g.functions[s.callee].name.c_str(),
-                    maskNames(missing).c_str()));
+                    regListNames(missing).c_str()));
         }
     }
 

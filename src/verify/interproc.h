@@ -38,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -113,6 +114,36 @@ struct CallGraph
  * the returned graph's sites/callees).
  */
 CallGraph buildCallGraph(const Cfg &cfg);
+
+/**
+ * Edge view of the functions: for each item, the CFG predecessors
+ * inside its own function's region plus (for call resume points) the
+ * last delay slot of the call the control returns past. The resume
+ * edge is the resolved interprocedural edge the base CFG leaves
+ * unknown: the convention says the callee eventually returns to it
+ * with callee-owned state restored, which is exactly what the
+ * per-function analyses assume (and what CC001-CC003 verify on the
+ * callee side). The regions partition the unit, so one flat layout,
+ * indexed by item like the CFG's, serves every function.
+ */
+struct FuncEdges
+{
+    /** In-region predecessors of item i:
+     *  `pred_list[pred_begin[i] .. pred_begin[i + 1])`. */
+    std::vector<uint32_t> pred_begin, pred_list;
+    /** Per item: feeding call's last slot, or kNoItem. */
+    std::vector<size_t> resume_from;
+
+    std::span<const uint32_t>
+    preds(size_t i) const
+    {
+        return {pred_list.data() + pred_begin[i],
+                pred_list.data() + pred_begin[i + 1]};
+    }
+};
+
+/** Lay out the edge view of `graph`'s functions. */
+FuncEdges makeFuncEdges(const CallGraph &graph);
 
 /** Graphviz dot rendering: one digraph, functions as nodes, resolved
  *  call edges as arrows (dotted for indirect calls, a "?" node for

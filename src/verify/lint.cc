@@ -11,20 +11,6 @@ namespace mips::verify {
 
 namespace {
 
-std::string
-maskNames(uint16_t mask)
-{
-    std::string out;
-    for (int r = 0; r < isa::kNumRegs; ++r) {
-        if ((mask >> r) & 1) {
-            if (!out.empty())
-                out += ", ";
-            out += isa::regName(static_cast<isa::Reg>(r));
-        }
-    }
-    return out;
-}
-
 /** LT001: a read of a register not definitely written on every path
  *  from the unit entry. */
 void
@@ -42,7 +28,7 @@ checkUninitializedReads(const Cfg &cfg, const VerifyOptions &options,
             Code::LT001, Severity::WARNING, i,
             support::strprintf(
                 "%s may be read before any write reaches it",
-                maskNames(undef).c_str()));
+                regListNames(undef).c_str()));
     }
 }
 
@@ -64,7 +50,7 @@ checkDeadStores(const Cfg &cfg, DiagnosticEngine *diags)
             Code::LT002, Severity::WARNING, i,
             support::strprintf(
                 "result in %s is never read on any path (dead store)",
-                maskNames(writes).c_str()));
+                regListNames(writes).c_str()));
     }
 }
 

@@ -21,12 +21,6 @@ constexpr int64_t kWordSpan = kWordMax + 1; // 2^32
 constexpr int64_t kInt32Max = 0x7fffffffll;
 constexpr int64_t kInt32Min = -0x80000000ll;
 
-uint32_t
-maskBits(unsigned k)
-{
-    return k >= 32 ? 0xffffffffu : ((1u << k) - 1);
-}
-
 /** How an abstract value relates to an illegal region [bad_lo, bad_hi]
  *  of the unsigned word space. */
 enum class Verdict : uint8_t
@@ -56,12 +50,6 @@ intervalText(const AbsVal &v)
     return strprintf("[0x%llx, 0x%llx]",
                      static_cast<unsigned long long>(v.lo),
                      static_cast<unsigned long long>(v.hi));
-}
-
-AbsVal
-src2Val(const RegState &s, const isa::Src2 &src2)
-{
-    return src2.is_imm ? AbsVal::constant(src2.imm4) : s.regs[src2.reg];
 }
 
 // ------------------------------------------------ stack-depth rollup
@@ -107,29 +95,54 @@ struct OwnDepth
     /** Depth (words below entry SP) at each call site, indexed like
      *  CallGraph::sites; negative = site unreached. */
     std::vector<int64_t> site_depth;
+    /** Delta before each item of the region; empty until solved. */
+    std::vector<SpDelta> in;
 };
 
 /**
- * Forward delta pass over one function region. Call resume edges
- * carry the delta across the callee unchanged — the balanced-callee
- * assumption CC003 independently verifies. Statically unknown edges
- * contribute nothing (optimistic, matching the CC checks' zero-
- * false-positive stance: MS005 may understate, never overstate).
+ * Forward delta pass over one function region, seeded at its primary
+ * entry only, as CC003's solveStackDelta is. `solved` holds the
+ * functions solved so far, callees first, so a call's entered delta
+ * is known: zero at a primary entry, and at a secondary entry what
+ * the callee's first word moved the stack pointer by. The reorganizer
+ * copies that word into the call's delay slot, so its adjustment is
+ * the callee's frame: the site depth is the delta at the last delay
+ * slot less the entered delta, and the resume edge carries that same
+ * value across the callee — the balanced-callee assumption CC003
+ * independently verifies. Statically unknown edges contribute nothing
+ * (optimistic, matching the CC checks' zero-false-positive stance:
+ * MS005 may understate, never overstate).
  */
 OwnDepth
-solveOwnDepth(const CallGraph &g, const FunctionInfo &f,
+solveOwnDepth(const CallGraph &g, const FuncEdges &e, size_t fi,
+              const std::vector<OwnDepth> &solved,
               const RangeAnalysis &ranges)
 {
     const Cfg &cfg = *g.cfg;
+    const FunctionInfo &f = g.functions[fi];
     size_t n = f.end - f.begin;
-    std::vector<SpDelta> in(n), out(n);
-    std::vector<size_t> resume_from(n, kNoItem);
+
+    // Per site inside the region: the callee's delta at the entered
+    // item (VAL 0 for an unresolved call: nothing to charge it).
+    auto enteredDelta = [&](const CallSite &s) -> SpDelta {
+        if (!s.resolved() || s.entered == g.functions[s.callee].entry)
+            return {SpDelta::VAL, 0};
+        const std::vector<SpDelta> &in = solved[s.callee].in;
+        if (in.empty()) // same SCC, not solved yet
+            return {SpDelta::BAD, 0};
+        const SpDelta &d = in[s.entered - g.functions[s.callee].begin];
+        return d.kind == SpDelta::VAL ? d : SpDelta{SpDelta::BAD, 0};
+    };
+    std::vector<SpDelta> shift(n);     ///< per resume item
+    std::vector<char> callee_slot(n, 0);
     for (size_t si : f.sites) {
         const CallSite &s = g.sites[si];
-        if (s.resume != kNoItem && s.resume >= f.begin &&
-            s.resume < f.end && s.last_slot != kNoItem &&
-            s.last_slot >= f.begin && s.last_slot < f.end)
-            resume_from[s.resume - f.begin] = s.last_slot;
+        SpDelta d = enteredDelta(s);
+        if (s.resume != kNoItem && s.resume < f.end)
+            shift[s.resume - f.begin] = d;
+        if (d.kind != SpDelta::VAL || d.d != 0)
+            for (size_t j = s.item + 1; j <= s.last_slot && j < f.end; ++j)
+                callee_slot[j - f.begin] = 1;
     }
 
     auto transfer = [&](size_t item_index, SpDelta d) -> SpDelta {
@@ -159,44 +172,55 @@ solveOwnDepth(const CallGraph &g, const FunctionInfo &f,
                            : -static_cast<int64_t>(*k);
         return {SpDelta::VAL, d.d + step};
     };
+    /** `d` less the entered delta `by` (a call's site value). */
+    auto shiftBack = [](SpDelta d, const SpDelta &by) -> SpDelta {
+        if (d.kind != SpDelta::VAL)
+            return d;
+        if (by.kind != SpDelta::VAL)
+            return {SpDelta::BAD, 0};
+        return {SpDelta::VAL, d.d - by.d};
+    };
 
+    OwnDepth own;
+    own.in.resize(n);
+    std::vector<SpDelta> out(n);
     bool changed = true;
     while (changed) {
         changed = false;
         for (size_t k = 0; k < n; ++k) {
             size_t i = f.begin + k;
             SpDelta edge;
-            if (std::find(f.entries.begin(), f.entries.end(), i) !=
-                f.entries.end())
+            if (i == f.entry)
                 edge = {SpDelta::VAL, 0};
-            for (uint32_t p : cfg.preds(i))
-                if (p >= f.begin && p < f.end)
-                    edge = meetDelta(edge, out[p - f.begin]);
-            if (resume_from[k] != kNoItem)
-                edge = meetDelta(edge, out[resume_from[k] - f.begin]);
+            for (uint32_t p : e.preds(i))
+                edge = meetDelta(edge, out[p - f.begin]);
+            if (e.resume_from[i] != kNoItem)
+                edge = meetDelta(edge,
+                                 shiftBack(out[e.resume_from[i] - f.begin],
+                                           shift[k]));
             SpDelta after = transfer(i, edge);
-            if (!(in[k] == edge) || !(out[k] == after)) {
-                in[k] = edge;
+            if (!(own.in[k] == edge) || !(out[k] == after)) {
+                own.in[k] = edge;
                 out[k] = after;
                 changed = true;
             }
         }
     }
 
-    OwnDepth own;
     own.site_depth.assign(g.sites.size(), -1);
     for (size_t k = 0; k < n; ++k) {
         if (out[k].kind == SpDelta::BAD)
             own.known = false;
-        else if (out[k].kind == SpDelta::VAL && out[k].d < 0)
+        else if (out[k].kind == SpDelta::VAL && out[k].d < 0 &&
+                 !callee_slot[k])
             own.words = std::max(own.words,
                                  static_cast<uint64_t>(-out[k].d));
     }
     for (size_t si : f.sites) {
         const CallSite &s = g.sites[si];
-        if (s.item < f.begin || s.item >= f.end)
-            continue;
-        const SpDelta &d = out[s.item - f.begin];
+        SpDelta d = shiftBack(out[std::min(s.last_slot, f.end - 1) -
+                                  f.begin],
+                              enteredDelta(s));
         if (d.kind == SpDelta::VAL)
             own.site_depth[si] = std::max<int64_t>(0, -d.d);
         else if (d.kind == SpDelta::BAD)
@@ -449,17 +473,16 @@ checkMemorySafety(const Cfg &cfg, const CallGraph &graph,
     }
 
     // ------------------------------------------- MS005 stack rollup
-    std::vector<OwnDepth> own;
-    own.reserve(graph.size());
-    for (const FunctionInfo &f : graph.functions)
-        own.push_back(solveOwnDepth(graph, f, ranges));
-
+    // Callee-first (ascending SCC id — Tarjan pops callees before
+    // callers): each function's delta pass reads its callees' deltas,
+    // and its rollup their rollups.
     struct Roll
     {
         bool known = false;
         bool unbounded = false;
         uint64_t words = 0;
     };
+    std::vector<OwnDepth> own(graph.size());
     std::vector<Roll> roll(graph.size());
     std::vector<size_t> order(graph.size());
     for (size_t i = 0; i < order.size(); ++i)
@@ -469,8 +492,10 @@ checkMemorySafety(const Cfg &cfg, const CallGraph &graph,
             return graph.functions[a].scc < graph.functions[b].scc;
         return a < b;
     });
+    FuncEdges edges = makeFuncEdges(graph);
     for (size_t fi : order) {
         const FunctionInfo &f = graph.functions[fi];
+        own[fi] = solveOwnDepth(graph, edges, fi, own, ranges);
         Roll r;
         if (f.recursive) {
             r.unbounded = true;

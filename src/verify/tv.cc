@@ -95,20 +95,6 @@ tableEntryLabels(const Unit &unit,
     return out;
 }
 
-std::string
-regListNames(uint16_t mask)
-{
-    std::string out;
-    for (int r = 1; r < isa::kNumRegs; ++r) {
-        if (!(mask & (1u << r)))
-            continue;
-        if (!out.empty())
-            out += ", ";
-        out += support::strprintf("r%d", r);
-    }
-    return out;
-}
-
 /**
  * One validation run: pairs regions of the input and output units,
  * symbolically executes both sides of every pair, and reports any

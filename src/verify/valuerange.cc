@@ -20,12 +20,6 @@ namespace {
 
 constexpr int64_t kWordSpan = kWordMax + 1; // 2^32
 
-uint32_t
-maskBits(unsigned k)
-{
-    return k >= 32 ? 0xffffffffu : ((1u << k) - 1);
-}
-
 /** Re-establish the representation invariants (a fully known value is
  *  a singleton interval; low_val carries no bits past low_bits). */
 AbsVal
@@ -426,6 +420,12 @@ evalAluRange(const AluPiece &piece, const AbsVal &rs, const AbsVal &src2,
 
 // ------------------------------------------------------ machine state
 
+AbsVal
+src2Val(const RegState &s, const isa::Src2 &src2)
+{
+    return src2.is_imm ? AbsVal::constant(src2.imm4) : s.regs[src2.reg];
+}
+
 namespace {
 
 Flag
@@ -477,12 +477,6 @@ setReg(RegState *s, isa::Reg r, const AbsVal &v)
 {
     if (r != isa::kZeroReg)
         s->regs[r] = v;
-}
-
-AbsVal
-src2Val(const RegState &s, const isa::Src2 &src2)
-{
-    return src2.is_imm ? AbsVal::constant(src2.imm4) : s.regs[src2.reg];
 }
 
 /** Address of a local label, if the unit defines it. */

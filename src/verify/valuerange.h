@@ -52,6 +52,13 @@ namespace mips::verify {
 /** Largest unsigned 32-bit value, as the int64 the intervals use. */
 constexpr int64_t kWordMax = 0xffffffffll;
 
+/** Mask of the low `k` bits of a word (every bit when k >= 32). */
+constexpr uint32_t
+maskBits(unsigned k)
+{
+    return k >= 32 ? 0xffffffffu : ((1u << k) - 1);
+}
+
 /** One abstract 32-bit value. */
 struct AbsVal
 {
@@ -129,6 +136,9 @@ struct RegState
 
     bool operator==(const RegState &) const = default;
 };
+
+/** The abstract value of an ALU piece's second operand in `s`. */
+AbsVal src2Val(const RegState &s, const isa::Src2 &src2);
 
 /** Fixpoint knobs. */
 struct RangeOptions

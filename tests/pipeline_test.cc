@@ -392,7 +392,8 @@ TEST(PipelineSession, SimulateMatchesWorkloadProfiler)
     pipeline::StageOptions options;
     options.sim.profile = true;
 
-    auto sim = pipeline::sharedSession().simulate(source, options);
+    pipeline::Session session;
+    auto sim = session.simulate(source, options);
     ASSERT_TRUE(sim.ok());
     auto profiled = workload::profileProgram(
         source, plc::Layout::WORD_ALLOCATED);

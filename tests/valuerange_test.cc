@@ -639,6 +639,58 @@ TEST(StackDepth, ZeroBudgetDisablesMs005)
     EXPECT_EQ(f1->rollup_words, 24u);
 }
 
+// The chain above as legal code, through the reorganizer. It fills
+// f1's and f2's call slots with the callee's `sub r14, #8, r14` and
+// retargets each call one word into the callee. That slot adjustment
+// is the callee's frame, so the depths equal the hand-scheduled ones.
+TEST(StackDepth, RetargetedCallsKeepTheirDepth)
+{
+    const char *legal =
+        "ldi #0x8000, r14\n"
+        "call f1, r15\n"
+        "halt\n"
+        "f1: sub r14, #8, r14\n"
+        "st r15, 0(r14)\n"
+        "call f2, r15\n"
+        "ld 0(r14), r15\n"
+        "add r14, #8, r14\n"
+        "jmp (r15)\n"
+        "f2: sub r14, #8, r14\n"
+        "st r15, 0(r14)\n"
+        "call f3, r15\n"
+        "ld 0(r14), r15\n"
+        "add r14, #8, r14\n"
+        "jmp (r15)\n"
+        "f3: sub r14, #8, r14\n"
+        "st r15, 0(r14)\n"
+        "ld 0(r14), r15\n"
+        "add r14, #8, r14\n"
+        "jmp (r15)\n";
+    pipeline::Session session;
+    pipeline::StageOptions options;
+    options.range.stack_budget = 16;
+    auto range = session.valueRange(
+        pipeline::Source(legal, pipeline::Language::ASSEMBLY), options);
+    ASSERT_TRUE(range.ok()) << range.error().str();
+    EXPECT_EQ(range.value()->reorg->stats.slots_filled_dup, 2u);
+
+    const RangeReport &report = range.value()->report;
+    const char *names[] = {"f1", "f2", "f3"};
+    const uint64_t rollups[] = {24, 16, 8};
+    for (int i = 0; i < 3; ++i) {
+        const StackDepthInfo *s = stackNamed(report, names[i]);
+        ASSERT_NE(s, nullptr) << names[i];
+        EXPECT_TRUE(s->known) << names[i];
+        EXPECT_EQ(s->own_words, 8u) << names[i];
+        EXPECT_EQ(s->rollup_words, rollups[i]) << names[i];
+    }
+    const std::vector<Diagnostic> &diags = range.value()->diags;
+    EXPECT_EQ(countCode(diags, Code::MS005), 1u);
+    const Diagnostic *d = findCode(diags, Code::MS005);
+    ASSERT_NE(d, nullptr);
+    EXPECT_NE(d->message.find("'f1'"), std::string::npos) << d->message;
+}
+
 TEST(StackDepth, MutualRecursionSccIsUnbounded)
 {
     Unit u = parseUnit(
