@@ -52,7 +52,8 @@ main()
     // Prove, not test: sequential(input) == pipeline(output) for all
     // initial register and memory states.
     mips::verify::VerifyReport proof = mips::verify::validateTranslation(
-        unit.value(), reorganized.unit, reorganized.hints);
+        unit.value(), reorganized.unit, reorganized.hints,
+        reorganized.live_in);
     std::printf("reorganized unit: %zu error(s), %zu unproven — %s\n",
                 proof.errors, proof.notes,
                 proof.clean() && proof.notes == 0 ? "EQUIVALENT, proven"
@@ -77,7 +78,7 @@ main()
                 hazards.errors);
 
     mips::verify::VerifyReport caught = mips::verify::validateTranslation(
-        unit.value(), tampered, reorganized.hints);
+        unit.value(), tampered, reorganized.hints, reorganized.live_in);
     std::printf("tampered unit, translation validator:\n%s",
                 mips::verify::reportText(caught, tampered, "tampered.s")
                     .c_str());

@@ -1,5 +1,7 @@
 #include "asm/unit.h"
 
+#include <algorithm>
+
 #include "isa/disasm.h"
 #include "support/bits.h"
 #include "support/logging.h"
@@ -14,6 +16,38 @@ Program::symbol(const std::string &name) const
         support::panic("Program::symbol: undefined symbol '%s'",
                        name.c_str());
     return it->second;
+}
+
+LabelIndex::LabelIndex(const Unit &unit)
+{
+    for (size_t i = 0; i < unit.items.size(); ++i)
+        for (const std::string &label : unit.items[i].labels)
+            entries_.emplace_back(label, i);
+    for (const std::string &label : unit.trailing_labels)
+        entries_.emplace_back(label, unit.items.size());
+    // Pairs sort by name, then by index: the last pair of each name is
+    // its latest definition.
+    std::sort(entries_.begin(), entries_.end());
+    size_t kept = 0;
+    for (size_t i = 0; i < entries_.size(); ++i) {
+        if (i + 1 < entries_.size() &&
+            entries_[i + 1].first == entries_[i].first)
+            continue;
+        entries_[kept++] = entries_[i];
+    }
+    entries_.resize(kept);
+}
+
+size_t
+LabelIndex::find(std::string_view label) const
+{
+    auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), label,
+        [](const auto &entry, std::string_view name) {
+            return entry.first < name;
+        });
+    return it != entries_.end() && it->first == label ? it->second
+                                                      : kNone;
 }
 
 support::Result<Program>

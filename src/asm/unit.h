@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "isa/encoding.h"
@@ -69,6 +71,33 @@ struct Unit
 
     /** Labels defined at end-of-unit (after the last item). */
     std::vector<std::string> trailing_labels;
+};
+
+/**
+ * Label -> item index over one unit, sorted by label name. Trailing
+ * labels map to items.size(), and a later definition of a label wins.
+ * The names are views into the unit's own label strings, so the unit
+ * must outlive the index and keep its labels unchanged.
+ */
+class LabelIndex
+{
+  public:
+    static constexpr size_t kNone = static_cast<size_t>(-1);
+
+    explicit LabelIndex(const Unit &unit);
+
+    /** Item index of `label`, or kNone. */
+    size_t find(std::string_view label) const;
+
+    /** Every label once, as (name, item index), in name order. */
+    const std::vector<std::pair<std::string_view, size_t>> &
+    entries() const
+    {
+        return entries_;
+    }
+
+  private:
+    std::vector<std::pair<std::string_view, size_t>> entries_;
 };
 
 /** A linked program: encoded words plus the resolved symbol table. */

@@ -371,11 +371,13 @@ Session::reorganize(const Source &source, const StageOptions &options)
             artifact->legal = dep;
             if (source.language == Language::SCHEDULED) {
                 artifact->final_unit = *dep;
+                artifact->live_in = reorg::blockLiveIn(*dep);
             } else {
                 reorg::ReorgResult result =
                     reorg::reorganize(*dep, options.reorg);
                 artifact->stats = result.stats;
                 artifact->hints = std::move(result.hints);
+                artifact->live_in = std::move(result.live_in);
                 artifact->final_unit = std::move(result.unit);
             }
             auto program = assembler::link(artifact->final_unit);
@@ -430,7 +432,8 @@ Session::translationValidate(const Source &source,
             auto artifact = std::make_shared<TvArtifact>();
             artifact->reorg = dep;
             artifact->report = verify::validateTranslation(
-                *dep->legal, dep->final_unit, dep->hints, tvopts);
+                *dep->legal, dep->final_unit, dep->hints, dep->live_in,
+                tvopts);
             return TvRef(artifact);
         });
 }

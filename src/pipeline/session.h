@@ -159,7 +159,7 @@ using LegalRef = std::shared_ptr<const assembler::Unit>;
 
 /** Reorganize: legal code → pipeline-correct unit + linked image.
  *  A SCHEDULED source's `final_unit` is its legal unit, with zero
- *  stats and no hints. */
+ *  stats, no hints and the legal unit's reorg::blockLiveIn. */
 struct ReorgArtifact
 {
     LegalRef legal; ///< its input
@@ -171,6 +171,8 @@ struct ReorgArtifact
     std::optional<support::Error> link_error;
     reorg::ReorgStats stats;
     std::vector<reorg::DupHint> hints; ///< scheme-2 provenance
+    /** Live-in masks of the legal unit's blocks, for TV. */
+    std::vector<reorg::BlockLiveIn> live_in;
 };
 
 /** HazardVerify: the software-interlock contract, statically. */

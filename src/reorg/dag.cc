@@ -42,22 +42,39 @@ Dag::mayAlias(const MemPiece &a, const MemPiece &b, uint16_t block_written,
 Dag::Dag(const std::vector<Item> &items, const AliasOptions &alias,
          bool assume_no_alias)
 {
-    nodes_.reserve(items.size());
+    std::vector<RegUse> uses;
+    uses.reserve(items.size());
     for (const Item &item : items)
-        nodes_.push_back(DagNode{item, {}, 0, false});
+        uses.push_back(item.is_data ? RegUse{} : isa::regUse(item.inst));
+    build(items, uses, alias, assume_no_alias);
+}
+
+void
+Dag::build(std::span<const Item> items, std::span<const RegUse> uses,
+           const AliasOptions &alias, bool assume_no_alias)
+{
+    items_ = items;
+    nodes_.assign(items.size(), DagNode{});
+    succ_list_.clear();
 
     // Registers written anywhere in the block (for alias analysis).
     uint16_t block_written = 0;
-    std::vector<RegUse> uses;
-    uses.reserve(items.size());
-    for (const Item &item : items) {
-        uses.push_back(item.is_data ? RegUse{}
-                                    : isa::regUse(item.inst));
-        block_written |= uses.back().gpr_writes;
-    }
+    for (const RegUse &u : uses)
+        block_written |= u.gpr_writes;
 
-    for (int j = 0; j < static_cast<int>(items.size()); ++j) {
-        for (int i = 0; i < j; ++i) {
+    // A table-dispatch jump loads its target word through the data
+    // interface but carries no MemPiece to compare.
+    auto tableJump = [](const Item &it) {
+        return !it.is_data && it.inst.jump &&
+               isa::jumpIsTable(it.inst.jump->kind);
+    };
+
+    // Each pair is visited once, from its earlier node, so successors
+    // land in ascending order and no edge repeats.
+    const int n = static_cast<int>(items.size());
+    for (int i = 0; i < n; ++i) {
+        nodes_[i].succ_begin = static_cast<uint32_t>(succ_list_.size());
+        for (int j = i + 1; j < n; ++j) {
             const RegUse &u = uses[i];
             const RegUse &v = uses[j];
             bool dep = false;
@@ -95,15 +112,9 @@ Dag::Dag(const std::vector<Item> &items, const AliasOptions &alias,
                 }
             }
 
-            // A table-dispatch jump loads its target word through the
-            // data interface but carries no MemPiece to compare, so
-            // every store is conservatively ordered against it (a
-            // store moved into its delay slots would commit after the
-            // table fetch).
-            auto tableJump = [](const Item &it) {
-                return !it.is_data && it.inst.jump &&
-                       isa::jumpIsTable(it.inst.jump->kind);
-            };
+            // Every store is conservatively ordered against a table
+            // dispatch (a store moved into its delay slots would
+            // commit after the table fetch).
             if (!dep &&
                 ((tableJump(items[i]) && items[j].inst.isStore()) ||
                  (tableJump(items[j]) && items[i].inst.isStore()))) {
@@ -115,27 +126,20 @@ Dag::Dag(const std::vector<Item> &items, const AliasOptions &alias,
             // before anything (it is the terminator), which the
             // scheduler enforces positionally.
 
-            if (dep)
-                addEdge(i, j);
+            if (dep) {
+                succ_list_.push_back(j);
+                ++nodes_[j].pred_count;
+            }
         }
-    }
-}
-
-void
-Dag::addEdge(int from, int to)
-{
-    auto &succs = nodes_[from].succs;
-    if (std::find(succs.begin(), succs.end(), to) == succs.end()) {
-        succs.push_back(to);
-        ++nodes_[to].pred_count;
+        nodes_[i].succ_end = static_cast<uint32_t>(succ_list_.size());
     }
 }
 
 bool
 Dag::hasEdge(int from, int to) const
 {
-    const auto &succs = nodes_[from].succs;
-    return std::find(succs.begin(), succs.end(), to) != succs.end();
+    std::span<const int> s = succs(from);
+    return std::binary_search(s.begin(), s.end(), to);
 }
 
 } // namespace mips::reorg

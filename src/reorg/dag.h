@@ -12,19 +12,20 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "asm/unit.h"
 
 namespace mips::reorg {
 
-/** One DAG node: an input item plus dependence bookkeeping. */
+/** One DAG node: the dependence bookkeeping of one item. Node `id`
+ *  is the block's item `id` (Dag::item). */
 struct DagNode
 {
-    assembler::Item item;
-    std::vector<int> succs;   ///< nodes that must come after this one
-    int pred_count = 0;       ///< unscheduled-predecessor counter
-    bool scheduled = false;
+    uint32_t succ_begin = 0; ///< successors: Dag::succs(id)
+    uint32_t succ_end = 0;
+    int pred_count = 0;      ///< unscheduled-predecessor counter
 };
 
 /** Alias-analysis configuration. */
@@ -42,17 +43,41 @@ struct AliasOptions
 class Dag
 {
   public:
+    Dag() = default;
+
     /**
-     * Build from the block's items (terminator included, if any).
-     * `assume_no_alias` drops every memory-alias edge — test-only
-     * fault injection (ReorgBugs::alias_blind); never set otherwise.
+     * Build from the block's items (terminator included, if any),
+     * which must outlive the DAG. `assume_no_alias` drops every
+     * memory-alias edge — test-only fault injection
+     * (ReorgBugs::alias_blind); never set otherwise.
      */
     Dag(const std::vector<assembler::Item> &items,
         const AliasOptions &alias = AliasOptions{},
         bool assume_no_alias = false);
 
+    /**
+     * Rebuild over `items`, whose register uses are `uses` (one per
+     * item), reusing this DAG's storage. The DAG refers to `items`,
+     * which must outlive it; `uses` is read only here.
+     */
+    void build(std::span<const assembler::Item> items,
+               std::span<const isa::RegUse> uses, const AliasOptions &alias,
+               bool assume_no_alias);
+
     std::vector<DagNode> &nodes() { return nodes_; }
     const std::vector<DagNode> &nodes() const { return nodes_; }
+
+    /** The item node `id` stands for. */
+    const assembler::Item &item(int id) const { return items_[id]; }
+
+    /** Nodes that must come after node `id`, ascending. */
+    std::span<const int>
+    succs(int id) const
+    {
+        const DagNode &n = nodes_[id];
+        return {succ_list_.data() + n.succ_begin,
+                succ_list_.data() + n.succ_end};
+    }
 
     /** True if `from` must precede `to` (direct edge). */
     bool hasEdge(int from, int to) const;
@@ -69,9 +94,9 @@ class Dag
                          const AliasOptions &alias);
 
   private:
-    void addEdge(int from, int to);
-
+    std::span<const assembler::Item> items_;
     std::vector<DagNode> nodes_;
+    std::vector<int> succ_list_; ///< every node's successors, by node
 };
 
 } // namespace mips::reorg

@@ -1,8 +1,10 @@
 #include "reorg/reorganizer.h"
 
 #include <algorithm>
-#include <map>
+#include <array>
 #include <optional>
+#include <span>
+#include <string_view>
 
 #include "isa/instruction.h"
 #include "support/logging.h"
@@ -20,25 +22,30 @@ namespace {
 
 // ------------------------------------------------------------ Blocks
 
-/** A basic block of input (later: output) items. */
+/**
+ * A basic block of the legal unit: its items [begin, end) and, once
+ * scheduled, its output words [out_begin, out_end). The labels at
+ * block entry are those of its first item.
+ */
 struct Block
 {
-    std::vector<Item> items;
-    std::vector<std::string> labels; ///< labels at block entry
+    uint32_t begin = 0;
+    uint32_t end = 0;
+    uint32_t out_begin = 0;
+    uint32_t out_end = 0;
     bool no_reorder = false;
     bool is_data = false;
+    /** A no-op follows the block's words (cross-block load delay). */
+    bool trailing_nop = false;
 
-    /** Terminating control transfer, if the block ends with one. */
-    const Item *
-    terminator() const
-    {
-        if (!items.empty() && !items.back().is_data &&
-            items.back().inst.isControlTransfer()) {
-            return &items.back();
-        }
-        return nullptr;
-    }
+    size_t outSize() const { return out_end - out_begin; }
 };
+
+bool
+isTransfer(const Item &item)
+{
+    return !item.is_data && item.inst.isControlTransfer();
+}
 
 /** Delay slots a terminator exposes on the pipeline (0 for traps,
  *  RFE and HALT, which redirect without executing successors). */
@@ -58,92 +65,112 @@ splitBlocks(const Unit &unit)
 {
     std::vector<Block> blocks;
     bool force_new = true;
-    for (const Item &item : unit.items) {
-        bool starts_new = force_new || !item.labels.empty();
-        if (!blocks.empty()) {
-            const Block &prev = blocks.back();
-            if (prev.no_reorder != item.no_reorder ||
-                prev.is_data != item.is_data) {
-                starts_new = true;
-            }
-        }
-        if (starts_new || blocks.empty()) {
+    for (uint32_t i = 0; i < unit.items.size(); ++i) {
+        const Item &item = unit.items[i];
+        if (force_new || !item.labels.empty() || blocks.empty() ||
+            blocks.back().no_reorder != item.no_reorder ||
+            blocks.back().is_data != item.is_data) {
             Block b;
-            b.labels = item.labels;
+            b.begin = i;
             b.no_reorder = item.no_reorder;
             b.is_data = item.is_data;
-            blocks.push_back(std::move(b));
+            blocks.push_back(b);
         }
-        Item copy = item;
-        copy.labels.clear();
-        blocks.back().items.push_back(std::move(copy));
-        force_new = !item.is_data && item.inst.isControlTransfer();
+        blocks.back().end = i + 1;
+        force_new = isTransfer(item);
     }
     return blocks;
 }
 
-/** Map from label to the index of the block it starts. */
-std::map<std::string, size_t>
-labelMap(const std::vector<Block> &blocks)
+/** Register use of every item, computed once per reorganization. */
+std::vector<RegUse>
+itemUses(const Unit &unit)
 {
-    std::map<std::string, size_t> map;
-    for (size_t i = 0; i < blocks.size(); ++i)
-        for (const std::string &label : blocks[i].labels)
-            map[label] = i;
-    return map;
+    std::vector<RegUse> uses;
+    uses.reserve(unit.items.size());
+    for (const Item &item : unit.items)
+        uses.push_back(item.is_data ? RegUse{} : isa::regUse(item.inst));
+    return uses;
 }
+
+/** Label -> index of the block it starts (every label starts one). */
+class BlockLabels
+{
+  public:
+    BlockLabels(const Unit &unit, const std::vector<Block> &blocks)
+        : index_(unit), blocks_(blocks)
+    {}
+
+    /** The block `label` starts, or -1 (unknown or trailing label). */
+    long
+    find(std::string_view label) const
+    {
+        size_t at = index_.find(label);
+        auto it = std::partition_point(
+            blocks_.begin(), blocks_.end(),
+            [at](const Block &b) { return b.begin < at; });
+        return it != blocks_.end() && it->begin == at
+                   ? it - blocks_.begin()
+                   : -1;
+    }
+
+  private:
+    assembler::LabelIndex index_;
+    const std::vector<Block> &blocks_;
+};
 
 // ---------------------------------------------------------- Liveness
 
 constexpr uint16_t kAllRegs = 0xfffe; // r0 excluded (never live)
 
-/** Per-block liveness state. */
-struct Liveness
-{
-    std::vector<uint16_t> live_in;
-    std::vector<uint16_t> live_out;
-};
-
 /**
- * Compute GPR liveness over the block graph. Conservative: any edge
+ * Compute the GPR live-in mask of every block. Conservative: any edge
  * the analysis cannot follow (indirect jumps, numeric targets, calls,
  * traps, falling off the unit) contributes an all-live live-out.
  */
-Liveness
-computeLiveness(const std::vector<Block> &blocks,
-                const std::map<std::string, size_t> &labels)
+std::vector<uint16_t>
+computeLiveness(const Unit &unit, const std::vector<Block> &blocks,
+                const std::vector<RegUse> &uses, const BlockLabels &labels)
 {
+    /** A block's transfer function and its (at most two) successors. */
+    struct Flow
+    {
+        uint16_t use = 0;
+        uint16_t def = 0;
+        std::array<size_t, 2> succs{};
+        uint8_t num_succs = 0;
+        bool unknown_succ = false;
+    };
     size_t n = blocks.size();
-    std::vector<uint16_t> use(n, 0), def(n, 0);
-    std::vector<std::vector<size_t>> succs(n);
-    std::vector<bool> unknown_succ(n, false);
+    std::vector<Flow> flow(n);
 
     for (size_t i = 0; i < n; ++i) {
         const Block &b = blocks[i];
+        Flow &f = flow[i];
         if (b.is_data || b.no_reorder) {
             // Untouched regions: treat as using everything.
-            use[i] = kAllRegs;
+            f.use = kAllRegs;
         } else {
-            for (const Item &item : b.items) {
-                RegUse u = isa::regUse(item.inst);
-                use[i] |= u.gpr_reads & ~def[i];
-                def[i] |= u.gpr_writes;
+            for (uint32_t k = b.begin; k < b.end; ++k) {
+                f.use |= uses[k].gpr_reads & ~f.def;
+                f.def |= uses[k].gpr_writes;
             }
         }
 
-        const Item *term = b.terminator();
+        const Item &last = unit.items[b.end - 1];
+        const Item *term = isTransfer(last) ? &last : nullptr;
         auto addLabelSucc = [&](const std::string &target) {
-            auto it = labels.find(target);
-            if (it != labels.end())
-                succs[i].push_back(it->second);
+            long s = labels.find(target);
+            if (s >= 0)
+                f.succs[f.num_succs++] = static_cast<size_t>(s);
             else
-                unknown_succ[i] = true;
+                f.unknown_succ = true;
         };
         auto addFallThrough = [&] {
             if (i + 1 < n)
-                succs[i].push_back(i + 1);
+                f.succs[f.num_succs++] = i + 1;
             else
-                unknown_succ[i] = true;
+                f.unknown_succ = true;
         };
 
         if (!term) {
@@ -151,7 +178,7 @@ computeLiveness(const std::vector<Block> &blocks,
         } else if (term->inst.branch) {
             Cond c = term->inst.branch->cond;
             if (term->target.empty())
-                unknown_succ[i] = true; // numeric target
+                f.unknown_succ = true; // numeric target
             else if (c != Cond::NEVER)
                 addLabelSucc(term->target);
             if (c != Cond::ALWAYS)
@@ -160,14 +187,14 @@ computeLiveness(const std::vector<Block> &blocks,
             const isa::JumpPiece &j = *term->inst.jump;
             if (isa::jumpIsCall(j.kind)) {
                 // The callee may use and define anything.
-                unknown_succ[i] = true;
+                f.unknown_succ = true;
             } else if (j.kind == JumpKind::DIRECT) {
                 if (term->target.empty())
-                    unknown_succ[i] = true;
+                    f.unknown_succ = true;
                 else
                     addLabelSucc(term->target);
             } else {
-                unknown_succ[i] = true; // indirect
+                f.unknown_succ = true; // indirect
             }
         } else if (term->inst.special) {
             switch (term->inst.special->op) {
@@ -175,31 +202,41 @@ computeLiveness(const std::vector<Block> &blocks,
                 break; // no successors: nothing live
               default:
                 // TRAP continues after the handler; RFE goes anywhere.
-                unknown_succ[i] = true;
+                f.unknown_succ = true;
                 break;
             }
         }
     }
 
-    Liveness lv;
-    lv.live_in.assign(n, 0);
-    lv.live_out.assign(n, 0);
+    std::vector<uint16_t> live_in(n, 0);
     bool changed = true;
     while (changed) {
         changed = false;
         for (size_t ri = n; ri-- > 0;) {
-            uint16_t out = unknown_succ[ri] ? kAllRegs : 0;
-            for (size_t s : succs[ri])
-                out |= lv.live_in[s];
-            uint16_t in = use[ri] | (out & ~def[ri]);
-            if (out != lv.live_out[ri] || in != lv.live_in[ri]) {
-                lv.live_out[ri] = out;
-                lv.live_in[ri] = in;
+            const Flow &f = flow[ri];
+            uint16_t out = f.unknown_succ ? kAllRegs : 0;
+            for (uint8_t k = 0; k < f.num_succs; ++k)
+                out |= live_in[f.succs[k]];
+            uint16_t in = f.use | (out & ~f.def);
+            if (in != live_in[ri]) {
+                live_in[ri] = in;
                 changed = true;
             }
         }
     }
-    return lv;
+    return live_in;
+}
+
+/** Live-in masks keyed by block start, as ReorgResult reports them. */
+std::vector<BlockLiveIn>
+liveInByStart(const std::vector<Block> &blocks,
+              const std::vector<uint16_t> &live_in)
+{
+    std::vector<BlockLiveIn> out;
+    out.reserve(blocks.size());
+    for (size_t i = 0; i < blocks.size(); ++i)
+        out.push_back(BlockLiveIn{blocks[i].begin, live_in[i]});
+    return out;
 }
 
 // ------------------------------------------------------ Scheduling
@@ -236,62 +273,124 @@ isNopItem(const Item &item)
     return !item.is_data && item.inst.isNop();
 }
 
-/** Per-block scheduler (see reorganizer.h for the contract). */
+/** `item` without its labels: a block's labels go on its first output
+ *  word, whichever item that turns out to be. */
+Item
+unlabeled(const Item &item)
+{
+    Item copy = item;
+    copy.labels.clear();
+    return copy;
+}
+
+/**
+ * One output word: the item, its register use, and the DAG nodes it
+ * holds while its block is being scheduled (-1 for none: an inserted
+ * no-op holds none, a packed word two).
+ */
+struct Word
+{
+    Item item;
+    RegUse use;
+    std::array<int, 2> nodes{-1, -1};
+};
+
+Word
+nopWord()
+{
+    return Word{makeNopItem(), RegUse{}, {-1, -1}};
+}
+
+/**
+ * The per-block scheduler. One instance serves every block of a
+ * reorganization: it appends each block's words to one shared output
+ * and reuses its DAG and work lists from block to block.
+ */
 class BlockScheduler
 {
   public:
-    BlockScheduler(const Block &block, const ReorgOptions &opts,
-                   ReorgStats *stats)
-        : block_(block), opts_(opts), stats_(stats)
+    BlockScheduler(const Unit &legal, const std::vector<RegUse> &uses,
+                   const ReorgOptions &opts, ReorgStats *stats,
+                   std::vector<Word> *words)
+        : legal_(legal), uses_(uses), opts_(opts), stats_(stats),
+          words_(*words)
     {}
 
-    std::vector<Item> run();
+    /** Schedule `b`, appending its words and recording their range. */
+    void run(Block &b);
 
   private:
+    void schedule(const Block &b);
+    size_t emitted() const { return words_.size() - base_; }
+    Word &word(size_t pos) { return words_[base_ + pos]; }
+    void emitCopy(uint32_t index);
     void emitNop();
     void emitNode(int id);
+    void release(int id);
     bool tryPack(int id);
     bool hazardFreeAtEnd(const RegUse &use) const;
-    void scheduleBody(Dag &dag);
-    void fillSlotsByMoving(Dag &dag, int term_id, int nslots);
+    void scheduleBody(int term_id);
+    void fillSlotsByMoving(int nslots);
 
-    const Block &block_;
+    const Unit &legal_;
+    const std::vector<RegUse> &uses_;
     const ReorgOptions &opts_;
     ReorgStats *stats_;
+    std::vector<Word> &words_;
 
-    std::vector<Item> out_;
-    /** DAG node ids per output word (empty for inserted no-ops). */
-    std::vector<std::vector<int>> out_nodes_;
-    Dag *dag_ = nullptr;
+    size_t base_ = 0;    ///< first output word of the current block
+    uint32_t first_ = 0; ///< its first legal item (DAG node 0)
+    Dag dag_;
     std::vector<int> ready_;
     std::vector<int> height_;
 };
 
+void
+BlockScheduler::run(Block &b)
+{
+    base_ = words_.size();
+    first_ = b.begin;
+    schedule(b);
+    b.out_begin = static_cast<uint32_t>(base_);
+    b.out_end = static_cast<uint32_t>(words_.size());
+}
+
 bool
 BlockScheduler::hazardFreeAtEnd(const RegUse &use) const
 {
-    if (out_.empty())
+    if (words_.size() == base_)
         return true;
-    return !loadHazard(out_.back(), use);
+    return !loadHazard(words_.back().item, use);
+}
+
+void
+BlockScheduler::emitCopy(uint32_t index)
+{
+    words_.push_back(
+        Word{unlabeled(legal_.items[index]), uses_[index], {-1, -1}});
 }
 
 void
 BlockScheduler::emitNop()
 {
-    out_.push_back(makeNopItem());
-    out_nodes_.emplace_back();
+    words_.push_back(nopWord());
     ++stats_->noops_inserted;
 }
 
 void
 BlockScheduler::emitNode(int id)
 {
-    DagNode &node = dag_->nodes()[id];
-    node.scheduled = true;
-    out_.push_back(node.item);
-    out_nodes_.push_back({id});
-    for (int succ : node.succs) {
-        if (--dag_->nodes()[succ].pred_count == 0)
+    emitCopy(first_ + static_cast<uint32_t>(id));
+    words_.back().nodes[0] = id;
+    release(id);
+}
+
+/** Node `id` is placed: its successors may become ready. */
+void
+BlockScheduler::release(int id)
+{
+    for (int succ : dag_.succs(id)) {
+        if (--dag_.nodes()[succ].pred_count == 0)
             ready_.push_back(succ);
     }
     ready_.erase(std::remove(ready_.begin(), ready_.end(), id),
@@ -307,14 +406,16 @@ BlockScheduler::emitNode(int id)
 bool
 BlockScheduler::tryPack(int id)
 {
-    if (!opts_.pack || out_.empty() || out_nodes_.back().size() != 1)
+    if (!opts_.pack || emitted() == 0)
         return false;
-    const Item &last = out_.back();
-    const Item &cand = dag_->nodes()[id].item;
-    if (last.is_data || cand.is_data || !cand.target.empty())
+    Word &last = words_.back();
+    if (last.nodes[0] < 0 || last.nodes[1] >= 0)
+        return false; // an inserted no-op, or already packed
+    const Item &cand = dag_.item(id);
+    if (last.item.is_data || cand.is_data || !cand.target.empty())
         return false;
 
-    const Instruction &a = last.inst;
+    const Instruction &a = last.item.inst;
     const Instruction &b = cand.inst;
     std::optional<isa::AluPiece> alu;
     std::optional<isa::MemPiece> mem;
@@ -332,56 +433,44 @@ BlockScheduler::tryPack(int id)
     if (!isa::canPack(*alu, *mem))
         return false;
 
-    int resident = out_nodes_.back()[0];
-    if (!opts_.bugs.pack_dependent && dag_->hasEdge(resident, id))
+    if (!opts_.bugs.pack_dependent && dag_.hasEdge(last.nodes[0], id))
         return false;
 
     // The candidate now executes one position earlier: recheck the
     // load hazard against the word before the last one.
-    RegUse use = isa::regUse(cand.inst);
-    if (out_.size() >= 2 && loadHazard(out_[out_.size() - 2], use))
+    if (emitted() >= 2 &&
+        loadHazard(word(emitted() - 2).item, uses_[first_ + id]))
         return false;
 
-    Item merged = last;
-    merged.inst = Instruction::makePacked(*alu, *mem);
     // The reference annotation travels with the memory piece.
-    const Item &mem_item = a.mem ? last : cand;
-    merged.ref_size = mem_item.ref_size;
-    merged.ref_is_char = mem_item.ref_is_char;
-    out_.back() = merged;
-    out_nodes_.back().push_back(id);
-
-    DagNode &node = dag_->nodes()[id];
-    node.scheduled = true;
-    for (int succ : node.succs) {
-        if (--dag_->nodes()[succ].pred_count == 0)
-            ready_.push_back(succ);
-    }
-    ready_.erase(std::remove(ready_.begin(), ready_.end(), id),
-                 ready_.end());
+    const Item &mem_item = a.mem ? last.item : cand;
+    last.item.ref_size = mem_item.ref_size;
+    last.item.ref_is_char = mem_item.ref_is_char;
+    last.item.inst = Instruction::makePacked(*alu, *mem);
+    last.use = isa::regUse(last.item.inst);
+    last.nodes[1] = id;
+    release(id);
     ++stats_->packed_words;
     return true;
 }
 
 void
-BlockScheduler::scheduleBody(Dag &dag)
+BlockScheduler::scheduleBody(int term_id)
 {
-    auto &nodes = dag.nodes();
-    int term_id = block_.terminator()
-        ? static_cast<int>(nodes.size()) - 1 : -1;
+    const int n = static_cast<int>(dag_.nodes().size());
 
     // Longest-path heights for the critical-path heuristic.
-    height_.assign(nodes.size(), 1);
-    for (int i = static_cast<int>(nodes.size()) - 1; i >= 0; --i)
-        for (int succ : nodes[i].succs)
+    height_.assign(static_cast<size_t>(n), 1);
+    for (int i = n - 1; i >= 0; --i)
+        for (int succ : dag_.succs(i))
             height_[i] = std::max(height_[i], 1 + height_[succ]);
 
     ready_.clear();
-    for (size_t i = 0; i < nodes.size(); ++i)
-        if (nodes[i].pred_count == 0)
-            ready_.push_back(static_cast<int>(i));
+    for (int i = 0; i < n; ++i)
+        if (dag_.nodes()[i].pred_count == 0)
+            ready_.push_back(i);
 
-    size_t body_remaining = nodes.size() - (term_id >= 0 ? 1 : 0);
+    size_t body_remaining = static_cast<size_t>(n) - (term_id >= 0 ? 1 : 0);
     while (body_remaining > 0) {
         // Packing first: it is free.
         bool packed = false;
@@ -403,15 +492,14 @@ BlockScheduler::scheduleBody(Dag &dag)
             // to keep the delay slots fillable); then stability.
             if (height_[a] != height_[b])
                 return height_[a] > height_[b];
-            if (nodes[a].succs.size() != nodes[b].succs.size())
-                return nodes[a].succs.size() > nodes[b].succs.size();
+            if (dag_.succs(a).size() != dag_.succs(b).size())
+                return dag_.succs(a).size() > dag_.succs(b).size();
             return a < b;
         };
         for (int id : ready_) {
             if (id == term_id)
                 continue;
-            RegUse use = isa::regUse(nodes[id].item.inst);
-            if (!hazardFreeAtEnd(use))
+            if (!hazardFreeAtEnd(uses_[first_ + id]))
                 continue;
             if (best < 0 || better(id, best))
                 best = id;
@@ -435,14 +523,14 @@ BlockScheduler::scheduleBody(Dag &dag)
 
 /** Scheme 1: move trailing independent words into the delay slots. */
 void
-BlockScheduler::fillSlotsByMoving(Dag &dag, int term_id, int nslots)
+BlockScheduler::fillSlotsByMoving(int nslots)
 {
     // The terminator is the last emitted word; candidates sit just
     // before it. Each successful move relocates one word after the
     // terminator (preserving their mutual order).
     for (int filled = 0; filled < nslots; ++filled) {
-        // Position of the terminator word in out_.
-        size_t term_pos = out_.size() - 1 - static_cast<size_t>(filled);
+        // Position of the terminator word in the block.
+        size_t term_pos = emitted() - 1 - static_cast<size_t>(filled);
         if (term_pos == 0)
             break;
 
@@ -456,7 +544,7 @@ BlockScheduler::fillSlotsByMoving(Dag &dag, int term_id, int nslots)
             // Fault injection: take the *first* plausible word from
             // the front, hopping it over later dependent words.
             for (size_t p = lowest; p < term_pos; ++p) {
-                const Item &cand = out_[p];
+                const Item &cand = word(p).item;
                 if (isNopItem(cand) || cand.is_data)
                     continue;
                 if (loadDelayWrites(cand) != 0)
@@ -464,69 +552,57 @@ BlockScheduler::fillSlotsByMoving(Dag &dag, int term_id, int nslots)
                 found = p;
                 break;
             }
-            if (found == term_pos)
-                break;
-            std::rotate(out_.begin() + static_cast<long>(found),
-                        out_.begin() + static_cast<long>(found) + 1,
-                        out_.end());
-            std::rotate(out_nodes_.begin() + static_cast<long>(found),
-                        out_nodes_.begin() + static_cast<long>(found) + 1,
-                        out_nodes_.end());
-            ++stats_->slots_filled_move;
-            continue;
-        }
-        for (size_t p = term_pos; p-- > lowest;) {
-            const Item &cand = out_[p];
-            if (isNopItem(cand) || cand.is_data)
-                continue;
-            if (loadDelayWrites(cand) != 0)
-                continue; // loads never sit in delay slots
-            // The move hops the candidate over everything after it —
-            // the intervening words, the terminator, and any slot
-            // words already placed — so it must have no dependence
-            // edge to any of them.
-            bool dep = false;
-            for (int node_id : out_nodes_[p]) {
-                for (size_t q = p + 1; q < out_.size() && !dep; ++q)
-                    for (int other : out_nodes_[q])
-                        dep = dep || dag.hasEdge(node_id, other);
-            }
-            (void)term_id;
-            if (dep)
-                continue;
-            // Removing the candidate creates two new adjacencies:
-            // out_[p-1] with out_[p+1], and (when adjacent to the
-            // terminator) the terminator with its new predecessor.
-            if (p > 0) {
-                const Item &next = out_[p + 1];
-                RegUse next_use = isa::regUse(next.inst);
-                if (loadHazard(out_[p - 1], next_use))
+        } else {
+            for (size_t p = term_pos; p-- > lowest;) {
+                const Item &cand = word(p).item;
+                if (isNopItem(cand) || cand.is_data)
                     continue;
+                if (loadDelayWrites(cand) != 0)
+                    continue; // loads never sit in delay slots
+                // The move hops the candidate over everything after
+                // it — the intervening words, the terminator, and any
+                // slot words already placed — so it must have no
+                // dependence edge to any of them.
+                bool dep = false;
+                for (int node_id : word(p).nodes) {
+                    for (size_t q = p + 1; q < emitted() && !dep; ++q)
+                        for (int other : word(q).nodes)
+                            dep = dep || (node_id >= 0 && other >= 0 &&
+                                          dag_.hasEdge(node_id, other));
+                }
+                if (dep)
+                    continue;
+                // Removing the candidate creates two new adjacencies:
+                // word p-1 with word p+1, and (when adjacent to the
+                // terminator) the terminator with its new predecessor.
+                if (p > 0 && loadHazard(word(p - 1).item, word(p + 1).use))
+                    continue;
+                found = p;
+                break;
             }
-            found = p;
-            break;
         }
         if (found == term_pos)
             break;
 
-        std::rotate(out_.begin() + static_cast<long>(found),
-                    out_.begin() + static_cast<long>(found) + 1,
-                    out_.end());
-        std::rotate(out_nodes_.begin() + static_cast<long>(found),
-                    out_nodes_.begin() + static_cast<long>(found) + 1,
-                    out_nodes_.end());
+        std::rotate(words_.begin() + static_cast<long>(base_ + found),
+                    words_.begin() + static_cast<long>(base_ + found) + 1,
+                    words_.end());
         ++stats_->slots_filled_move;
     }
 }
 
-std::vector<Item>
-BlockScheduler::run()
+void
+BlockScheduler::schedule(const Block &b)
 {
     // Untouchable blocks pass through verbatim.
-    if (block_.no_reorder || block_.is_data)
-        return block_.items;
+    if (b.no_reorder || b.is_data) {
+        for (uint32_t k = b.begin; k < b.end; ++k)
+            emitCopy(k);
+        return;
+    }
 
-    const Item *term = block_.terminator();
+    const Item &last = legal_.items[b.end - 1];
+    const Item *term = isTransfer(last) ? &last : nullptr;
 
     if (!opts_.reorder) {
         // No reorganizer at all: the code generator knows nothing
@@ -534,46 +610,42 @@ BlockScheduler::run()
         // load with a delay no-op and every transfer with its delay
         // slots. Removing the unnecessary ones requires dependence
         // analysis — which is exactly the reorganization stage.
-        for (const Item &item : block_.items) {
-            out_.push_back(item);
-            if (loadDelayWrites(item) != 0) {
-                out_.push_back(makeNopItem());
-                ++stats_->noops_inserted;
-            }
+        for (uint32_t k = b.begin; k < b.end; ++k) {
+            emitCopy(k);
+            if (loadDelayWrites(legal_.items[k]) != 0)
+                emitNop();
         }
         if (term) {
-            int nslots = delaySlots(*term);
-            for (int i = 0; i < nslots; ++i) {
-                out_.push_back(makeNopItem());
-                ++stats_->noops_inserted;
-            }
+            for (int i = 0; i < delaySlots(*term); ++i)
+                emitNop();
         }
-        return out_;
+        return;
     }
 
-    Dag dag(block_.items, opts_.alias, opts_.bugs.alias_blind);
-    dag_ = &dag;
-    int term_id = term ? static_cast<int>(dag.nodes().size()) - 1 : -1;
+    size_t size = b.end - b.begin;
+    dag_.build(std::span(legal_.items).subspan(b.begin, size),
+               std::span(uses_).subspan(b.begin, size), opts_.alias,
+               opts_.bugs.alias_blind);
+    int term_id = term ? static_cast<int>(size) - 1 : -1;
 
-    scheduleBody(dag);
+    scheduleBody(term_id);
 
     if (term) {
-        RegUse term_use = isa::regUse(term->inst);
-        if (!hazardFreeAtEnd(term_use) && !opts_.bugs.drop_load_noop)
+        if (!hazardFreeAtEnd(uses_[b.end - 1]) &&
+            !opts_.bugs.drop_load_noop)
             emitNop();
         emitNode(term_id);
 
         int nslots = delaySlots(*term);
         size_t before = stats_->slots_filled_move;
         if (opts_.fill_delay)
-            fillSlotsByMoving(dag, term_id, nslots);
+            fillSlotsByMoving(nslots);
         int filled = static_cast<int>(stats_->slots_filled_move - before);
         if (opts_.bugs.drop_branch_noop && filled < nslots)
             ++filled; // fault injection: one slot no-op dropped
         for (int i = filled; i < nslots; ++i)
             emitNop();
     }
-    return out_;
 }
 
 // ------------------------------------------- Cross-block slot filling
@@ -598,19 +670,19 @@ slotSafe(const Item &item)
  */
 void
 fillSlotsByDuplication(std::vector<Block> &blocks,
-                       std::map<std::string, size_t> &labels,
+                       const BlockLabels &labels, std::vector<Word> &words,
                        const ReorgOptions &opts, ReorgStats *stats,
                        std::vector<DupHint> *hints)
 {
     int fresh = 0;
     for (Block &b : blocks) {
-        if (b.no_reorder || b.is_data || b.items.size() < 2)
+        if (b.no_reorder || b.is_data || b.outSize() < 2)
             continue;
         // Terminator followed by exactly one no-op slot.
-        size_t slot = b.items.size() - 1;
-        if (!isNopItem(b.items[slot]))
+        size_t slot = b.out_end - 1;
+        if (!isNopItem(words[slot].item))
             continue;
-        const Item &term = b.items[slot - 1];
+        Item &term = words[slot - 1].item;
         if (term.is_data || term.target.empty())
             continue;
         bool unconditional =
@@ -621,23 +693,23 @@ fillSlotsByDuplication(std::vector<Block> &blocks,
         if (!unconditional || delaySlots(term) != 1)
             continue;
 
-        auto it = labels.find(term.target);
-        if (it == labels.end())
+        long t = labels.find(term.target);
+        if (t < 0)
             continue;
-        Block &target = blocks[it->second];
-        if (target.no_reorder || target.is_data || target.items.size() < 2)
+        const Block &target = blocks[static_cast<size_t>(t)];
+        if (target.no_reorder || target.is_data || target.outSize() < 2)
             continue;
-        const Item &w = target.items.front();
-        if (!slotSafe(w) || w.inst.isStore())
+        const Word &w = words[target.out_begin];
+        if (!slotSafe(w.item) || w.item.inst.isStore())
             continue;
 
-        Item copy = w;
-        copy.labels.clear();
+        Word copy = w;
+        copy.item.labels.clear();
 
         if (opts.bugs.retarget_same_target) {
             // Fault injection: fill the slot but keep the original
             // target, so the duplicated word executes twice.
-            b.items[slot] = std::move(copy);
+            words[slot] = std::move(copy);
             ++stats->slots_filled_dup;
             continue;
         }
@@ -646,22 +718,22 @@ fillSlotsByDuplication(std::vector<Block> &blocks,
         // dup_skip_second fault injected, the retarget skips one word
         // more than was duplicated.
         size_t skip = opts.bugs.dup_skip_second ? 2u : 1u;
-        if (target.items.size() <= skip)
+        if (target.outSize() <= skip)
             continue;
-        std::string orig_label = term.target;
+        Item &resume = words[target.out_begin + skip].item;
         std::string new_label;
-        if (!target.items[skip].labels.empty()) {
-            new_label = target.items[skip].labels.front();
+        if (!resume.labels.empty()) {
+            new_label = resume.labels.front();
         } else {
             new_label = support::strprintf("L$dup%d", fresh++);
-            target.items[skip].labels.push_back(new_label);
-            // Note: target.items[skip] now begins a block conceptually;
-            // the final reassembly honours per-item labels.
+            // The word now begins a block conceptually; reassembly
+            // keeps per-word labels.
+            resume.labels.push_back(new_label);
         }
-        b.items[slot] = std::move(copy);
-        b.items[slot - 1].target = new_label;
         if (hints)
-            hints->push_back(DupHint{orig_label, new_label, 1});
+            hints->push_back(DupHint{term.target, new_label, 1});
+        term.target = new_label;
+        words[slot] = std::move(copy);
         ++stats->slots_filled_dup;
     }
 }
@@ -672,19 +744,19 @@ fillSlotsByDuplication(std::vector<Block> &blocks,
  * when its results are dead on the taken path.
  */
 void
-fillSlotsByHoisting(std::vector<Block> &blocks,
-                    const std::map<std::string, size_t> &labels,
-                    const Liveness &lv, const ReorgOptions &opts,
-                    ReorgStats *stats)
+fillSlotsByHoisting(const Unit &legal, std::vector<Block> &blocks,
+                    const BlockLabels &labels, std::vector<Word> &words,
+                    const std::vector<uint16_t> &live_in,
+                    const ReorgOptions &opts, ReorgStats *stats)
 {
     for (size_t i = 0; i + 1 < blocks.size(); ++i) {
         Block &b = blocks[i];
-        if (b.no_reorder || b.is_data || b.items.size() < 2)
+        if (b.no_reorder || b.is_data || b.outSize() < 2)
             continue;
-        size_t slot = b.items.size() - 1;
-        if (!isNopItem(b.items[slot]))
+        size_t slot = b.out_end - 1;
+        if (!isNopItem(words[slot].item))
             continue;
-        const Item &term = b.items[slot - 1];
+        const Item &term = words[slot - 1].item;
         if (term.is_data || !term.inst.branch || term.target.empty())
             continue;
         Cond c = term.inst.branch->cond;
@@ -692,49 +764,42 @@ fillSlotsByHoisting(std::vector<Block> &blocks,
             continue;
 
         Block &next = blocks[i + 1];
-        if (next.no_reorder || next.is_data || !next.labels.empty() ||
-            next.items.empty()) {
+        if (next.no_reorder || next.is_data ||
+            !legal.items[next.begin].labels.empty() ||
+            next.outSize() == 0) {
             continue; // must be a pure fall-through block
         }
-        const Item &w = next.items.front();
-        if (!slotSafe(w) || !w.inst.alu || w.inst.mem)
+        Word &w = words[next.out_begin];
+        if (!slotSafe(w.item) || !w.item.inst.alu || w.item.inst.mem)
             continue; // ALU-only: no memory effects on the taken path
-        RegUse use = isa::regUse(w.inst);
-        if (use.writes_lo || use.touches_system_state)
+        if (w.use.writes_lo || w.use.touches_system_state)
             continue;
 
-        auto it = labels.find(term.target);
-        if (it == labels.end())
+        long t = labels.find(term.target);
+        if (t < 0)
             continue;
-        uint16_t live_at_target = lv.live_in[it->second];
+        uint16_t live_at_target = live_in[static_cast<size_t>(t)];
         if (!opts.bugs.hoist_blind &&
-            (use.gpr_writes & live_at_target) != 0) {
+            (w.use.gpr_writes & live_at_target) != 0) {
             continue; // visible on the taken path
         }
 
-        Item moved = w;
-        moved.labels.clear();
-        b.items[slot] = std::move(moved);
-        next.items.erase(next.items.begin());
+        w.item.labels.clear();
+        words[slot] = std::move(w);
+        ++next.out_begin;
         ++stats->slots_filled_hoist;
     }
 }
 
 } // namespace
 
-std::vector<std::pair<size_t, uint16_t>>
+std::vector<BlockLiveIn>
 blockLiveIn(const Unit &unit)
 {
     std::vector<Block> blocks = splitBlocks(unit);
-    auto labels = labelMap(blocks);
-    Liveness lv = computeLiveness(blocks, labels);
-    std::vector<std::pair<size_t, uint16_t>> out;
-    size_t index = 0;
-    for (size_t i = 0; i < blocks.size(); ++i) {
-        out.emplace_back(index, lv.live_in[i]);
-        index += blocks[i].items.size();
-    }
-    return out;
+    return liveInByStart(blocks,
+                         computeLiveness(unit, blocks, itemUses(unit),
+                                         BlockLabels(unit, blocks)));
 }
 
 ReorgResult
@@ -752,68 +817,79 @@ reorganize(const Unit &legal, const ReorgOptions &opts)
     }
 
     std::vector<Block> blocks = splitBlocks(legal);
-    auto labels = labelMap(blocks);
-    Liveness lv = computeLiveness(blocks, labels);
+    std::vector<RegUse> uses = itemUses(legal);
+    BlockLabels labels(legal, blocks);
+    std::vector<uint16_t> live_in =
+        computeLiveness(legal, blocks, uses, labels);
 
     ReorgResult result;
     result.stats.input_words = legal.items.size();
 
     // Per-block scheduling (covers scheme 1 when filling is enabled).
-    std::vector<Block> scheduled;
-    scheduled.reserve(blocks.size());
-    for (const Block &b : blocks) {
-        Block out = b;
-        out.items = BlockScheduler(b, opts, &result.stats).run();
-        scheduled.push_back(std::move(out));
-    }
+    // Every block's words go to one vector, each item copied once. The
+    // output is about as long as the input (no-ops in, packed pieces
+    // out); a larger reserve sent more pages through glibc's heap
+    // trimming and raised the page faults of a fuzz run.
+    std::vector<Word> words;
+    words.reserve(legal.items.size());
+    BlockScheduler scheduler(legal, uses, opts, &result.stats, &words);
+    for (Block &b : blocks)
+        scheduler.run(b);
 
     if (opts.fill_delay) {
-        auto scheduled_labels = labelMap(scheduled);
-        fillSlotsByDuplication(scheduled, scheduled_labels, opts,
-                               &result.stats, &result.hints);
-        fillSlotsByHoisting(scheduled, scheduled_labels, lv, opts,
+        fillSlotsByDuplication(blocks, labels, words, opts, &result.stats,
+                               &result.hints);
+        fillSlotsByHoisting(legal, blocks, labels, words, live_in, opts,
                             &result.stats);
     }
 
     // Cross-block load-delay fixup: a fall-through block whose last
     // word is a load needs a no-op when the next block's first word
     // reads the loaded register.
-    for (size_t i = 0; i + 1 < scheduled.size(); ++i) {
-        Block &b = scheduled[i];
-        if (b.items.empty() || b.terminator())
+    size_t trailing_nops = 0;
+    for (size_t i = 0; i + 1 < blocks.size(); ++i) {
+        Block &b = blocks[i];
+        if (b.outSize() == 0 || isTransfer(words[b.out_end - 1].item))
             continue;
-        uint16_t delayed = loadDelayWrites(b.items.back());
+        uint16_t delayed = loadDelayWrites(words[b.out_end - 1].item);
         if (!delayed)
             continue;
-        const Block &next = scheduled[i + 1];
-        if (next.items.empty() || next.items.front().is_data)
+        const Block &next = blocks[i + 1];
+        if (next.outSize() == 0 || words[next.out_begin].item.is_data)
             continue;
-        RegUse use = isa::regUse(next.items.front().inst);
-        if (delayed & use.gpr_reads) {
-            b.items.push_back(makeNopItem());
+        if (delayed & words[next.out_begin].use.gpr_reads) {
+            b.trailing_nop = true;
+            ++trailing_nops;
             ++result.stats.noops_inserted;
         }
     }
 
-    // Reassemble.
+    // Reassemble: move the words out, block labels on each block's
+    // first word.
     Unit &out = result.unit;
     out.origin = legal.origin;
     out.trailing_labels = legal.trailing_labels;
-    for (Block &b : scheduled) {
-        if (b.items.empty()) {
+    out.items.reserve(words.size() + trailing_nops);
+    for (const Block &b : blocks) {
+        if (b.outSize() == 0) {
             // Emptied by hoisting; it had no labels by construction.
             continue;
         }
-        for (size_t i = 0; i < b.items.size(); ++i) {
-            Item item = std::move(b.items[i]);
-            if (i == 0) {
-                item.labels.insert(item.labels.begin(),
-                                   b.labels.begin(), b.labels.end());
+        for (uint32_t k = b.out_begin; k < b.out_end; ++k) {
+            Item &item = words[k].item;
+            if (k == b.out_begin) {
+                const std::vector<std::string> &entry =
+                    legal.items[b.begin].labels;
+                item.labels.insert(item.labels.begin(), entry.begin(),
+                                   entry.end());
             }
             out.items.push_back(std::move(item));
         }
+        if (b.trailing_nop)
+            out.items.push_back(makeNopItem());
     }
     result.stats.output_words = out.items.size();
+    result.live_in = liveInByStart(blocks, live_in);
     return result;
 }
 

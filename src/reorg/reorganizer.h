@@ -125,6 +125,15 @@ struct ReorgStats
     }
 };
 
+/** The GPR live-in mask of one basic block of a legal unit. */
+struct BlockLiveIn
+{
+    uint32_t start = 0; ///< item index of the block's first item
+    uint16_t mask = 0;  ///< bit r set: r is live into the block
+
+    bool operator==(const BlockLiveIn &) const = default;
+};
+
 /** Output of the reorganizer. */
 struct ReorgResult
 {
@@ -132,6 +141,9 @@ struct ReorgResult
     ReorgStats stats;
     /** Scheme-2 provenance, for the translation validator. */
     std::vector<DupHint> hints;
+    /** Live-in masks of the input's blocks (blockLiveIn of the input),
+     *  for the translation validator. */
+    std::vector<BlockLiveIn> live_in;
 };
 
 /**
@@ -145,12 +157,12 @@ ReorgResult reorganize(const assembler::Unit &legal,
                        const ReorgOptions &opts = ReorgOptions{});
 
 /**
- * Per-register liveness at block granularity, exposed for tests.
- * Returns, for each item index that *starts* a basic block, the GPR
- * live-in mask of that block (conservatively all-ones for blocks
- * reached by indirect control flow or falling off the unit).
+ * Per-register liveness at block granularity: for each basic block, in
+ * item order, the GPR live-in mask (conservatively all-ones for blocks
+ * reached by indirect control flow or falling off the unit). The same
+ * masks as ReorgResult::live_in, for callers that did not reorganize
+ * the unit themselves.
  */
-std::vector<std::pair<size_t, uint16_t>>
-blockLiveIn(const assembler::Unit &unit);
+std::vector<BlockLiveIn> blockLiveIn(const assembler::Unit &unit);
 
 } // namespace mips::reorg

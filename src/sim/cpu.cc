@@ -14,9 +14,15 @@ using isa::Reg;
 Cpu::Cpu(PhysMemory &memory, MappingUnit &mapping)
     : mem_(memory), map_(mapping)
 {
+    // Only the tags are initialized: a payload slot is constructed when
+    // it is filled (most runs touch a few hundred of the 4,096).
     decode_tags_.assign(kDecodeCacheSize, kNoTag);
-    decode_hot_.assign(kDecodeCacheSize, HotEntry{}); // K_GENERIC
-    decode_cache_.assign(kDecodeCacheSize, DecodeEntry{});
+    decode_hot_ =
+        std::make_unique_for_overwrite<Unfilled<HotEntry>[]>(
+            kDecodeCacheSize);
+    decode_cache_ =
+        std::make_unique_for_overwrite<Unfilled<DecodeEntry>[]>(
+            kDecodeCacheSize);
     // Any store that changes memory contents — our own, another bus
     // master's, or a host-side poke/loadImage — must drop the stale
     // predecoded entry, or self-modifying code would run old words.
@@ -277,8 +283,8 @@ Cpu::fillDecodeSlot(uint32_t fetch_phys, uint32_t slot,
         fh = &mmio_hot_;
     } else {
         decode_tags_[slot] = fetch_phys;
-        fe = &decode_cache_[slot];
-        fh = &decode_hot_[slot];
+        fe = std::construct_at(&decode_cache_[slot].value);
+        fh = std::construct_at(&decode_hot_[slot].value);
     }
     fe->word = word;
     fe->inst = decoded.take();
@@ -384,8 +390,8 @@ Cpu::stepInner()
     bool uses_data_port, is_nop;
     if (fast_path_) {
         uint32_t slot = fetch_phys & (kDecodeCacheSize - 1);
-        const HotEntry *h = &decode_hot_[slot];
-        const DecodeEntry *e = &decode_cache_[slot];
+        const HotEntry *h = &decode_hot_[slot].value;
+        const DecodeEntry *e = &decode_cache_[slot].value;
         if (decode_tags_[slot] == fetch_phys) [[likely]] {
             ++decode_hits_;
         } else if (!fillDecodeSlot(fetch_phys, slot, &h, &e)) {

@@ -49,7 +49,9 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -375,15 +377,27 @@ class Cpu
     static constexpr uint32_t kNoTag = 0xffffffffu;
     static constexpr uint32_t kDecodeCacheSize = 1u << 12; ///< power of 2
 
+    /** Storage for one T that stays unconstructed (and its pages
+     *  untouched) until fillDecodeSlot constructs it. */
+    template <typename T>
+    union Unfilled
+    {
+        Unfilled() {}
+        T value;
+    };
+    static_assert(std::is_trivially_destructible_v<HotEntry> &&
+                  std::is_trivially_destructible_v<DecodeEntry>);
+
     bool fast_path_ = true;
     /** Tags live apart from the payloads: the 16 KB tag array stays
      *  L1-resident, so the per-fetch probe and the per-store
      *  invalidation check never touch the big payload array unless
      *  they actually hit. decode_tags_[i] owns the validity of
-     *  decode_cache_[i]. */
+     *  decode_cache_[i] and decode_hot_[i]: a payload slot is read
+     *  only under a matching tag, which its fill set. */
     std::vector<uint32_t> decode_tags_;
-    std::vector<HotEntry> decode_hot_;
-    std::vector<DecodeEntry> decode_cache_;
+    std::unique_ptr<Unfilled<HotEntry>[]> decode_hot_;
+    std::unique_ptr<Unfilled<DecodeEntry>[]> decode_cache_;
     uint64_t decode_hits_ = 0;
     uint64_t decode_misses_ = 0;
     isa::Instruction slow_inst_; ///< decode target when not caching

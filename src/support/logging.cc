@@ -2,22 +2,27 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
 
 namespace mips::support {
 
 std::string
 vstrprintf(const char *fmt, va_list ap)
 {
+    // Format once into a stack buffer; only a longer result is
+    // formatted a second time, straight into the string.
+    char buf[256];
     va_list ap_copy;
     va_copy(ap_copy, ap);
-    int needed = std::vsnprintf(nullptr, 0, fmt, ap_copy);
+    int needed = std::vsnprintf(buf, sizeof buf, fmt, ap_copy);
     va_end(ap_copy);
     if (needed < 0)
         return "<format error>";
-    std::vector<char> buf(static_cast<size_t>(needed) + 1);
-    std::vsnprintf(buf.data(), buf.size(), fmt, ap);
-    return std::string(buf.data(), static_cast<size_t>(needed));
+    size_t len = static_cast<size_t>(needed);
+    if (len < sizeof buf)
+        return std::string(buf, len);
+    std::string out(len, '\0');
+    std::vsnprintf(out.data(), len + 1, fmt, ap);
+    return out;
 }
 
 std::string

@@ -1,5 +1,7 @@
 #include "verify/symexec.h"
 
+#include <algorithm>
+
 #include "isa/branch.h"
 #include "isa/instruction.h"
 #include "isa/registers.h"
@@ -11,8 +13,17 @@ namespace mips::verify {
 
 // ===================== ExprArena =====================
 
-size_t
-ExprArena::NodeHash::operator()(const ExprNode &n) const
+namespace {
+
+/** Slots of a fresh table, and the most a reset keeps: one run that
+ *  grows an arena past this (up to max_nodes) gives the memory back
+ *  instead of clearing it at every later reset. */
+constexpr size_t kInitialSlots = 256;
+constexpr size_t kKeptSlots = size_t{1} << 13;
+constexpr uint32_t kEmptySlot = static_cast<uint32_t>(-1);
+
+uint64_t
+hashNode(const ExprNode &n)
 {
     uint64_t h = 1469598103934665603ull;
     auto mix = [&h](uint64_t v) {
@@ -25,28 +36,86 @@ ExprArena::NodeHash::operator()(const ExprNode &n) const
     mix(n.b);
     mix(n.c);
     mix(n.value);
-    return static_cast<size_t>(h);
+    return h ^ (h >> 32);
 }
 
+/** Linear probing: the slot holding the entry `same` accepts, or the
+ *  empty slot where it belongs. */
+template <typename Same>
+size_t
+probe(const std::vector<uint32_t> &slots, uint64_t hash, Same same)
+{
+    size_t mask = slots.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+        if (slots[i] == kEmptySlot || same(slots[i]))
+            return i;
+    }
+}
+
+/** Rebuild `slots` at `size` slots over entries 0..count-1. */
+template <typename Hash>
+void
+rehash(std::vector<uint32_t> *slots, size_t size, size_t count, Hash hash)
+{
+    slots->assign(size, kEmptySlot);
+    for (uint32_t id = 0; id < count; ++id) {
+        size_t i = probe(*slots, hash(id), [](uint32_t) { return false; });
+        (*slots)[i] = id;
+    }
+}
+
+/** Empty `slots` for reuse, or shrink it back if it grew too large. */
+void
+clearSlots(std::vector<uint32_t> *slots, size_t initial)
+{
+    if (slots->size() > kKeptSlots)
+        std::vector<uint32_t>(initial, kEmptySlot).swap(*slots);
+    else
+        std::fill(slots->begin(), slots->end(), kEmptySlot);
+}
+
+} // namespace
+
 ExprArena::ExprArena(const reorg::AliasOptions &alias, size_t max_nodes)
-    : alias_(alias), max_nodes_(max_nodes)
+    : alias_(alias), max_nodes_(max_nodes),
+      node_slots_(kInitialSlots, kEmptySlot),
+      label_slots_(kInitialSlots / 16, kEmptySlot)
 {
     konst(0); // node 0: the overflow fallback is always valid
 }
 
-ExprRef
-ExprArena::intern(ExprNode n)
+void
+ExprArena::reset()
 {
-    auto it = interned_.find(n);
-    if (it != interned_.end())
-        return it->second;
+    overflowed_ = false;
+    if (node_slots_.size() > kKeptSlots)
+        std::vector<ExprNode>().swap(nodes_);
+    else
+        nodes_.clear();
+    clearSlots(&node_slots_, kInitialSlots);
+    labels_.clear();
+    clearSlots(&label_slots_, kInitialSlots / 16);
+    konst(0);
+}
+
+ExprRef
+ExprArena::intern(const ExprNode &n)
+{
+    size_t i = probe(node_slots_, hashNode(n),
+                     [&](ExprRef r) { return nodes_[r] == n; });
+    if (node_slots_[i] != kEmptySlot)
+        return node_slots_[i];
     if (nodes_.size() >= max_nodes_) {
         overflowed_ = true;
         return 0;
     }
     ExprRef r = static_cast<ExprRef>(nodes_.size());
     nodes_.push_back(n);
-    interned_.emplace(n, r);
+    node_slots_[i] = r;
+    if (nodes_.size() * 2 > node_slots_.size()) {
+        rehash(&node_slots_, node_slots_.size() * 2, nodes_.size(),
+               [this](uint32_t id) { return hashNode(nodes_[id]); });
+    }
     return r;
 }
 
@@ -69,14 +138,24 @@ ExprArena::input(uint32_t id)
 }
 
 ExprRef
-ExprArena::labelAddr(const std::string &label)
+ExprArena::labelAddr(std::string_view label)
 {
-    auto [it, fresh] = label_ids_.emplace(
-        label, static_cast<uint32_t>(label_ids_.size()));
-    (void)fresh;
+    std::hash<std::string_view> hash;
+    size_t i = probe(label_slots_, hash(label),
+                     [&](uint32_t id) { return labels_[id] == label; });
+    uint32_t id = label_slots_[i];
+    if (id == kEmptySlot) {
+        id = static_cast<uint32_t>(labels_.size());
+        label_slots_[i] = id;
+        labels_.push_back(label);
+        if (labels_.size() * 2 > label_slots_.size()) {
+            rehash(&label_slots_, label_slots_.size() * 2, labels_.size(),
+                   [&](uint32_t k) { return hash(labels_[k]); });
+        }
+    }
     ExprNode n;
     n.op = ExprOp::LABEL_ADDR;
-    n.value = it->second;
+    n.value = id;
     return intern(n);
 }
 
@@ -460,11 +539,9 @@ ExprArena::str(ExprRef r, int max_depth) const
             return "retaddr";
         return support::strprintf("in%u", n.value);
       case ExprOp::LABEL_ADDR:
-        for (const auto &[name, id] : label_ids_) {
-            if (id == n.value)
-                return cat({"&", name});
-        }
-        return "&?";
+        return n.value < labels_.size()
+                   ? cat({"&", std::string(labels_[n.value])})
+                   : "&?";
       case ExprOp::ADD: return cat({"(", rec(n.a), " + ", rec(n.b), ")"});
       case ExprOp::SUB: return cat({"(", rec(n.a), " - ", rec(n.b), ")"});
       case ExprOp::AND: return cat({"(", rec(n.a), " & ", rec(n.b), ")"});
@@ -520,7 +597,7 @@ entryState(ExprArena &arena)
 
 RegionMap
 buildRegionMap(const assembler::Unit &unit,
-               const std::map<std::string, size_t> *known)
+               const assembler::LabelIndex *known)
 {
     RegionMap m;
     size_t n = unit.items.size();
@@ -539,7 +616,8 @@ buildRegionMap(const assembler::Unit &unit,
         }
         in_run = fenced;
         for (const std::string &label : it.labels) {
-            if (!known || known->count(label)) {
+            if (!known ||
+                known->find(label) != assembler::LabelIndex::kNone) {
                 m.stop[i] = 1;
                 m.stop_label[i] = label;
                 break;
@@ -560,12 +638,17 @@ class Interp
 {
   public:
     Interp(ExprArena &arena, const Unit &unit, const RegionMap &map,
-           const SymLimits &limits, bool pipeline)
+           const SymLimits &limits, bool pipeline, SymRun *run)
         : arena_(arena), unit_(unit), map_(map), limits_(limits),
-          pipeline_(pipeline)
-    {}
+          pipeline_(pipeline), run_(*run)
+    {
+        run_.exits.clear();
+        run_.ok = false;
+        run_.why.clear();
+        run_.fail_at = 0;
+    }
 
-    SymRun run(size_t start, const SymState &entry);
+    void run(size_t start, const SymState &entry);
 
   private:
     enum class Step { CONTINUE, FINAL, FAIL };
@@ -651,9 +734,9 @@ class Interp
     const RegionMap &map_;
     const SymLimits &limits_;
     const bool pipeline_;
+    SymRun &run_;
 
     SymState st_;
-    SymRun run_;
 
     // Pipeline-only: the one-deep load delay and the pending taken
     // transfer whose delay shadow is still executing.
@@ -665,7 +748,7 @@ class Interp
     int pslots_ = 0;
 };
 
-SymRun
+void
 Interp::run(size_t start, const SymState &entry)
 {
     st_ = entry;
@@ -674,25 +757,25 @@ Interp::run(size_t start, const SymState &entry)
     for (;;) {
         if (arena_.overflowed()) {
             fail(idx, "expression budget exhausted");
-            return run_;
+            return;
         }
         // Region boundaries are checked before executing the item.
         if (idx >= unit_.items.size()) {
             if (exit_pending_) {
                 fail(idx, "delay shadow runs off the end of the unit");
-                return run_;
+                return;
             }
             SymExit e;
             e.kind = SymExitKind::FALL_END;
             e.at = idx;
             pushFinal(std::move(e));
             run_.ok = true;
-            return run_;
+            return;
         }
         if (map_.fence[idx] >= 0) {
             if (exit_pending_) {
                 fail(idx, "delay shadow enters a fenced region");
-                return run_;
+                return;
             }
             SymExit e;
             e.kind = SymExitKind::FALL_FENCE;
@@ -700,12 +783,12 @@ Interp::run(size_t start, const SymState &entry)
             e.at = idx;
             pushFinal(std::move(e));
             run_.ok = true;
-            return run_;
+            return;
         }
         if (idx != start && map_.stop[idx]) {
             if (exit_pending_) {
                 fail(idx, "delay shadow crosses a label");
-                return run_;
+                return;
             }
             SymExit e;
             e.kind = SymExitKind::FALL_LABEL;
@@ -713,19 +796,19 @@ Interp::run(size_t start, const SymState &entry)
             e.at = idx;
             pushFinal(std::move(e));
             run_.ok = true;
-            return run_;
+            return;
         }
         if (++steps > limits_.max_steps) {
             fail(idx, "step budget exhausted");
-            return run_;
+            return;
         }
 
         Step r = pipeline_ ? stepPipeline(idx) : stepSequential(idx);
         if (r == Step::FAIL)
-            return run_;
+            return;
         if (r == Step::FINAL) {
             run_.ok = true;
-            return run_;
+            return;
         }
         size_t executed = idx;
         ++idx;
@@ -740,7 +823,7 @@ Interp::run(size_t start, const SymState &entry)
                 run_.exits.push_back(std::move(e));
                 if (is_final) {
                     run_.ok = true;
-                    return run_;
+                    return;
                 }
             }
         }
@@ -1078,22 +1161,22 @@ Interp::stepPipeline(size_t idx)
 
 } // namespace
 
-SymRun
+void
 runSequential(ExprArena &arena, const assembler::Unit &unit,
               const RegionMap &map, size_t start, const SymState &entry,
-              const SymLimits &limits)
+              const SymLimits &limits, SymRun *run)
 {
-    Interp interp(arena, unit, map, limits, /*pipeline=*/false);
-    return interp.run(start, entry);
+    Interp(arena, unit, map, limits, /*pipeline=*/false, run)
+        .run(start, entry);
 }
 
-SymRun
+void
 runPipeline(ExprArena &arena, const assembler::Unit &unit,
             const RegionMap &map, size_t start, const SymState &entry,
-            const SymLimits &limits)
+            const SymLimits &limits, SymRun *run)
 {
-    Interp interp(arena, unit, map, limits, /*pipeline=*/true);
-    return interp.run(start, entry);
+    Interp(arena, unit, map, limits, /*pipeline=*/true, run)
+        .run(start, entry);
 }
 
 bool

@@ -35,9 +35,8 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "asm/unit.h"
@@ -93,6 +92,10 @@ constexpr uint32_t kInputCallLink = 17; ///< opaque call return address
  * Hash-consing expression arena with normalizing smart constructors.
  * Satisfies the expression-builder contract of isa/symbolic.h, so
  * isa::evalAluSymbolic<ExprArena> *is* the symbolic ALU.
+ *
+ * Nodes are interned by open addressing over an index table into the
+ * node vector. One arena serves many region runs: reset() between
+ * them keeps the storage.
  */
 class ExprArena
 {
@@ -103,10 +106,20 @@ class ExprArena
                            reorg::AliasOptions{},
                        size_t max_nodes = 1u << 20);
 
+    /**
+     * Forget every node and label. Afterwards the arena builds the
+     * same refs, label ids and str() as a fresh one: node 0 is
+     * konst(0) and label ids restart at 0 in first-use order. Storage
+     * is kept unless a run grew it past a small bound.
+     */
+    void reset();
+
     // --- leaves -------------------------------------------------
     ExprRef konst(uint32_t v);
     ExprRef input(uint32_t id);
-    ExprRef labelAddr(const std::string &label);
+    /** The arena keeps `label` as a view: its characters must stay
+     *  alive and unchanged until the next reset(). */
+    ExprRef labelAddr(std::string_view label);
 
     // --- ALU (the isa/symbolic.h builder contract) --------------
     ExprRef add(ExprRef a, ExprRef b);
@@ -151,12 +164,7 @@ class ExprArena
     std::string str(ExprRef r, int max_depth = 4) const;
 
   private:
-    struct NodeHash
-    {
-        size_t operator()(const ExprNode &n) const;
-    };
-
-    ExprRef intern(ExprNode n);
+    ExprRef intern(const ExprNode &n);
     /** Split `addr` into (base term, constant offset); base kNoExpr
      *  means the address is the constant itself. */
     std::pair<ExprRef, uint32_t> decompose(ExprRef addr) const;
@@ -165,8 +173,13 @@ class ExprArena
     size_t max_nodes_;
     bool overflowed_ = false;
     std::vector<ExprNode> nodes_;
-    std::unordered_map<ExprNode, ExprRef, NodeHash> interned_;
-    std::map<std::string, uint32_t> label_ids_;
+    /** Open-addressing table of node refs (kNoExpr: empty slot); a
+     *  power of two in size, at most half full. */
+    std::vector<ExprRef> node_slots_;
+    /** Label names by id, in first-use order. */
+    std::vector<std::string_view> labels_;
+    /** The same kind of table over label ids. */
+    std::vector<uint32_t> label_slots_;
 };
 
 /** Symbolic machine state. regs[0] is always the zero constant. */
@@ -203,7 +216,7 @@ struct SymExit
 {
     SymExitKind kind = SymExitKind::FALL_END;
     ExprRef cond = kNoExpr;    ///< BRANCH: 0/1 condition term
-    std::string label;         ///< symbolic target, if any
+    std::string_view label;    ///< symbolic target (the unit's string)
     bool has_addr = false;     ///< numeric target valid
     uint32_t addr = 0;         ///< numeric target
     ExprRef target = kNoExpr;  ///< indirect target term
@@ -239,35 +252,38 @@ struct RegionMap
     /** stop[i]: a run entering item i (other than at its start) must
      *  exit with FALL_LABEL named stop_label[i]. */
     std::vector<char> stop;
-    std::vector<std::string> stop_label;
+    std::vector<std::string_view> stop_label; ///< the unit's strings
     /** fence[i]: ordinal of the fenced run containing item i, or -1. */
     std::vector<int> fence;
 };
 
-/** Build the region map: stops at every item carrying a label for
- *  which `known` returns true (null = all labels). */
+/** Build the region map: stops at every item carrying a label that
+ *  `known` contains (null = all labels). */
 RegionMap buildRegionMap(const assembler::Unit &unit,
-                         const std::map<std::string, size_t> *known);
+                         const assembler::LabelIndex *known);
 
 /**
  * Run the *sequential* (functional-machine) semantics from item
  * `start` until a region boundary. Transfers take effect
- * immediately; there are no delay slots and no load delay.
+ * immediately; there are no delay slots and no load delay. Overwrites
+ * `*run`, reusing its storage.
  */
-SymRun runSequential(ExprArena &arena, const assembler::Unit &unit,
-                     const RegionMap &map, size_t start,
-                     const SymState &entry, const SymLimits &limits);
+void runSequential(ExprArena &arena, const assembler::Unit &unit,
+                   const RegionMap &map, size_t start,
+                   const SymState &entry, const SymLimits &limits,
+                   SymRun *run);
 
 /**
  * Run the *pipeline* semantics from item `start` until a region
  * boundary: operand reads see pre-instruction state, a load's
  * register write commits one word later (before that word's own
  * writes), and taken transfers execute their 1- or 2-word delay
- * shadow before leaving.
+ * shadow before leaving. Overwrites `*run`, reusing its storage.
  */
-SymRun runPipeline(ExprArena &arena, const assembler::Unit &unit,
-                   const RegionMap &map, size_t start,
-                   const SymState &entry, const SymLimits &limits);
+void runPipeline(ExprArena &arena, const assembler::Unit &unit,
+                 const RegionMap &map, size_t start,
+                 const SymState &entry, const SymLimits &limits,
+                 SymRun *run);
 
 /**
  * Advance `state` by sequentially executing `count` items starting at

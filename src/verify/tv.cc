@@ -1,10 +1,9 @@
 #include "verify/tv.h"
 
-#include <map>
+#include <algorithm>
 #include <optional>
-#include <set>
 #include <string>
-#include <tuple>
+#include <string_view>
 
 #include "isa/branch.h"
 #include "isa/instruction.h"
@@ -17,22 +16,10 @@ namespace mips::verify {
 namespace {
 
 using assembler::Item;
+using assembler::LabelIndex;
 using assembler::Unit;
 
 constexpr uint16_t kAllRegs = 0xfffe; // r0 is never compared
-
-/** Label -> item index (trailing labels map to items.size()). */
-std::map<std::string, size_t>
-labelIndex(const Unit &unit)
-{
-    std::map<std::string, size_t> map;
-    for (size_t i = 0; i < unit.items.size(); ++i)
-        for (const std::string &label : unit.items[i].labels)
-            map[label] = i;
-    for (const std::string &label : unit.trailing_labels)
-        map[label] = unit.items.size();
-    return map;
-}
 
 /** Fenced runs in ordinal order, as [first, last] item ranges. */
 std::vector<std::pair<size_t, size_t>>
@@ -73,18 +60,17 @@ exitKindName(SymExitKind k)
 /** Target-label sequence of the dispatch table at `label`: the
  *  contiguous run of relocated .word entries from the label. Empty
  *  optional when the table cannot be located. */
-std::optional<std::vector<std::string>>
-tableEntryLabels(const Unit &unit,
-                 const std::map<std::string, size_t> &labels,
-                 const std::string &label)
+std::optional<std::vector<std::string_view>>
+tableEntryLabels(const Unit &unit, const LabelIndex &labels,
+                 std::string_view label)
 {
     if (label.empty())
         return std::nullopt;
-    auto it = labels.find(label);
-    if (it == labels.end())
+    size_t at = labels.find(label);
+    if (at == LabelIndex::kNone)
         return std::nullopt;
-    std::vector<std::string> out;
-    for (size_t i = it->second; i < unit.items.size(); ++i) {
+    std::vector<std::string_view> out;
+    for (size_t i = at; i < unit.items.size(); ++i) {
         const Item &item = unit.items[i];
         if (!item.is_data || item.target.empty())
             break;
@@ -105,38 +91,56 @@ class Validator
   public:
     Validator(const Unit &input, const Unit &output,
               const std::vector<reorg::DupHint> &hints,
+              const std::vector<reorg::BlockLiveIn> &live_in,
               const TvOptions &opts)
         : input_(input), output_(output), hints_(hints), opts_(opts),
-          engine_(&output)
-    {}
+          engine_(&output), in_labels_(input), out_labels_(output),
+          live_in_(input.items.size() + 1, kAllRegs), arena_(opts.alias)
+    {
+        for (const reorg::BlockLiveIn &block : live_in) {
+            if (block.start < live_in_.size())
+                live_in_[block.start] = block.mask;
+        }
+    }
 
     VerifyReport run();
 
   private:
+    /** Where a region entry comes from; names it in diagnostics. */
+    enum class EntryKind : uint8_t
+    {
+        UNIT,        ///< the unit entry
+        AFTER_FENCE, ///< past fenced run `ref`
+        REGION,      ///< input label in_labels_.entries()[ref]
+        DUPLICATE,   ///< the continuation of scheme-2 hint `ref`
+        CALL_RETURN, ///< after the call at output word `ref`
+        TRAP_RETURN, ///< after the trap at output word `ref`
+    };
+
     /** One paired region entry. `pre_*` replays scheme-2 duplicated
      *  output words on the output entry state before the run. */
     struct Entry
     {
+        EntryKind kind = EntryKind::UNIT;
+        size_t ref = 0;
         size_t in_at = 0;
         size_t out_at = 0;
-        std::string name;
         bool has_pre = false;
         size_t pre_start = 0;
         size_t pre_count = 0;
     };
 
+    std::string name(const Entry &e) const;
     void compareFences();
     void seedEntries();
     void validateEntry(const Entry &e);
-    void compareExit(ExprArena &arena, const Entry &e, const SymExit &a,
-                     const SymExit &b);
-    bool compareStates(ExprArena &arena, const Entry &e, size_t at,
-                       const SymState &a, const SymState &b,
-                       uint16_t mask, const char *where);
-    uint16_t liveAtLabel(const std::string &label) const;
-    const reorg::DupHint *findHint(const std::string &orig,
-                                   const std::string &dup) const;
-    void enqueue(Entry e);
+    void compareExit(const Entry &e, const SymExit &a, const SymExit &b);
+    bool compareStates(const Entry &e, size_t at, const SymState &a,
+                       const SymState &b, uint16_t mask, const char *where);
+    uint16_t liveAtLabel(std::string_view label) const;
+    const reorg::DupHint *findHint(std::string_view orig,
+                                   std::string_view dup) const;
+    void enqueue(const Entry &e);
 
     size_t
     outSite(size_t at) const
@@ -156,33 +160,72 @@ class Validator
     TvOptions opts_;
     DiagnosticEngine engine_;
 
-    std::map<std::string, size_t> in_labels_, out_labels_;
+    LabelIndex in_labels_, out_labels_;
+    /** Input item -> live-in mask of the block it starts (kAllRegs
+     *  where no block starts); one past the end for trailing labels. */
+    std::vector<uint16_t> live_in_;
     RegionMap in_map_, out_map_;
-    std::map<size_t, uint16_t> live_in_; ///< input block start -> mask
     std::vector<Entry> work_;
-    std::set<std::tuple<size_t, size_t, bool>> seen_;
+    /** Sorted (in_at, out_at, has_pre) keys of every entry in work_. */
+    std::vector<uint64_t> seen_;
+
+    /** One arena for every region; reset before each. */
+    ExprArena arena_;
+    SymRun in_run_, out_run_;
 };
 
-void
-Validator::enqueue(Entry e)
+std::string
+Validator::name(const Entry &e) const
 {
-    if (!seen_.emplace(e.in_at, e.out_at, e.has_pre).second)
+    switch (e.kind) {
+      case EntryKind::UNIT:
+        return "the unit entry";
+      case EntryKind::AFTER_FENCE:
+        return support::strprintf("after fenced run %zu", e.ref);
+      case EntryKind::REGION: {
+        std::string_view label = in_labels_.entries()[e.ref].first;
+        return support::strprintf("region '%.*s'",
+                                  static_cast<int>(label.size()),
+                                  label.data());
+      }
+      case EntryKind::DUPLICATE: {
+        const reorg::DupHint &h = hints_[e.ref];
+        return support::strprintf("region '%s' (duplicated from '%s')",
+                                  h.dup_label.c_str(),
+                                  h.orig_label.c_str());
+      }
+      case EntryKind::CALL_RETURN:
+        return support::strprintf(
+            "the return point of the call at output word %zu", e.ref);
+      case EntryKind::TRAP_RETURN:
+        return support::strprintf(
+            "the continuation of the trap at output word %zu", e.ref);
+    }
+    return "?";
+}
+
+void
+Validator::enqueue(const Entry &e)
+{
+    uint64_t key = static_cast<uint64_t>(e.in_at) << 32 |
+                   static_cast<uint64_t>(e.out_at) << 1 |
+                   (e.has_pre ? 1u : 0u);
+    auto it = std::lower_bound(seen_.begin(), seen_.end(), key);
+    if (it != seen_.end() && *it == key)
         return;
-    work_.push_back(std::move(e));
+    seen_.insert(it, key);
+    work_.push_back(e);
 }
 
 uint16_t
-Validator::liveAtLabel(const std::string &label) const
+Validator::liveAtLabel(std::string_view label) const
 {
-    auto it = in_labels_.find(label);
-    if (it == in_labels_.end())
-        return kAllRegs;
-    auto lv = live_in_.find(it->second);
-    return lv == live_in_.end() ? kAllRegs : lv->second;
+    size_t at = in_labels_.find(label);
+    return at == LabelIndex::kNone ? kAllRegs : live_in_[at];
 }
 
 const reorg::DupHint *
-Validator::findHint(const std::string &orig, const std::string &dup) const
+Validator::findHint(std::string_view orig, std::string_view dup) const
 {
     for (const reorg::DupHint &h : hints_) {
         if (h.orig_label == orig && h.dup_label == dup)
@@ -236,28 +279,32 @@ Validator::compareFences()
         }
         // Execution resumes past the run on both sides; prove the
         // continuation like any other region pair.
-        enqueue(Entry{in_runs[r].second + 1, out_runs[r].second + 1,
-                      support::strprintf("after fenced run %zu", r),
-                      false, 0, 0});
+        Entry e;
+        e.kind = EntryKind::AFTER_FENCE;
+        e.ref = r;
+        e.in_at = in_runs[r].second + 1;
+        e.out_at = out_runs[r].second + 1;
+        enqueue(e);
     }
 }
 
 void
 Validator::seedEntries()
 {
-    enqueue(Entry{0, 0, "the unit entry", false, 0, 0});
+    enqueue(Entry{});
 
-    for (const auto &[label, in_at] : in_labels_) {
-        auto it = out_labels_.find(label);
-        if (it == out_labels_.end()) {
+    const auto &labels = in_labels_.entries();
+    for (size_t k = 0; k < labels.size(); ++k) {
+        const auto &[label, in_at] = labels[k];
+        size_t out_at = out_labels_.find(label);
+        if (out_at == LabelIndex::kNone) {
             engine_.report(
                 Code::TV005, Severity::ERROR, kNoItem,
                 support::strprintf(
-                    "input label '%s' does not exist in the output",
-                    label.c_str()));
+                    "input label '%.*s' does not exist in the output",
+                    static_cast<int>(label.size()), label.data()));
             continue;
         }
-        size_t out_at = it->second;
         bool in_fenced = in_at < input_.items.size() &&
                          in_map_.fence[in_at] >= 0;
         bool out_fenced = out_at < output_.items.size() &&
@@ -266,16 +313,20 @@ Validator::seedEntries()
             engine_.report(
                 Code::TV005, Severity::ERROR, outSite(out_at),
                 support::strprintf(
-                    "label '%s' is %sside a fenced run in the input "
+                    "label '%.*s' is %sside a fenced run in the input "
                     "but %sside one in the output",
-                    label.c_str(), in_fenced ? "in" : "out",
-                    out_fenced ? "in" : "out"));
+                    static_cast<int>(label.size()), label.data(),
+                    in_fenced ? "in" : "out", out_fenced ? "in" : "out"));
             continue;
         }
         if (in_fenced)
             continue; // covered by the verbatim fence comparison
-        enqueue(Entry{in_at, out_at, "region '" + label + "'", false, 0,
-                      0});
+        Entry e;
+        e.kind = EntryKind::REGION;
+        e.ref = k;
+        e.in_at = in_at;
+        e.out_at = out_at;
+        enqueue(e);
     }
 
     // Scheme-2 provenance: prove the retargeted continuation. Input
@@ -283,14 +334,14 @@ Validator::seedEntries()
     // advanced over the duplicated words (which the transfer's delay
     // slot executed on the way in), then the output runs from the new
     // target.
-    for (const reorg::DupHint &h : hints_) {
-        auto in_orig = in_labels_.find(h.orig_label);
-        auto out_orig = out_labels_.find(h.orig_label);
-        auto out_dup = out_labels_.find(h.dup_label);
-        if (in_orig == in_labels_.end() ||
-            out_orig == out_labels_.end() ||
-            out_dup == out_labels_.end() ||
-            out_dup->second <= out_orig->second) {
+    for (size_t k = 0; k < hints_.size(); ++k) {
+        const reorg::DupHint &h = hints_[k];
+        size_t in_orig = in_labels_.find(h.orig_label);
+        size_t out_orig = out_labels_.find(h.orig_label);
+        size_t out_dup = out_labels_.find(h.dup_label);
+        if (in_orig == LabelIndex::kNone ||
+            out_orig == LabelIndex::kNone ||
+            out_dup == LabelIndex::kNone || out_dup <= out_orig) {
             engine_.report(
                 Code::TV005, Severity::ERROR, kNoItem,
                 support::strprintf(
@@ -300,21 +351,21 @@ Validator::seedEntries()
             continue;
         }
         Entry e;
-        e.in_at = in_orig->second;
-        e.out_at = out_dup->second;
-        e.name = "region '" + h.dup_label + "' (duplicated from '" +
-                 h.orig_label + "')";
+        e.kind = EntryKind::DUPLICATE;
+        e.ref = k;
+        e.in_at = in_orig;
+        e.out_at = out_dup;
         e.has_pre = true;
-        e.pre_start = out_orig->second;
-        e.pre_count = out_dup->second - out_orig->second;
-        enqueue(std::move(e));
+        e.pre_start = out_orig;
+        e.pre_count = out_dup - out_orig;
+        enqueue(e);
     }
 }
 
 bool
-Validator::compareStates(ExprArena &arena, const Entry &e, size_t at,
-                         const SymState &a, const SymState &b,
-                         uint16_t mask, const char *where)
+Validator::compareStates(const Entry &e, size_t at, const SymState &a,
+                         const SymState &b, uint16_t mask,
+                         const char *where)
 {
     bool clean = true;
     uint16_t bad = 0;
@@ -331,9 +382,9 @@ Validator::compareStates(ExprArena &arena, const Entry &e, size_t at,
             support::strprintf(
                 "%s, %s: %s diverge(s); r%d is %s sequentially but %s "
                 "on the pipeline",
-                e.name.c_str(), where, regListNames(bad).c_str(), first,
-                arena.str(a.regs[first]).c_str(),
-                arena.str(b.regs[first]).c_str()));
+                name(e).c_str(), where, regListNames(bad).c_str(), first,
+                arena_.str(a.regs[first]).c_str(),
+                arena_.str(b.regs[first]).c_str()));
         clean = false;
     }
     if (a.lo != b.lo) {
@@ -342,8 +393,8 @@ Validator::compareStates(ExprArena &arena, const Entry &e, size_t at,
             support::strprintf(
                 "%s, %s: LO diverges; %s sequentially but %s on the "
                 "pipeline",
-                e.name.c_str(), where, arena.str(a.lo).c_str(),
-                arena.str(b.lo).c_str()));
+                name(e).c_str(), where, arena_.str(a.lo).c_str(),
+                arena_.str(b.lo).c_str()));
         clean = false;
     }
     if (a.sys != b.sys) {
@@ -352,8 +403,8 @@ Validator::compareStates(ExprArena &arena, const Entry &e, size_t at,
             support::strprintf(
                 "%s, %s: the system-state effect log diverges; %s "
                 "sequentially but %s on the pipeline",
-                e.name.c_str(), where, arena.str(a.sys).c_str(),
-                arena.str(b.sys).c_str()));
+                name(e).c_str(), where, arena_.str(a.sys).c_str(),
+                arena_.str(b.sys).c_str()));
         clean = false;
     }
     if (a.mem != b.mem) {
@@ -362,16 +413,15 @@ Validator::compareStates(ExprArena &arena, const Entry &e, size_t at,
             support::strprintf(
                 "%s, %s: the memory store log diverges; %s "
                 "sequentially but %s on the pipeline",
-                e.name.c_str(), where, arena.str(a.mem, 3).c_str(),
-                arena.str(b.mem, 3).c_str()));
+                name(e).c_str(), where, arena_.str(a.mem, 3).c_str(),
+                arena_.str(b.mem, 3).c_str()));
         clean = false;
     }
     return clean;
 }
 
 void
-Validator::compareExit(ExprArena &arena, const Entry &e,
-                       const SymExit &a, const SymExit &b)
+Validator::compareExit(const Entry &e, const SymExit &a, const SymExit &b)
 {
     size_t at = outSite(b.at);
     if (a.kind != b.kind) {
@@ -380,7 +430,7 @@ Validator::compareExit(ExprArena &arena, const Entry &e,
             support::strprintf(
                 "%s: paired exits disagree in kind: %s sequentially "
                 "but %s on the pipeline",
-                e.name.c_str(), exitKindName(a.kind),
+                name(e).c_str(), exitKindName(a.kind),
                 exitKindName(b.kind)));
         return;
     }
@@ -399,7 +449,7 @@ Validator::compareExit(ExprArena &arena, const Entry &e,
                 support::strprintf(
                     "%s: trap codes differ: %u sequentially but %u on "
                     "the pipeline",
-                    e.name.c_str(), a.trap_code, b.trap_code));
+                    name(e).c_str(), a.trap_code, b.trap_code));
         }
         break;
       case SymExitKind::FALL_FENCE:
@@ -409,7 +459,7 @@ Validator::compareExit(ExprArena &arena, const Entry &e,
                 support::strprintf(
                     "%s: control falls into fenced run %zu "
                     "sequentially but run %zu on the pipeline",
-                    e.name.c_str(), a.ordinal, b.ordinal));
+                    name(e).c_str(), a.ordinal, b.ordinal));
         }
         break;
       case SymExitKind::JUMP_TABLE: {
@@ -422,8 +472,8 @@ Validator::compareExit(ExprArena &arena, const Entry &e,
                 support::strprintf(
                     "%s: table dispatch fetches %s sequentially but %s "
                     "on the pipeline",
-                    e.name.c_str(), arena.str(a.target).c_str(),
-                    arena.str(b.target).c_str()));
+                    name(e).c_str(), arena_.str(a.target).c_str(),
+                    arena_.str(b.target).c_str()));
         }
         // TV008: the tables themselves must resolve to the same
         // entry-label sequence — a swapped or dropped entry changes
@@ -433,7 +483,7 @@ Validator::compareExit(ExprArena &arena, const Entry &e,
         auto out_entries =
             tableEntryLabels(output_, out_labels_, b.label);
         if (!in_entries || !out_entries) {
-            note(at, e.name + ": cannot resolve the dispatch table for "
+            note(at, name(e) + ": cannot resolve the dispatch table for "
                      "the entry-sequence comparison");
             break;
         }
@@ -451,16 +501,18 @@ Validator::compareExit(ExprArena &arena, const Entry &e,
                     in_entries->size() == 1 ? "y" : "ies",
                     out_entries->size());
             } else {
+                std::string_view in_k = (*in_entries)[k];
+                std::string_view out_k = (*out_entries)[k];
                 what = support::strprintf(
-                    "entry %zu targets '%s' in the input but '%s' in "
-                    "the output",
-                    k, (*in_entries)[k].c_str(),
-                    (*out_entries)[k].c_str());
+                    "entry %zu targets '%.*s' in the input but '%.*s' "
+                    "in the output",
+                    k, static_cast<int>(in_k.size()), in_k.data(),
+                    static_cast<int>(out_k.size()), out_k.data());
             }
             engine_.report(
                 Code::TV008, Severity::ERROR, at,
                 support::strprintf("%s: dispatch tables differ: %s",
-                                   e.name.c_str(), what.c_str()));
+                                   name(e).c_str(), what.c_str()));
         }
         break;
       }
@@ -471,8 +523,8 @@ Validator::compareExit(ExprArena &arena, const Entry &e,
                 support::strprintf(
                     "%s: indirect targets differ: %s sequentially but "
                     "%s on the pipeline",
-                    e.name.c_str(), arena.str(a.target).c_str(),
-                    arena.str(b.target).c_str()));
+                    name(e).c_str(), arena_.str(a.target).c_str(),
+                    arena_.str(b.target).c_str()));
         }
         break;
       case SymExitKind::FALL_LABEL:
@@ -485,8 +537,8 @@ Validator::compareExit(ExprArena &arena, const Entry &e,
                 support::strprintf(
                     "%s: indirect call targets differ: %s sequentially "
                     "but %s on the pipeline",
-                    e.name.c_str(), arena.str(a.target).c_str(),
-                    arena.str(b.target).c_str()));
+                    name(e).c_str(), arena_.str(a.target).c_str(),
+                    arena_.str(b.target).c_str()));
             break;
         }
         if (a.kind == SymExitKind::BRANCH && a.cond != b.cond) {
@@ -495,8 +547,8 @@ Validator::compareExit(ExprArena &arena, const Entry &e,
                 support::strprintf(
                     "%s: branch conditions differ: %s sequentially but "
                     "%s on the pipeline",
-                    e.name.c_str(), arena.str(a.cond).c_str(),
-                    arena.str(b.cond).c_str()));
+                    name(e).c_str(), arena_.str(a.cond).c_str(),
+                    arena_.str(b.cond).c_str()));
         }
         if (!a.label.empty() && !b.label.empty()) {
             if (a.label != b.label) {
@@ -509,34 +561,35 @@ Validator::compareExit(ExprArena &arena, const Entry &e,
                     engine_.report(
                         Code::TV003, Severity::ERROR, at,
                         support::strprintf(
-                            "%s: transfer targets '%s' sequentially "
-                            "but '%s' on the pipeline",
-                            e.name.c_str(), a.label.c_str(),
-                            b.label.c_str()));
+                            "%s: transfer targets '%.*s' sequentially "
+                            "but '%.*s' on the pipeline",
+                            name(e).c_str(),
+                            static_cast<int>(a.label.size()),
+                            a.label.data(),
+                            static_cast<int>(b.label.size()),
+                            b.label.data()));
                     break;
                 }
                 // Scheme-2 retarget: the pipeline already executed the
                 // duplicated words in the delay slot. Replay them on
                 // the sequential side and the states must agree fully.
-                auto out_orig = out_labels_.find(a.label);
-                auto out_dup = out_labels_.find(b.label);
-                if (out_orig == out_labels_.end() ||
-                    out_dup == out_labels_.end() ||
-                    out_dup->second <= out_orig->second) {
-                    note(at, e.name + ": cannot locate the duplicated "
+                size_t out_orig = out_labels_.find(a.label);
+                size_t out_dup = out_labels_.find(b.label);
+                if (out_orig == LabelIndex::kNone ||
+                    out_dup == LabelIndex::kNone || out_dup <= out_orig) {
+                    note(at, name(e) + ": cannot locate the duplicated "
                              "words for the retargeted exit");
                     break;
                 }
                 SymState adv = a.state;
-                size_t k = out_dup->second - out_orig->second;
-                if (!advanceSequential(arena, output_,
-                                       out_orig->second, k, &adv)) {
+                if (!advanceSequential(arena_, output_, out_orig,
+                                       out_dup - out_orig, &adv)) {
                     note(at,
-                         e.name + ": cannot replay the duplicated "
+                         name(e) + ": cannot replay the duplicated "
                                   "words for the retargeted exit");
                     break;
                 }
-                compareStates(arena, e, at, adv, b.state, kAllRegs,
+                compareStates(e, at, adv, b.state, kAllRegs,
                               "at the retargeted exit");
                 states_compared = true;
             }
@@ -547,12 +600,12 @@ Validator::compareExit(ExprArena &arena, const Entry &e,
                     support::strprintf(
                         "%s: transfer targets address %u sequentially "
                         "but %u on the pipeline",
-                        e.name.c_str(), a.addr, b.addr));
+                        name(e).c_str(), a.addr, b.addr));
                 break;
             }
         } else if (!a.label.empty() || !b.label.empty() || a.has_addr ||
                    b.has_addr) {
-            note(at, e.name + ": cannot compare a symbolic transfer "
+            note(at, name(e) + ": cannot compare a symbolic transfer "
                      "target against a numeric one");
             return;
         }
@@ -571,7 +624,7 @@ Validator::compareExit(ExprArena &arena, const Entry &e,
             if (!a.label.empty())
                 mask = liveAtLabel(a.label);
         }
-        compareStates(arena, e, at, a.state, b.state, mask, where);
+        compareStates(e, at, a.state, b.state, mask, where);
     }
 
     // Control returns after calls and traps; prove the continuation.
@@ -581,70 +634,70 @@ Validator::compareExit(ExprArena &arena, const Entry &e,
             output_.items[b.at].inst.jump) {
             delay = isa::jumpDelay(output_.items[b.at].inst.jump->kind);
         }
-        enqueue(Entry{a.at + 1, b.at + 1 + static_cast<size_t>(delay),
-                      support::strprintf("the return point of the call "
-                                         "at output word %zu", b.at),
-                      false, 0, 0});
+        Entry next;
+        next.kind = EntryKind::CALL_RETURN;
+        next.ref = b.at;
+        next.in_at = a.at + 1;
+        next.out_at = b.at + 1 + static_cast<size_t>(delay);
+        enqueue(next);
     } else if (a.kind == SymExitKind::TRAP) {
-        enqueue(Entry{a.at + 1, b.at + 1,
-                      support::strprintf("the continuation of the trap "
-                                         "at output word %zu", b.at),
-                      false, 0, 0});
+        Entry next;
+        next.kind = EntryKind::TRAP_RETURN;
+        next.ref = b.at;
+        next.in_at = a.at + 1;
+        next.out_at = b.at + 1;
+        enqueue(next);
     }
 }
 
 void
 Validator::validateEntry(const Entry &e)
 {
-    ExprArena arena(opts_.alias);
-    SymState in_entry = entryState(arena);
-    SymState out_entry = entryState(arena);
+    arena_.reset();
+    SymState in_entry = entryState(arena_);
+    SymState out_entry = entryState(arena_);
     if (e.has_pre &&
-        !advanceSequential(arena, output_, e.pre_start, e.pre_count,
+        !advanceSequential(arena_, output_, e.pre_start, e.pre_count,
                            &out_entry)) {
         note(outSite(e.out_at),
-             e.name + ": cannot replay the duplicated words feeding "
-                      "this region entry");
+             name(e) + ": cannot replay the duplicated words feeding "
+                       "this region entry");
         return;
     }
 
-    SymRun in_run = runSequential(arena, input_, in_map_, e.in_at,
-                                  in_entry, opts_.limits);
-    SymRun out_run = runPipeline(arena, output_, out_map_, e.out_at,
-                                 out_entry, opts_.limits);
-    if (!in_run.ok) {
+    runSequential(arena_, input_, in_map_, e.in_at, in_entry,
+                  opts_.limits, &in_run_);
+    runPipeline(arena_, output_, out_map_, e.out_at, out_entry,
+                opts_.limits, &out_run_);
+    if (!in_run_.ok) {
         note(outSite(e.out_at),
-             e.name + " is not proven: sequential side: " + in_run.why);
+             name(e) + " is not proven: sequential side: " + in_run_.why);
         return;
     }
-    if (!out_run.ok) {
-        note(outSite(out_run.fail_at),
-             e.name + " is not proven: pipeline side: " + out_run.why);
+    if (!out_run_.ok) {
+        note(outSite(out_run_.fail_at),
+             name(e) + " is not proven: pipeline side: " + out_run_.why);
         return;
     }
-    if (in_run.exits.size() != out_run.exits.size()) {
+    if (in_run_.exits.size() != out_run_.exits.size()) {
         engine_.report(
             Code::TV005, Severity::ERROR, outSite(e.out_at),
             support::strprintf(
                 "%s: the sequential side has %zu exit(s) but the "
                 "pipeline side has %zu; the regions cannot be paired",
-                e.name.c_str(), in_run.exits.size(),
-                out_run.exits.size()));
+                name(e).c_str(), in_run_.exits.size(),
+                out_run_.exits.size()));
         return;
     }
-    for (size_t i = 0; i < in_run.exits.size(); ++i)
-        compareExit(arena, e, in_run.exits[i], out_run.exits[i]);
+    for (size_t i = 0; i < in_run_.exits.size(); ++i)
+        compareExit(e, in_run_.exits[i], out_run_.exits[i]);
 }
 
 VerifyReport
 Validator::run()
 {
-    in_labels_ = labelIndex(input_);
-    out_labels_ = labelIndex(output_);
     in_map_ = buildRegionMap(input_, nullptr);
     out_map_ = buildRegionMap(output_, &in_labels_);
-    for (const auto &[start, mask] : reorg::blockLiveIn(input_))
-        live_in_[start] = mask;
 
     compareFences();
     seedEntries();
@@ -654,7 +707,7 @@ Validator::run()
                           "regions are not proven");
             break;
         }
-        validateEntry(work_[i]);
+        validateEntry(Entry(work_[i])); // a copy: work_ may grow
     }
 
     engine_.sort();
@@ -672,9 +725,10 @@ VerifyReport
 validateTranslation(const assembler::Unit &input,
                     const assembler::Unit &output,
                     const std::vector<reorg::DupHint> &hints,
+                    const std::vector<reorg::BlockLiveIn> &live_in,
                     const TvOptions &options)
 {
-    Validator validator(input, output, hints, options);
+    Validator validator(input, output, hints, live_in, options);
     VerifyReport report = validator.run();
 
     // Proof-outcome metrics: every run is exactly one of proved /

@@ -50,13 +50,17 @@ struct TvOptions
 /**
  * Prove `output` (pipeline semantics) equivalent to `input`
  * (sequential semantics). `hints` is the reorganizer's scheme-2
- * provenance (ReorgResult::hints). Diagnostics are located in the
- * output unit; TV090 notes mark regions that are *not proven*.
+ * provenance (ReorgResult::hints) and `live_in` its live-in masks of
+ * the input's blocks (ReorgResult::live_in, or reorg::blockLiveIn of
+ * the input when it was not reorganized here). Diagnostics are
+ * located in the output unit; TV090 notes mark regions that are *not
+ * proven*.
  */
 VerifyReport
 validateTranslation(const assembler::Unit &input,
                     const assembler::Unit &output,
                     const std::vector<reorg::DupHint> &hints,
+                    const std::vector<reorg::BlockLiveIn> &live_in,
                     const TvOptions &options = TvOptions{});
 
 } // namespace mips::verify

@@ -28,6 +28,7 @@
 #include "obs/metrics.h"
 #include "pipeline/session.h"
 #include "plc/codegen.h"
+#include "reorg/reorganizer.h"
 #include "verify/cfg.h"
 #include "verify/interproc.h"
 #include "workload/corpus.h"
@@ -383,7 +384,8 @@ flatCfgViolation(const assembler::Unit &unit)
 
 /** The reorganized units of the corpora, the Table 11 programs and a
  *  generated batch, under every fuzz matrix config, keep the flat
- *  CFG's invariants. */
+ *  CFG's invariants, and the live-in masks the reorganizer hands TV
+ *  are blockLiveIn of the legal unit. */
 TEST(FlatCfg, InvariantsHoldOnEveryReorganizedUnit)
 {
     struct Program
@@ -422,6 +424,9 @@ TEST(FlatCfg, InvariantsHoldOnEveryReorganizedUnit)
                 << reorg.error().str();
             EXPECT_EQ(flatCfgViolation(reorg.value()->final_unit), "")
                 << p.name << " " << config.tag;
+            EXPECT_TRUE(reorg.value()->live_in ==
+                        reorg::blockLiveIn(*reorg.value()->legal))
+                << p.name << " " << config.tag << ": live-in masks";
             ++units;
         }
     }

@@ -205,7 +205,8 @@ runVariant(const std::string &source, plc::Layout layout,
     tvopts.alias = ropts.alias;
     verify::VerifyReport tv = verify::validateTranslation(
         exe.value().legal_unit, exe.value().final_unit,
-        exe.value().tv_hints, tvopts);
+        exe.value().tv_hints, reorg::blockLiveIn(exe.value().legal_unit),
+        tvopts);
     EXPECT_TRUE(tv.clean() && tv.notes == 0)
         << tag << ": translation validation failed:\n"
         << verify::reportText(tv, exe.value().final_unit, tag);

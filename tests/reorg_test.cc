@@ -423,7 +423,7 @@ TEST(LivenessTest, HaltBlockKillsEverything)
     auto lv = blockLiveIn(u);
     ASSERT_EQ(lv.size(), 1u);
     // r1 read, nothing else live (halt has no successors).
-    EXPECT_EQ(lv[0].second, 1u << 1);
+    EXPECT_EQ(lv[0].mask, 1u << 1);
 }
 
 TEST(LivenessTest, BranchMergesBothPaths)
@@ -436,9 +436,9 @@ TEST(LivenessTest, BranchMergesBothPaths)
         "halt\n");
     auto lv = blockLiveIn(u);
     ASSERT_EQ(lv.size(), 3u);
-    EXPECT_EQ(lv[0].second, (1u << 1) | (1u << 2) | (1u << 3));
-    EXPECT_EQ(lv[1].second, 1u << 2);
-    EXPECT_EQ(lv[2].second, 1u << 3);
+    EXPECT_EQ(lv[0].mask, (1u << 1) | (1u << 2) | (1u << 3));
+    EXPECT_EQ(lv[1].mask, 1u << 2);
+    EXPECT_EQ(lv[2].mask, 1u << 3);
 }
 
 TEST(LivenessTest, LoopFixpoint)
@@ -449,7 +449,7 @@ TEST(LivenessTest, LoopFixpoint)
         "halt\n");
     auto lv = blockLiveIn(u);
     // r1, r2, r3 all live into the loop.
-    EXPECT_EQ(lv[0].second & 0xe, 0xeu);
+    EXPECT_EQ(lv[0].mask & 0xe, 0xeu);
 }
 
 // ------------------------------------------------ Differential tests
@@ -480,8 +480,8 @@ expectEquivalent(const Unit &legal, const ReorgOptions &opts,
     // output equivalent — no errors and no unproven (TV090) regions.
     verify::TvOptions tvopts;
     tvopts.alias = opts.alias;
-    verify::VerifyReport tv =
-        verify::validateTranslation(legal, r.unit, r.hints, tvopts);
+    verify::VerifyReport tv = verify::validateTranslation(
+        legal, r.unit, r.hints, r.live_in, tvopts);
     EXPECT_TRUE(tv.clean() && tv.notes == 0)
         << tag << ": translation validation failed:\n"
         << verify::reportText(tv, r.unit, "reorganized")

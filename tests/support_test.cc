@@ -4,8 +4,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "support/bits.h"
 #include "support/cores.h"
+#include "support/logging.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/strings.h"
@@ -127,6 +130,30 @@ TEST(Strprintf, Formats)
 {
     EXPECT_EQ(strprintf("%d-%s", 42, "x"), "42-x");
     EXPECT_EQ(strprintf("%.1f%%", 24.82), "24.8%");
+}
+
+TEST(Strprintf, LengthsAroundTheStackBuffer)
+{
+    // The first pass formats into 256 bytes (255 characters and the
+    // terminator); longer results are formatted a second time.
+    for (size_t len : {0u, 1u, 254u, 255u, 256u, 257u, 10000u}) {
+        SCOPED_TRACE(len);
+        std::string body(len, 'x');
+        if (len > 0)
+            body.back() = 'y'; // the last character survives
+        std::string s = strprintf("%s", body.c_str());
+        EXPECT_EQ(s.size(), len);
+        EXPECT_EQ(s, body);
+    }
+    std::string padded = strprintf("%0*d|%s", 9998, 7, "ab");
+    EXPECT_EQ(padded.size(), 10001u);
+    EXPECT_EQ(padded.substr(9994), "0007|ab");
+}
+
+TEST(Strprintf, FormatErrorIsReported)
+{
+    // The C locale cannot encode U+20AC, so vsnprintf fails (EILSEQ).
+    EXPECT_EQ(strprintf("%ls", L"\u20ac"), "<format error>");
 }
 
 TEST(BucketDist, CountsAndFractions)

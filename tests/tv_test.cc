@@ -23,6 +23,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "asm/assembler.h"
@@ -102,7 +107,7 @@ validate(const Unit &legal, const ReorgResult &r,
 {
     TvOptions tvopts;
     tvopts.alias = opts.alias;
-    return validateTranslation(legal, r.unit, r.hints, tvopts);
+    return validateTranslation(legal, r.unit, r.hints, r.live_in, tvopts);
 }
 
 // --------------------------------------------- arena normalization
@@ -163,6 +168,68 @@ TEST(ExprArena, LoadForwardsAndSkipsByAliasDiscipline)
     // Possibly-aliasing symbolic store: stay opaque, do not forward.
     ExprRef m3 = a.memStore(m, a.input(3), v2);
     EXPECT_NE(a.memLoad(m3, a.konst(100)), v1);
+}
+
+/** A fixed construction over a few hundred distinct nodes: label
+ *  addresses in `labels` order, shifted and xor-ed chains and a store
+ *  log. Returns every ref it made with its rendering. */
+std::vector<std::pair<ExprRef, std::string>>
+buildTerms(ExprArena &a, const std::vector<std::string_view> &labels,
+           int rounds)
+{
+    std::vector<std::pair<ExprRef, std::string>> out;
+    SymState s = entryState(a);
+    ExprRef x = s.regs[1];
+    ExprRef mem = s.mem;
+    for (int i = 0; i < rounds; ++i) {
+        ExprRef label = a.labelAddr(labels[i % labels.size()]);
+        x = a.xor_(a.shl(x, a.konst(1 + i % 30)), label);
+        mem = a.memStore(mem, a.add(s.regs[13], a.konst(i)), x);
+        out.emplace_back(x, a.str(x));
+        out.emplace_back(mem, a.str(mem, 2));
+    }
+    return out;
+}
+
+TEST(ExprArena, ResetBehavesLikeAFreshArena)
+{
+    // Twelve names, so the label table grows too; the arena keeps
+    // views, and these strings outlive both arenas.
+    std::vector<std::string> names;
+    for (int i = 0; i < 12; ++i)
+        names.push_back("L_" + std::to_string(i));
+    std::vector<std::string_view> forward(names.begin(), names.end());
+    std::vector<std::string_view> backward(names.rbegin(), names.rend());
+    const size_t budget = 2000;
+
+    ExprArena fresh(reorg::AliasOptions{}, budget);
+    auto want = buildTerms(fresh, backward, 150);
+    ASSERT_GT(fresh.size(), 256u) << "the index table must have grown";
+    ASSERT_FALSE(fresh.overflowed());
+
+    // Dirty an arena with the labels in another order, then exhaust
+    // its budget.
+    ExprArena reused(reorg::AliasOptions{}, budget);
+    buildTerms(reused, forward, 40);
+    buildTerms(reused, forward, 1000);
+    ASSERT_TRUE(reused.overflowed());
+
+    for (int pass = 0; pass < 2; ++pass) {
+        SCOPED_TRACE(pass);
+        reused.reset();
+        EXPECT_FALSE(reused.overflowed());
+        ASSERT_EQ(reused.size(), 1u);
+        EXPECT_EQ(reused.node(0).op, ExprOp::CONST);
+        EXPECT_EQ(reused.node(0).value, 0u);
+        // Same refs (so the same canonical operand order) and the
+        // same renderings.
+        EXPECT_EQ(buildTerms(reused, backward, 150), want);
+        EXPECT_EQ(reused.size(), fresh.size());
+        EXPECT_FALSE(reused.overflowed());
+        // Label ids restart at 0 in first-use order.
+        EXPECT_EQ(reused.node(reused.labelAddr(backward[0])).value, 0u);
+        EXPECT_EQ(reused.node(reused.labelAddr(backward[11])).value, 11u);
+    }
 }
 
 // ------------------------------------------------ validator behavior
@@ -231,20 +298,99 @@ TEST(TvValidator, ProvesScheme3HoistViaTakenPathLiveness)
     EXPECT_TRUE(tv.clean() && tv.notes == 0) << dump(tv, r.unit);
 }
 
+// Hand mutations of a correct reorganization; each returns false
+// when the unit has nothing to mutate.
+
+/** Flip the low bit of the first `movi` immediate (41 -> 40). */
+bool
+mutateImmediate(Unit *unit)
+{
+    for (auto &item : unit->items) {
+        if (!item.is_data && item.inst.alu &&
+            item.inst.alu->op == isa::AluOp::MOVI8) {
+            item.inst.alu->imm8 ^= 1;
+            return true;
+        }
+    }
+    return false;
+}
+
+/** Flip the low bit of every `movi` immediate, fenced ones too. */
+bool
+mutateEveryImmediate(Unit *unit)
+{
+    bool any = false;
+    for (auto &item : unit->items) {
+        if (!item.is_data && item.inst.alu &&
+            item.inst.alu->op == isa::AluOp::MOVI8) {
+            item.inst.alu->imm8 ^= 1;
+            any = true;
+        }
+    }
+    return any;
+}
+
+/** Replace the first store with a no-op. */
+bool
+dropStore(Unit *unit)
+{
+    for (auto &item : unit->items) {
+        if (!item.is_data && item.inst.isStore()) {
+            item.inst = isa::Instruction::makeNop();
+            return true;
+        }
+    }
+    return false;
+}
+
+/** Swap the targets of the first two relocated .word entries. */
+bool
+swapTableEntries(Unit *unit)
+{
+    std::vector<size_t> entries;
+    for (size_t i = 0; i < unit->items.size(); ++i)
+        if (unit->items[i].is_data && !unit->items[i].target.empty())
+            entries.push_back(i);
+    if (entries.size() < 2)
+        return false;
+    std::swap(unit->items[entries[0]].target,
+              unit->items[entries[1]].target);
+    return true;
+}
+
+/** Erase the last relocated .word entry. */
+bool
+dropTableEntry(Unit *unit)
+{
+    for (size_t i = unit->items.size(); i-- > 0;) {
+        if (unit->items[i].is_data && !unit->items[i].target.empty()) {
+            unit->items.erase(unit->items.begin() +
+                              static_cast<ptrdiff_t>(i));
+            return true;
+        }
+    }
+    return false;
+}
+
+/** Change the first table dispatch's index register to r4. */
+bool
+retargetTableFetch(Unit *unit)
+{
+    for (auto &item : unit->items) {
+        if (!item.is_data && item.inst.jump &&
+            isa::jumpIsTable(item.inst.jump->kind)) {
+            item.inst.jump->index = static_cast<isa::Reg>(4);
+            return true;
+        }
+    }
+    return false;
+}
+
 TEST(TvValidator, CatchesHandMutatedImmediate)
 {
     Unit u = parseUnit(kHazardful);
     ReorgResult r = reorganize(u);
-    bool mutated = false;
-    for (auto &item : r.unit.items) {
-        if (!item.is_data && item.inst.alu &&
-            item.inst.alu->op == isa::AluOp::MOVI8) {
-            item.inst.alu->imm8 ^= 1; // 41 -> 40
-            mutated = true;
-            break;
-        }
-    }
-    ASSERT_TRUE(mutated);
+    ASSERT_TRUE(mutateImmediate(&r.unit));
     VerifyReport tv = validate(u, r);
     EXPECT_TRUE(hasTvError(tv)) << dump(tv, r.unit);
 }
@@ -253,15 +399,7 @@ TEST(TvValidator, CatchesHandDroppedStore)
 {
     Unit u = parseUnit(kHazardful);
     ReorgResult r = reorganize(u);
-    bool mutated = false;
-    for (auto &item : r.unit.items) {
-        if (!item.is_data && item.inst.isStore()) {
-            item.inst = isa::Instruction::makeNop();
-            mutated = true;
-            break;
-        }
-    }
-    ASSERT_TRUE(mutated);
+    ASSERT_TRUE(dropStore(&r.unit));
     VerifyReport tv = validate(u, r);
     EXPECT_TRUE(hasTvError(tv)) << dump(tv, r.unit);
     EXPECT_GE(tv.countOf(Code::TV002), 1u) << dump(tv, r.unit);
@@ -297,13 +435,7 @@ TEST(TvValidator, CatchesSwappedTableEntries)
     // in-bounds index now lands on the wrong arm.
     Unit u = parseUnit(kTableDispatch);
     ReorgResult r = reorganize(u);
-    std::vector<size_t> entries;
-    for (size_t i = 0; i < r.unit.items.size(); ++i)
-        if (r.unit.items[i].is_data && !r.unit.items[i].target.empty())
-            entries.push_back(i);
-    ASSERT_EQ(entries.size(), 2u);
-    std::swap(r.unit.items[entries[0]].target,
-              r.unit.items[entries[1]].target);
+    ASSERT_TRUE(swapTableEntries(&r.unit));
     VerifyReport tv = validate(u, r);
     EXPECT_GE(tv.countOf(Code::TV008), 1u) << dump(tv, r.unit);
 }
@@ -312,17 +444,7 @@ TEST(TvValidator, CatchesDroppedTableEntry)
 {
     Unit u = parseUnit(kTableDispatch);
     ReorgResult r = reorganize(u);
-    bool dropped = false;
-    for (size_t i = r.unit.items.size(); i-- > 0;) {
-        if (r.unit.items[i].is_data &&
-            !r.unit.items[i].target.empty()) {
-            r.unit.items.erase(r.unit.items.begin() +
-                               static_cast<ptrdiff_t>(i));
-            dropped = true;
-            break;
-        }
-    }
-    ASSERT_TRUE(dropped);
+    ASSERT_TRUE(dropTableEntry(&r.unit));
     VerifyReport tv = validate(u, r);
     EXPECT_GE(tv.countOf(Code::TV008), 1u) << dump(tv, r.unit);
 }
@@ -333,16 +455,7 @@ TEST(TvValidator, CatchesRetargetedTableFetch)
     // diverges (TV007) even though the table itself is intact.
     Unit u = parseUnit(kTableDispatch);
     ReorgResult r = reorganize(u);
-    bool mutated = false;
-    for (auto &item : r.unit.items) {
-        if (!item.is_data && item.inst.jump &&
-            isa::jumpIsTable(item.inst.jump->kind)) {
-            item.inst.jump->index = static_cast<isa::Reg>(4);
-            mutated = true;
-            break;
-        }
-    }
-    ASSERT_TRUE(mutated);
+    ASSERT_TRUE(retargetTableFetch(&r.unit));
     VerifyReport tv = validate(u, r);
     EXPECT_GE(tv.countOf(Code::TV007), 1u) << dump(tv, r.unit);
 }
@@ -354,7 +467,7 @@ TEST(TvValidator, UnprovenRegionIsANoteNeverASilentPass)
     TvOptions tvopts;
     tvopts.limits.max_steps = 2; // far too small for the region
     VerifyReport tv =
-        validateTranslation(u, r.unit, r.hints, tvopts);
+        validateTranslation(u, r.unit, r.hints, r.live_in, tvopts);
     EXPECT_GE(tv.countOf(Code::TV090), 1u)
         << "an undecidable region must surface as TV090:\n"
         << dump(tv, r.unit);
@@ -460,6 +573,149 @@ TEST(MutationSuite, EverySeededReorganizerBugIsCaught)
             << c.name << ": seeded bug escaped the validator:\n"
             << dump(tv, buggy.unit);
     }
+}
+
+// ------------------------------------------- diagnostic text golden
+
+/** The bug flags of ReorgBugs, by name, for the golden. */
+const std::pair<const char *, bool reorg::ReorgBugs::*> kBugFlags[] = {
+    {"pack_dependent", &reorg::ReorgBugs::pack_dependent},
+    {"hoist_blind", &reorg::ReorgBugs::hoist_blind},
+    {"alias_blind", &reorg::ReorgBugs::alias_blind},
+    {"slot_overwritten_def", &reorg::ReorgBugs::slot_overwritten_def},
+    {"drop_load_noop", &reorg::ReorgBugs::drop_load_noop},
+    {"drop_branch_noop", &reorg::ReorgBugs::drop_branch_noop},
+    {"retarget_same_target", &reorg::ReorgBugs::retarget_same_target},
+    {"dup_skip_second", &reorg::ReorgBugs::dup_skip_second},
+};
+
+/** One golden section: a header line, then the TV report text. */
+void
+appendReport(std::string *out, const std::string &name, const Unit &legal,
+             const ReorgResult &r, const ReorgOptions &opts,
+             const TvOptions &tvopts)
+{
+    TvOptions with_alias = tvopts;
+    with_alias.alias = opts.alias;
+    VerifyReport tv = validateTranslation(legal, r.unit, r.hints,
+                                          r.live_in, with_alias);
+    *out += "== " + name + "\n";
+    *out += reportText(tv, r.unit, name);
+}
+
+/** Every seeded bug over every program where it changes the output,
+ *  then every hand mutation: the TV text that tests/golden pins. */
+std::string
+renderMutantReports()
+{
+    struct Program
+    {
+        std::string name;
+        Unit legal;
+        bool fill_delay = true;
+    };
+    std::vector<Program> programs;
+    for (const BugCase &c : kBugCases)
+        programs.push_back({c.name, parseUnit(c.src), c.fill_delay});
+    for (const workload::CorpusProgram &p : workload::corpus()) {
+        auto exe = plc::buildExecutable(p.source);
+        EXPECT_TRUE(exe.ok()) << p.name;
+        if (exe.ok())
+            programs.push_back({p.name, exe.value().legal_unit, true});
+    }
+
+    std::string out;
+    for (const auto &[bug, flag] : kBugFlags) {
+        for (const Program &p : programs) {
+            ReorgOptions good;
+            good.fill_delay = p.fill_delay;
+            ReorgOptions bad = good;
+            bad.bugs.*flag = true;
+            ReorgResult buggy = reorganize(p.legal, bad);
+            if (sameItems(buggy.unit, reorganize(p.legal, good).unit))
+                continue;
+            appendReport(&out, std::string(bug) + "/" + p.name, p.legal,
+                         buggy, bad, TvOptions{});
+        }
+    }
+
+    struct HandMutant
+    {
+        const char *name;
+        const char *src;
+        bool (*mutate)(Unit *);
+    };
+    // Regions entered after a trap and after a fenced run.
+    const char *const fence_trap =
+        "li #500, r13\n"
+        "movi #1, r1\n"
+        "trap #3\n"
+        "movi #41, r2\n"
+        ".noreorder\n"
+        "movi #5, r3\n"
+        ".reorder\n"
+        "movi #42, r4\n"
+        "st r2, 0(r13)\n"
+        "st r4, 1(r13)\n"
+        "halt\n";
+    const HandMutant hand[] = {
+        {"mutated_immediate", kHazardful, mutateImmediate},
+        {"every_immediate", fence_trap, mutateEveryImmediate},
+        {"dropped_store", kHazardful, dropStore},
+        {"swapped_table_entries", kTableDispatch, swapTableEntries},
+        {"dropped_table_entry", kTableDispatch, dropTableEntry},
+        {"retargeted_table_fetch", kTableDispatch, retargetTableFetch},
+    };
+    for (const HandMutant &m : hand) {
+        Unit u = parseUnit(m.src);
+        ReorgResult r = reorganize(u);
+        EXPECT_TRUE(m.mutate(&r.unit)) << m.name;
+        appendReport(&out, m.name, u, r, ReorgOptions{}, TvOptions{});
+    }
+    Unit u = parseUnit(kHazardful);
+    TvOptions tiny;
+    tiny.limits.max_steps = 2;
+    appendReport(&out, "step_budget", u, reorganize(u), ReorgOptions{},
+                 tiny);
+    return out;
+}
+
+/**
+ * TV's diagnostic text, byte for byte: region names, exit kinds and
+ * rendered terms (whose operand order follows node numbering) over
+ * every seeded reorganizer bug and hand mutation. On a mismatch the
+ * rendered text is written to tv_mutants.actual.txt in the test's
+ * working directory; after an intended change to the text, review its
+ * diff against the golden and copy it over.
+ */
+TEST(TvGolden, MutantReportsMatchGolden)
+{
+    const std::string path = MIPS82_GOLDEN_DIR "/tv_mutants.txt";
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << "missing golden " << path;
+    std::stringstream golden;
+    golden << in.rdbuf();
+    std::string actual = renderMutantReports();
+    if (actual == golden.str())
+        return;
+
+    std::ofstream("tv_mutants.actual.txt", std::ios::binary) << actual;
+    std::istringstream want(golden.str()), got(actual);
+    std::string w, g;
+    int line = 1;
+    for (;; ++line) {
+        bool more_w = static_cast<bool>(std::getline(want, w));
+        bool more_g = static_cast<bool>(std::getline(got, g));
+        if (!more_w)
+            w = "<end>";
+        if (!more_g)
+            g = "<end>";
+        if (w != g || !more_w)
+            break;
+    }
+    ADD_FAILURE() << path << " differs from tv_mutants.actual.txt from "
+                  << "line " << line << "\n  golden: " << w
+                  << "\n  actual: " << g;
 }
 
 // -------------------------------------- gen/kill + ALU conformance
@@ -787,7 +1043,8 @@ TEST(AliasMatrix, CorpusProvenAndCorrectUnderEveryAliasConfiguration)
             tvopts.alias = ropts.alias;
             VerifyReport tv = validateTranslation(
                 exe.value().legal_unit, exe.value().final_unit,
-                exe.value().tv_hints, tvopts);
+                exe.value().tv_hints,
+                reorg::blockLiveIn(exe.value().legal_unit), tvopts);
             EXPECT_TRUE(tv.clean() && tv.notes == 0)
                 << dump(tv, exe.value().final_unit);
 
