@@ -60,6 +60,8 @@ cases() {
             echo "$(basename "$f" .s) /dev/null $flags $f"
         done
     done
+    echo "label_collision /dev/null --tv --strict" \
+        "tests/data/cli/label_collision.s"
     echo "stdin tests/data/cli/table_entry_data.s -"
     echo "missing /dev/null tests/data/cli/missing.s"
     for flags in "--corpus" "--corpus --json" "--corpus --cost --quiet" \

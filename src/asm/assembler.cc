@@ -464,7 +464,7 @@ parseDirective(std::string_view body, UnitBuilder &unit)
         // (jump-table entries are built from these).
         auto value = parseNumber(tokens[1]);
         unit.data(static_cast<uint32_t>(value.value_or(0)),
-                  value ? "" : std::string(tokens[1]));
+                  value ? kNoLabel : unit.intern(tokens[1]));
         return true;
     }
     if (name == ".space") {
@@ -532,7 +532,7 @@ parseLine(std::string_view line, UnitBuilder &unit)
         }
         if (!is_ident)
             break;
-        unit.label(std::string(head));
+        unit.label(head);
         line = trim(line.substr(colon + 1));
         if (line.empty())
             return true;
@@ -545,7 +545,7 @@ parseLine(std::string_view line, UnitBuilder &unit)
     auto inst = parseInstruction(line, unit.next(), &target);
     if (!inst.ok())
         return inst.error();
-    unit.add(inst.value(), std::move(target));
+    unit.add(inst.value(), unit.intern(target));
     return true;
 }
 

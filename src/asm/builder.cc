@@ -214,23 +214,52 @@ pack(const Instruction &a, const Instruction &b)
 
 // ------------------------------------------------------- UnitBuilder
 
+LabelId
+UnitBuilder::intern(std::string_view name)
+{
+    if (name.empty())
+        return kNoLabel;
+    auto it = ids_.find(name);
+    if (it != ids_.end())
+        return it->second;
+    LabelId id = unit_.labels.add(name);
+    ids_.emplace(name, id);
+    return id;
+}
+
+void
+UnitBuilder::label(LabelId id)
+{
+    LabelTable &labels = unit_.labels;
+    // A name defined a second time gets an id of its own for that
+    // definition; references keep resolving to the first.
+    if (labels.defined(id))
+        id = labels.redefine(id);
+    labels.setItem(id, static_cast<uint32_t>(unit_.items.size()));
+    if (pending_ == kNoLabel)
+        pending_ = id;
+    else
+        labels.setNext(pending_last_, id);
+    pending_last_ = id;
+}
+
 Item &
-UnitBuilder::add(Instruction inst, std::string target)
+UnitBuilder::add(Instruction inst, LabelId target)
 {
     Item &item = unit_.items.emplace_back();
     item.inst = inst;
-    item.target = std::move(target);
-    item.labels = std::move(pending_);
-    pending_.clear();
+    item.target = target;
+    item.label = pending_;
+    pending_ = pending_last_ = kNoLabel;
     item.no_reorder = no_reorder;
     item.source_line = line;
     return item;
 }
 
 Item &
-UnitBuilder::data(uint32_t value, std::string target)
+UnitBuilder::data(uint32_t value, LabelId target)
 {
-    Item &item = add({}, std::move(target));
+    Item &item = add({}, target);
     item.is_data = true;
     item.data_value = value;
     return item;
@@ -249,27 +278,43 @@ UnitBuilder::space(int64_t count)
 void
 UnitBuilder::append(const Unit &unit)
 {
+    const LabelTable &from = unit.labels;
+    std::vector<LabelId> ids(from.size(), kNoLabel);
+    auto idOf = [&](LabelId id) {
+        if (id == kNoLabel)
+            return kNoLabel;
+        LabelId &mapped = ids[from.first(id)];
+        if (mapped == kNoLabel)
+            mapped = intern(from.name(id));
+        return mapped;
+    };
     for (const Item &item : unit.items) {
+        for (LabelId id : from.chain(item.label))
+            label(idOf(id));
+        LabelId head = pending_;
         Item &copy = unit_.items.emplace_back(item);
         copy.source_line += line - 1;
-        copy.labels.insert(copy.labels.begin(), pending_.begin(),
-                           pending_.end());
-        pending_.clear();
+        copy.target = idOf(item.target);
+        copy.label = head;
+        pending_ = pending_last_ = kNoLabel;
     }
-    pending_.insert(pending_.end(), unit.trailing_labels.begin(),
-                    unit.trailing_labels.end());
+    for (LabelId id : from.chain(unit.trailing))
+        label(idOf(id));
 }
 
 Unit
 UnitBuilder::finish()
 {
-    unit_.trailing_labels = std::move(pending_);
-    pending_.clear();
+    unit_.trailing = pending_;
+    pending_ = pending_last_ = kNoLabel;
+    ids_.clear();
     // A finished unit is long-lived (a Session caches it for the whole
     // chain), so it keeps no growth slack: up to half of a large
     // unit's item array would be unused.
     unit_.items.shrink_to_fit();
-    return std::move(unit_);
+    Unit out = std::move(unit_);
+    unit_ = Unit{};
+    return out;
 }
 
 } // namespace mips::assembler

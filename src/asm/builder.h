@@ -12,10 +12,15 @@
  * the code generator panics (its output must always build).
  *
  * A builder given a label operand (`la`, `ld @label`, branches, direct
- * jumps and calls) gets 0 for the address; the label goes into
+ * jumps and calls) gets 0 for the address; the label's id goes into
  * Item::target and link() fills the field in.
  */
 #pragma once
+
+#include <functional>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 
 #include "asm/unit.h"
 
@@ -91,6 +96,10 @@ InstResult pack(const isa::Instruction &a, const isa::Instruction &b);
  * Appends items to a unit. Labels defined before an item attach to
  * it; labels still pending at finish() trail the unit. Each item takes
  * the builder's current `line` and `no_reorder`.
+ *
+ * Names enter the unit's LabelTable through intern(), once each: the
+ * builder keeps the one name -> id lookup a unit ever has, and drops
+ * it at finish().
  */
 class UnitBuilder
 {
@@ -98,15 +107,21 @@ class UnitBuilder
     int line = 1;
     bool no_reorder = false;
 
-    /** Define `name` at the next item's address. */
-    void label(std::string name) { pending_.push_back(std::move(name)); }
+    /** The id of `name` in the unit being built, added on first use;
+     *  kNoLabel for an empty name. */
+    LabelId intern(std::string_view name);
+
+    /** Define label `id` (an intern() result) at the next item's
+     *  address. */
+    void label(LabelId id);
+    void label(std::string_view name) { label(intern(name)); }
 
     /** Append an instruction word; `target` is the label it refers
      *  to, if any. */
-    Item &add(isa::Instruction inst, std::string target = {});
+    Item &add(isa::Instruction inst, LabelId target = kNoLabel);
 
     /** Append a data word: `value`, or the address of label `target`. */
-    Item &data(uint32_t value, std::string target = {});
+    Item &data(uint32_t value, LabelId target = kNoLabel);
 
     /** Append `count` zero data words (.space). False, appending
      *  nothing, when `count` is negative or above kMaxSpaceWords. */
@@ -130,7 +145,22 @@ class UnitBuilder
 
   private:
     Unit unit_;
-    std::vector<std::string> pending_;
+    /** Name -> id of every name interned so far (looked up by
+     *  string_view). */
+    struct NameHash
+    {
+        using is_transparent = void;
+        size_t
+        operator()(std::string_view name) const
+        {
+            return std::hash<std::string_view>{}(name);
+        }
+    };
+    std::unordered_map<std::string, LabelId, NameHash, std::equal_to<>>
+        ids_;
+    /** Labels defined since the last item: the chain's ends. */
+    LabelId pending_ = kNoLabel;
+    LabelId pending_last_ = kNoLabel;
 };
 
 } // namespace mips::assembler

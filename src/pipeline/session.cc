@@ -169,7 +169,7 @@ struct Session::Impl
         std::unordered_map<std::string, Slot<T>> map;
     };
 
-    /** Per-stage counters (obs::Counter cells, striped per thread).
+    /** Per-stage counters (obs::Counter, one relaxed atomic each).
      *  `miss_ns` holds nanoseconds; stats() renders ms. */
     struct StageLocal
     {

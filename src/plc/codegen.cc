@@ -157,11 +157,11 @@ class CodeGen
     [[noreturn]] void fail(int line, const std::string &message);
 
     // --- Emission ------------------------------------------------------
-    as::Item &emit(as::InstResult inst, std::string target = {});
+    as::Item &emit(as::InstResult inst, as::LabelId target = as::kNoLabel);
     void emitRef(as::InstResult inst, uint8_t size, bool is_char,
-                 std::string target = {});
-    void emitLabel(const std::string &name);
-    std::string freshLabel();
+                 as::LabelId target = as::kNoLabel);
+    void emitLabel(as::LabelId label);
+    as::LabelId freshLabel();
 
     // --- Register stack -------------------------------------------------
     Reg reg(int depth) const;
@@ -184,9 +184,9 @@ class CodeGen
     isa::Cond relCond(Tok op, int line) const;
 
     // --- Conditions -------------------------------------------------------
-    void genCondBranch(const Expr &expr, const std::string &label,
+    void genCondBranch(const Expr &expr, as::LabelId label,
                        bool branch_if_true);
-    void genRelBranch(const Expr &expr, const std::string &label,
+    void genRelBranch(const Expr &expr, as::LabelId label,
                       bool branch_if_true);
 
     // --- Statements ---------------------------------------------------------
@@ -220,38 +220,38 @@ CodeGen::fail(int line, const std::string &message)
 }
 
 as::Item &
-CodeGen::emit(as::InstResult inst, std::string target)
+CodeGen::emit(as::InstResult inst, as::LabelId target)
 {
     // The operands come from the generator itself, so a word the
     // builder rejects is a code-generator bug, not a user error.
     if (!inst.ok())
         support::panic("plc: bad generated instruction: %s",
                        inst.error().message.c_str());
-    as::Item &item = out_.add(inst.take(), std::move(target));
+    as::Item &item = out_.add(inst.take(), target);
     ++out_.line;
     return item;
 }
 
 void
 CodeGen::emitRef(as::InstResult inst, uint8_t size, bool is_char,
-                 std::string target)
+                 as::LabelId target)
 {
-    as::Item &item = emit(std::move(inst), std::move(target));
+    as::Item &item = emit(std::move(inst), target);
     item.ref_size = size;
     item.ref_is_char = is_char;
 }
 
 void
-CodeGen::emitLabel(const std::string &name)
+CodeGen::emitLabel(as::LabelId label)
 {
-    out_.label(name);
+    out_.label(label);
     ++out_.line;
 }
 
-std::string
+as::LabelId
 CodeGen::freshLabel()
 {
-    return strprintf("P$%d", next_label_++);
+    return out_.intern(strprintf("P$%d", next_label_++));
 }
 
 Reg
@@ -351,7 +351,8 @@ CodeGen::genScalarLoad(const Symbol &sym, Reg rd)
     bool is_char = sym.type.base == BaseType::CHAR;
     switch (sym.kind) {
       case SymKind::GLOBAL_VAR:
-        emitRef(as::load(as::atAbsolute(0), rd), 32, is_char, sym.label);
+        emitRef(as::load(as::atAbsolute(0), rd), 32, is_char,
+                out_.intern(sym.label));
         break;
       case SymKind::LOCAL_VAR:
       case SymKind::PARAM:
@@ -370,7 +371,8 @@ CodeGen::genScalarStore(const Symbol &sym, Reg rs)
     bool is_char = sym.type.base == BaseType::CHAR;
     switch (sym.kind) {
       case SymKind::GLOBAL_VAR:
-        emitRef(as::store(rs, as::atAbsolute(0)), 32, is_char, sym.label);
+        emitRef(as::store(rs, as::atAbsolute(0)), 32, is_char,
+                out_.intern(sym.label));
         break;
       case SymKind::LOCAL_VAR:
       case SymKind::PARAM:
@@ -387,7 +389,7 @@ void
 CodeGen::genArrayBase(const Symbol &sym, Reg rd, int line)
 {
     if (sym.kind == SymKind::GLOBAL_VAR) {
-        emit(as::la(0, rd), sym.label);
+        emit(as::la(0, rd), out_.intern(sym.label));
     } else {
         // Local array: base = sp + offset.
         if (sym.frame_offset <= 15) {
@@ -481,7 +483,7 @@ CodeGen::genExpr(const Expr &expr)
             emit(as::mov(rb, kRuntimeArg1));
             const char *fn = expr.op == Tok::STAR ? "$mul"
                 : expr.op == Tok::KW_DIV ? "$div" : "$mod";
-            emit(as::call(0, kLink), fn);
+            emit(as::call(0, kLink), out_.intern(fn));
             emit(as::mov(kRuntimeResult, ra));
             pop();
             return;
@@ -562,7 +564,7 @@ CodeGen::genRoutineCall(const std::string &fn_label,
     // Slide the arguments down into r1..rn.
     for (int i = 1; d > 0 && i <= static_cast<int>(args.size()); ++i)
         emit(as::mov(reg(d + i), reg(i)));
-    emit(as::call(0, kLink), fn_label);
+    emit(as::call(0, kLink), out_.intern(fn_label));
     pop(static_cast<int>(args.size()));
 
     if (has_result && d > 0)
@@ -579,7 +581,7 @@ CodeGen::genRoutineCall(const std::string &fn_label,
 }
 
 void
-CodeGen::genRelBranch(const Expr &expr, const std::string &label,
+CodeGen::genRelBranch(const Expr &expr, as::LabelId label,
                       bool branch_if_true)
 {
     isa::Cond cond = relCond(expr.op, expr.line);
@@ -600,7 +602,7 @@ CodeGen::genRelBranch(const Expr &expr, const std::string &label,
 }
 
 void
-CodeGen::genCondBranch(const Expr &expr, const std::string &label,
+CodeGen::genCondBranch(const Expr &expr, as::LabelId label,
                        bool branch_if_true)
 {
     switch (expr.kind) {
@@ -616,7 +618,7 @@ CodeGen::genCondBranch(const Expr &expr, const std::string &label,
                 genCondBranch(*expr.lhs, label, false);
                 genCondBranch(*expr.rhs, label, false);
             } else {
-                std::string lfalse = freshLabel();
+                as::LabelId lfalse = freshLabel();
                 genCondBranch(*expr.lhs, lfalse, false);
                 genCondBranch(*expr.rhs, label, true);
                 emitLabel(lfalse);
@@ -627,7 +629,7 @@ CodeGen::genCondBranch(const Expr &expr, const std::string &label,
                 genCondBranch(*expr.lhs, label, true);
                 genCondBranch(*expr.rhs, label, true);
             } else {
-                std::string ltrue = freshLabel();
+                as::LabelId ltrue = freshLabel();
                 genCondBranch(*expr.lhs, ltrue, true);
                 genCondBranch(*expr.rhs, label, false);
                 emitLabel(ltrue);
@@ -695,13 +697,13 @@ CodeGen::genStmt(const Stmt &stmt)
       }
 
       case Stmt::Kind::IF: {
-        std::string lelse = freshLabel();
+        as::LabelId lelse = freshLabel();
         genCondBranch(*stmt.cond, lelse, false);
         genStmts(stmt.body);
         if (stmt.else_body.empty()) {
             emitLabel(lelse);
         } else {
-            std::string lend = freshLabel();
+            as::LabelId lend = freshLabel();
             emit(as::branch(Cond::ALWAYS), lend);
             emitLabel(lelse);
             genStmts(stmt.else_body);
@@ -711,8 +713,8 @@ CodeGen::genStmt(const Stmt &stmt)
       }
 
       case Stmt::Kind::WHILE: {
-        std::string ltop = freshLabel();
-        std::string lend = freshLabel();
+        as::LabelId ltop = freshLabel();
+        as::LabelId lend = freshLabel();
         emitLabel(ltop);
         genCondBranch(*stmt.cond, lend, false);
         genStmts(stmt.body);
@@ -722,7 +724,7 @@ CodeGen::genStmt(const Stmt &stmt)
       }
 
       case Stmt::Kind::REPEAT: {
-        std::string ltop = freshLabel();
+        as::LabelId ltop = freshLabel();
         emitLabel(ltop);
         genStmts(stmt.body);
         genCondBranch(*stmt.cond, ltop, false);
@@ -740,8 +742,8 @@ CodeGen::genStmt(const Stmt &stmt)
         emit(as::store(reg(depth_), as::atDisp(limit_slot, kSp)));
         pop();
 
-        std::string ltop = freshLabel();
-        std::string lend = freshLabel();
+        as::LabelId ltop = freshLabel();
+        as::LabelId lend = freshLabel();
         emitLabel(ltop);
         Reg ri = reg(push(stmt.line));
         genScalarLoad(var, ri);
@@ -769,13 +771,13 @@ CodeGen::genStmt(const Stmt &stmt)
       case Stmt::Kind::CASE: {
         genExpr(*stmt.cond);
         Reg ra = reg(depth_);
-        std::string lend = freshLabel();
-        std::string lelse = stmt.else_body.empty() ? lend
-                                                   : freshLabel();
+        as::LabelId lend = freshLabel();
+        as::LabelId lelse =
+            stmt.else_body.empty() ? lend : freshLabel();
 
         // One landing label per arm; map each label value to it.
-        std::vector<std::string> arm_labels;
-        std::map<int32_t, std::string> targets;
+        std::vector<as::LabelId> arm_labels;
+        std::map<int32_t, as::LabelId> targets;
         int32_t lo = 0, hi = 0;
         size_t count = 0;
         for (const CaseArm &arm : stmt.arms) {
@@ -806,7 +808,7 @@ CodeGen::genStmt(const Stmt &stmt)
                             stmt.line);
                 emit(as::branch(Cond::GEU, ra, src(kScratch)), lelse);
             }
-            std::string tlab = freshLabel();
+            as::LabelId tlab = freshLabel();
             Reg rb = reg(push(stmt.line));
             emit(as::la(0, rb), tlab);
             emit(as::jtab(rb, ra), tlab);
@@ -849,7 +851,7 @@ CodeGen::genStmt(const Stmt &stmt)
             if (stmt.name == "writeint") {
                 genExpr(*stmt.args[0]);
                 emit(as::mov(reg(depth_), kRuntimeArg0));
-                emit(as::call(0, kLink), "$writeint");
+                emit(as::call(0, kLink), out_.intern("$writeint"));
                 pop();
                 return;
             }
@@ -886,7 +888,7 @@ CodeGen::genRoutine(const Routine &routine, int index)
     for_depth_ = 0;
     depth_ = 0;
 
-    emitLabel("fn_" + routine.name);
+    emitLabel(out_.intern("fn_" + routine.name));
     adjustSp(frame_->size, true);
     emit(as::store(kLink, as::atDisp(0, kSp)));
     for (size_t i = 1; i <= routine.params.size(); ++i) {
@@ -919,7 +921,7 @@ CodeGen::emitGlobals()
 {
     for (const Symbol &sym : sema_.symbols) {
         if (sym.kind == SymKind::GLOBAL_VAR) {
-            emitLabel(sym.label);
+            emitLabel(out_.intern(sym.label));
             if (!out_.space(sym.sizeWords()))
                 support::panic("plc: global '%s' exceeds .space",
                                sym.label.c_str());

@@ -19,7 +19,7 @@ struct Location
     bool absolute = false;
     Reg base = 0;        ///< DISP base register
     int32_t disp = 0;    ///< displacement or absolute address
-    std::string symbol;  ///< symbolic absolute target, if any
+    assembler::LabelId symbol = assembler::kNoLabel; ///< symbolic target
 
     bool
     operator<(const Location &other) const
@@ -78,7 +78,8 @@ eliminateRedundantLoads(assembler::Unit *unit)
 
     for (Item &item : unit->items) {
         // Block and region boundaries reset all knowledge.
-        if (!item.labels.empty() || item.is_data || item.no_reorder) {
+        if (item.label != assembler::kNoLabel || item.is_data ||
+            item.no_reorder) {
             known.clear();
             if (item.is_data || item.no_reorder)
                 continue;
@@ -108,7 +109,7 @@ eliminateRedundantLoads(assembler::Unit *unit)
                     copy.src2 = isa::Src2::fromImm(0);
                     copy.rd = rd;
                     item.inst = isa::Instruction::makeAlu(copy);
-                    item.target.clear();
+                    item.target = assembler::kNoLabel;
                     item.ref_size = 0;
                     item.ref_is_char = false;
                     ++stats.loads_eliminated;

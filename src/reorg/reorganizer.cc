@@ -4,7 +4,7 @@
 #include <array>
 #include <optional>
 #include <span>
-#include <string_view>
+#include <string>
 
 #include "isa/instruction.h"
 #include "support/logging.h"
@@ -12,6 +12,9 @@
 namespace mips::reorg {
 
 using assembler::Item;
+using assembler::kNoLabel;
+using assembler::LabelId;
+using assembler::LabelTable;
 using assembler::Unit;
 using isa::Cond;
 using isa::Instruction;
@@ -67,7 +70,7 @@ splitBlocks(const Unit &unit)
     bool force_new = true;
     for (uint32_t i = 0; i < unit.items.size(); ++i) {
         const Item &item = unit.items[i];
-        if (force_new || !item.labels.empty() || blocks.empty() ||
+        if (force_new || item.label != kNoLabel || blocks.empty() ||
             blocks.back().no_reorder != item.no_reorder ||
             blocks.back().is_data != item.is_data) {
             Block b;
@@ -93,30 +96,25 @@ itemUses(const Unit &unit)
     return uses;
 }
 
-/** Label -> index of the block it starts (every label starts one). */
+/** Label id -> index of the block it starts (every label starts
+ *  one). A reference resolves to its label's first definition. */
 class BlockLabels
 {
   public:
     BlockLabels(const Unit &unit, const std::vector<Block> &blocks)
-        : index_(unit), blocks_(blocks)
-    {}
-
-    /** The block `label` starts, or -1 (unknown or trailing label). */
-    long
-    find(std::string_view label) const
+        : block_(unit.labels.size(), -1)
     {
-        size_t at = index_.find(label);
-        auto it = std::partition_point(
-            blocks_.begin(), blocks_.end(),
-            [at](const Block &b) { return b.begin < at; });
-        return it != blocks_.end() && it->begin == at
-                   ? it - blocks_.begin()
-                   : -1;
+        for (size_t b = 0; b < blocks.size(); ++b)
+            for (LabelId id :
+                 unit.labels.chain(unit.items[blocks[b].begin].label))
+                block_[id] = static_cast<long>(b);
     }
 
+    /** The block `label` starts, or -1 (undefined or trailing). */
+    long find(LabelId label) const { return block_[label]; }
+
   private:
-    assembler::LabelIndex index_;
-    const std::vector<Block> &blocks_;
+    std::vector<long> block_;
 };
 
 // ---------------------------------------------------------- Liveness
@@ -159,7 +157,7 @@ computeLiveness(const Unit &unit, const std::vector<Block> &blocks,
 
         const Item &last = unit.items[b.end - 1];
         const Item *term = isTransfer(last) ? &last : nullptr;
-        auto addLabelSucc = [&](const std::string &target) {
+        auto addLabelSucc = [&](LabelId target) {
             long s = labels.find(target);
             if (s >= 0)
                 f.succs[f.num_succs++] = static_cast<size_t>(s);
@@ -177,7 +175,7 @@ computeLiveness(const Unit &unit, const std::vector<Block> &blocks,
             addFallThrough();
         } else if (term->inst.branch) {
             Cond c = term->inst.branch->cond;
-            if (term->target.empty())
+            if (term->target == kNoLabel)
                 f.unknown_succ = true; // numeric target
             else if (c != Cond::NEVER)
                 addLabelSucc(term->target);
@@ -189,7 +187,7 @@ computeLiveness(const Unit &unit, const std::vector<Block> &blocks,
                 // The callee may use and define anything.
                 f.unknown_succ = true;
             } else if (j.kind == JumpKind::DIRECT) {
-                if (term->target.empty())
+                if (term->target == kNoLabel)
                     f.unknown_succ = true;
                 else
                     addLabelSucc(term->target);
@@ -279,7 +277,7 @@ Item
 unlabeled(const Item &item)
 {
     Item copy = item;
-    copy.labels.clear();
+    copy.label = kNoLabel;
     return copy;
 }
 
@@ -412,7 +410,7 @@ BlockScheduler::tryPack(int id)
     if (last.nodes[0] < 0 || last.nodes[1] >= 0)
         return false; // an inserted no-op, or already packed
     const Item &cand = dag_.item(id);
-    if (last.item.is_data || cand.is_data || !cand.target.empty())
+    if (last.item.is_data || cand.is_data || cand.target != kNoLabel)
         return false;
 
     const Instruction &a = last.item.inst;
@@ -664,17 +662,49 @@ slotSafe(const Item &item)
 }
 
 /**
+ * Names for scheme-2 labels, L$dup0, L$dup1, ..., skipping any name
+ * the unit's table already holds.
+ */
+class DupNames
+{
+  public:
+    explicit DupNames(const LabelTable &labels)
+    {
+        for (LabelId id = 0; id < labels.size(); ++id)
+            if (labels.name(id).starts_with(kPrefix))
+                taken_.emplace_back(labels.name(id));
+    }
+
+    std::string
+    mint()
+    {
+        for (;;) {
+            std::string name = support::strprintf("%s%d", kPrefix, next_++);
+            if (std::find(taken_.begin(), taken_.end(), name) ==
+                taken_.end())
+                return name;
+        }
+    }
+
+  private:
+    static constexpr const char *kPrefix = "L$dup";
+    std::vector<std::string> taken_;
+    int next_ = 0;
+};
+
+/**
  * Scheme 2: for an unconditional direct transfer whose slot is still a
  * no-op, duplicate the first instruction of the target block into the
- * slot and retarget the transfer past it.
+ * slot and retarget the transfer past it. New labels go into `table`,
+ * the output's.
  */
 void
 fillSlotsByDuplication(std::vector<Block> &blocks,
                        const BlockLabels &labels, std::vector<Word> &words,
                        const ReorgOptions &opts, ReorgStats *stats,
-                       std::vector<DupHint> *hints)
+                       LabelTable *table, std::vector<DupHint> *hints)
 {
-    int fresh = 0;
+    DupNames names(*table);
     for (Block &b : blocks) {
         if (b.no_reorder || b.is_data || b.outSize() < 2)
             continue;
@@ -683,7 +713,7 @@ fillSlotsByDuplication(std::vector<Block> &blocks,
         if (!isNopItem(words[slot].item))
             continue;
         Item &term = words[slot - 1].item;
-        if (term.is_data || term.target.empty())
+        if (term.is_data || term.target == kNoLabel)
             continue;
         bool unconditional =
             (term.inst.branch && term.inst.branch->cond == Cond::ALWAYS) ||
@@ -704,7 +734,7 @@ fillSlotsByDuplication(std::vector<Block> &blocks,
             continue;
 
         Word copy = w;
-        copy.item.labels.clear();
+        copy.item.label = kNoLabel;
 
         if (opts.bugs.retarget_same_target) {
             // Fault injection: fill the slot but keep the original
@@ -721,15 +751,12 @@ fillSlotsByDuplication(std::vector<Block> &blocks,
         if (target.outSize() <= skip)
             continue;
         Item &resume = words[target.out_begin + skip].item;
-        std::string new_label;
-        if (!resume.labels.empty()) {
-            new_label = resume.labels.front();
-        } else {
-            new_label = support::strprintf("L$dup%d", fresh++);
+        if (resume.label == kNoLabel) {
             // The word now begins a block conceptually; reassembly
             // keeps per-word labels.
-            resume.labels.push_back(new_label);
+            resume.label = table->add(names.mint());
         }
+        LabelId new_label = resume.label;
         if (hints)
             hints->push_back(DupHint{term.target, new_label, 1});
         term.target = new_label;
@@ -757,7 +784,7 @@ fillSlotsByHoisting(const Unit &legal, std::vector<Block> &blocks,
         if (!isNopItem(words[slot].item))
             continue;
         const Item &term = words[slot - 1].item;
-        if (term.is_data || !term.inst.branch || term.target.empty())
+        if (term.is_data || !term.inst.branch || term.target == kNoLabel)
             continue;
         Cond c = term.inst.branch->cond;
         if (c == Cond::ALWAYS || c == Cond::NEVER)
@@ -765,7 +792,7 @@ fillSlotsByHoisting(const Unit &legal, std::vector<Block> &blocks,
 
         Block &next = blocks[i + 1];
         if (next.no_reorder || next.is_data ||
-            !legal.items[next.begin].labels.empty() ||
+            legal.items[next.begin].label != kNoLabel ||
             next.outSize() == 0) {
             continue; // must be a pure fall-through block
         }
@@ -784,7 +811,7 @@ fillSlotsByHoisting(const Unit &legal, std::vector<Block> &blocks,
             continue; // visible on the taken path
         }
 
-        w.item.labels.clear();
+        w.item.label = kNoLabel;
         words[slot] = std::move(w);
         ++next.out_begin;
         ++stats->slots_filled_hoist;
@@ -809,7 +836,7 @@ reorganize(const Unit &legal, const ReorgOptions &opts)
     // branch offsets).
     for (const Item &item : legal.items) {
         if (!item.is_data && !item.no_reorder && item.inst.branch &&
-            item.target.empty() && item.inst.branch->offset != 0) {
+            item.target == kNoLabel && item.inst.branch->offset != 0) {
             support::panic("reorganize: branch at source line %d has a "
                            "numeric target; use a label",
                            item.source_line);
@@ -824,6 +851,8 @@ reorganize(const Unit &legal, const ReorgOptions &opts)
 
     ReorgResult result;
     result.stats.input_words = legal.items.size();
+    Unit &out = result.unit;
+    out.labels = legal.labels;
 
     // Per-block scheduling (covers scheme 1 when filling is enabled).
     // Every block's words go to one vector, each item copied once. The
@@ -838,7 +867,7 @@ reorganize(const Unit &legal, const ReorgOptions &opts)
 
     if (opts.fill_delay) {
         fillSlotsByDuplication(blocks, labels, words, opts, &result.stats,
-                               &result.hints);
+                               &out.labels, &result.hints);
         fillSlotsByHoisting(legal, blocks, labels, words, live_in, opts,
                             &result.stats);
     }
@@ -865,10 +894,9 @@ reorganize(const Unit &legal, const ReorgOptions &opts)
     }
 
     // Reassemble: move the words out, block labels on each block's
-    // first word.
-    Unit &out = result.unit;
+    // first word. The labels keep their chains; only their items move.
     out.origin = legal.origin;
-    out.trailing_labels = legal.trailing_labels;
+    out.trailing = legal.trailing;
     out.items.reserve(words.size() + trailing_nops);
     for (const Block &b : blocks) {
         if (b.outSize() == 0) {
@@ -877,17 +905,16 @@ reorganize(const Unit &legal, const ReorgOptions &opts)
         }
         for (uint32_t k = b.out_begin; k < b.out_end; ++k) {
             Item &item = words[k].item;
-            if (k == b.out_begin) {
-                const std::vector<std::string> &entry =
-                    legal.items[b.begin].labels;
-                item.labels.insert(item.labels.begin(), entry.begin(),
-                                   entry.end());
-            }
+            // Scheme 2 labels words past a block's first, so the
+            // block's own labels are its first word's only ones.
+            if (k == b.out_begin)
+                item.label = legal.items[b.begin].label;
             out.items.push_back(std::move(item));
         }
         if (b.trailing_nop)
             out.items.push_back(makeNopItem());
     }
+    assembler::locateLabels(&out);
     result.stats.output_words = out.items.size();
     result.live_in = liveInByStart(blocks, live_in);
     return result;

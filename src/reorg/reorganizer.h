@@ -33,7 +33,6 @@
  */
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "asm/unit.h"
@@ -94,13 +93,16 @@ struct ReorgOptions
  * `words` output words starting at `orig_label` were duplicated into
  * the delay slot. The translation validator consumes these hints to
  * prove retargeted exits equivalent (it replays the words between the
- * two labels on the input side and compares full states).
+ * two labels on the input side and compares full states). Both are
+ * ids in the output's label table, which extends the input's.
  */
 struct DupHint
 {
-    std::string orig_label; ///< the original transfer target
-    std::string dup_label;  ///< the new target, past the duplication
-    size_t words = 1;       ///< duplicated word count (currently 1)
+    /** The original transfer target. */
+    assembler::LabelId orig_label = assembler::kNoLabel;
+    /** The new target, past the duplication. */
+    assembler::LabelId dup_label = assembler::kNoLabel;
+    size_t words = 1; ///< duplicated word count (currently 1)
 };
 
 /** Static counters describing one reorganization. */
@@ -137,6 +139,9 @@ struct BlockLiveIn
 /** Output of the reorganizer. */
 struct ReorgResult
 {
+    /** The reorganized unit. Its label table starts as a copy of the
+     *  input's, so every input label keeps its id; scheme-2 labels
+     *  follow with ids of their own. */
     assembler::Unit unit;
     ReorgStats stats;
     /** Scheme-2 provenance, for the translation validator. */

@@ -8,6 +8,9 @@
 namespace mips::verify {
 
 using assembler::Item;
+using assembler::kNoLabel;
+using assembler::LabelId;
+using assembler::LabelTable;
 using assembler::Unit;
 using isa::Cond;
 using isa::JumpKind;
@@ -27,6 +30,17 @@ struct Transfer
     const std::vector<size_t> *multi_targets = nullptr;
     ShadowKind shadow = ShadowKind::NONE;
 };
+
+/** VF002 at item `i`: `label` is referenced but never defined. */
+void
+reportUndefined(const Cfg &cfg, size_t i, LabelId label,
+                DiagnosticEngine *diags)
+{
+    diags->report(Code::VF002, Severity::ERROR, i,
+                  support::strprintf(
+                      "undefined label '%s'",
+                      std::string(cfg.unit->labels.name(label)).c_str()));
+}
 
 /** Resolve a label or numeric control-transfer target to an item
  *  index. Returns kNoItem when it cannot be resolved statically
@@ -49,15 +63,11 @@ classify(const Cfg &cfg, size_t i, DiagnosticEngine *diags)
     if (item.is_data)
         return t;
 
-    auto lookupLabel = [&](const std::string &label) -> size_t {
-        auto it = cfg.labels.find(label);
-        if (it != cfg.labels.end())
-            return it->second;
-        if (diags) {
-            diags->report(Code::VF002, Severity::ERROR, i,
-                          support::strprintf(
-                              "undefined label '%s'", label.c_str()));
-        }
+    auto lookupLabel = [&](LabelId label) -> size_t {
+        if (cfg.unit->labels.defined(label))
+            return cfg.labelItem(label);
+        if (diags)
+            reportUndefined(cfg, i, label, diags);
         return kNoItem;
     };
 
@@ -69,7 +79,7 @@ classify(const Cfg &cfg, size_t i, DiagnosticEngine *diags)
         t.delay = isa::kBranchDelay;
         t.conditional = b.cond != Cond::ALWAYS;
         t.shadow = ShadowKind::BRANCH;
-        size_t target = item.target.empty()
+        size_t target = item.target == kNoLabel
             ? resolveIndex(cfg, static_cast<int64_t>(i) + 1 + b.offset)
             : lookupLabel(item.target);
         t.target_known = target != kNoItem;
@@ -100,12 +110,12 @@ classify(const Cfg &cfg, size_t i, DiagnosticEngine *diags)
             // Callee or register target: not statically followable
             // (calls also because the callee may go anywhere before
             // returning past the delay slots).
-            if (!item.target.empty() && j.kind == JumpKind::CALL_DIRECT)
+            if (item.target != kNoLabel && j.kind == JumpKind::CALL_DIRECT)
                 lookupLabel(item.target); // still check it resolves
             t.to_unknown = true;
             return t;
         }
-        size_t target = item.target.empty()
+        size_t target = item.target == kNoLabel
             ? resolveIndex(cfg, static_cast<int64_t>(j.target_addr) -
                                     cfg.unit->origin)
             : lookupLabel(item.target);
@@ -137,37 +147,32 @@ classify(const Cfg &cfg, size_t i, DiagnosticEngine *diags)
 }
 
 /**
- * Index every label definition. A name defined again (on a later item
- * or among the trailing labels) keeps its first definition, which is
- * where references resolve; each later definition is a VF005, since
- * the linker rejects the unit.
+ * Report every later definition of a label name (VF005), since the
+ * linker rejects the unit. References resolve to the name's first
+ * definition; a later one, on an item or among the trailing labels,
+ * has an id of its own in the unit's table.
  */
 void
-indexLabels(Cfg &cfg, DiagnosticEngine *diags)
+reportRedefinitions(const Cfg &cfg, DiagnosticEngine *diags)
 {
     const Unit &unit = *cfg.unit;
-    size_t n = unit.items.size();
-    size_t count = unit.trailing_labels.size();
-    for (const Item &item : unit.items)
-        count += item.labels.size();
-    cfg.labels.reserve(count);
-    auto define = [&](const std::string &label, size_t i) {
-        auto [it, fresh] = cfg.labels.emplace(label, i);
-        if (fresh || !diags)
-            return;
-        size_t first = it->second == kNoItem ? n : it->second;
-        diags->report(Code::VF005, Severity::ERROR, i,
-                      support::strprintf(
-                          "duplicate label '%s' (first defined at %u); "
-                          "the unit does not link",
-                          label.c_str(),
-                          unit.origin + static_cast<uint32_t>(first)));
+    const LabelTable &labels = unit.labels;
+    auto check = [&](LabelId head, size_t i) {
+        for (LabelId id : labels.chain(head)) {
+            if (labels.first(id) == id)
+                continue;
+            diags->report(Code::VF005, Severity::ERROR, i,
+                          support::strprintf(
+                              "duplicate label '%s' (first defined at "
+                              "%u); the unit does not link",
+                              std::string(labels.name(id)).c_str(),
+                              unit.origin +
+                                  labels.item(labels.first(id))));
+        }
     };
-    for (size_t i = 0; i < n; ++i)
-        for (const std::string &label : unit.items[i].labels)
-            define(label, i);
-    for (const std::string &label : unit.trailing_labels)
-        define(label, kNoItem); // defined, but past the end
+    for (size_t i = 0; i < unit.items.size(); ++i)
+        check(unit.items[i].label, i);
+    check(unit.trailing, kNoItem); // defined, but past the end
 }
 
 /**
@@ -188,7 +193,7 @@ resolveTables(Cfg &cfg, DiagnosticEngine *diags)
         if (item.is_data || !item.inst.jump ||
             !isa::jumpIsTable(item.inst.jump->kind))
             continue;
-        if (item.target.empty()) {
+        if (item.target == kNoLabel) {
             if (diags) {
                 diags->report(Code::VF003, Severity::ERROR, i,
                               "table-dispatch jump names no table "
@@ -196,46 +201,36 @@ resolveTables(Cfg &cfg, DiagnosticEngine *diags)
             }
             continue;
         }
-        auto lit = cfg.labels.find(item.target);
-        if (lit == cfg.labels.end()) {
-            if (diags) {
-                diags->report(Code::VF002, Severity::ERROR, i,
-                              support::strprintf(
-                                  "undefined label '%s'",
-                                  item.target.c_str()));
-            }
+        if (!unit.labels.defined(item.target)) {
+            if (diags)
+                reportUndefined(cfg, i, item.target, diags);
             continue;
         }
         JumpTable tbl;
-        tbl.first_entry = lit->second;
+        tbl.first_entry = cfg.labelItem(item.target);
         bool bad_entry = false;
-        for (size_t e = lit->second;
-             e != kNoItem && e < n && unit.items[e].is_data &&
-             !unit.items[e].target.empty();
+        for (size_t e = tbl.first_entry; e < n && unit.items[e].is_data &&
+                                          unit.items[e].target != kNoLabel;
              ++e) {
             tbl.entries.push_back(e);
-            const std::string &arm = unit.items[e].target;
-            auto ait = cfg.labels.find(arm);
-            if (ait == cfg.labels.end()) {
-                if (diags) {
-                    diags->report(Code::VF002, Severity::ERROR, e,
-                                  support::strprintf(
-                                      "undefined label '%s'",
-                                      arm.c_str()));
-                }
+            LabelId arm = unit.items[e].target;
+            size_t at = cfg.labelItem(arm);
+            if (!unit.labels.defined(arm)) {
+                if (diags)
+                    reportUndefined(cfg, e, arm, diags);
                 bad_entry = true;
-            } else if (ait->second == kNoItem ||
-                       unit.items[ait->second].is_data) {
+            } else if (at == kNoItem || unit.items[at].is_data) {
                 if (diags) {
                     diags->report(
                         Code::VF004, Severity::ERROR, e,
                         support::strprintf(
                             "jump-table entry '%s' resolves outside "
-                            "the unit's code", arm.c_str()));
+                            "the unit's code",
+                            std::string(unit.labels.name(arm)).c_str()));
                 }
                 bad_entry = true;
             } else {
-                tbl.targets.push_back(ait->second);
+                tbl.targets.push_back(at);
             }
         }
         if (tbl.entries.empty()) {
@@ -244,7 +239,9 @@ resolveTables(Cfg &cfg, DiagnosticEngine *diags)
                     Code::VF003, Severity::ERROR, i,
                     support::strprintf(
                         "table label '%s' does not start a run of "
-                        ".word entries", item.target.c_str()));
+                        ".word entries",
+                        std::string(unit.labels.name(item.target))
+                            .c_str()));
             }
             continue;
         }
@@ -318,7 +315,8 @@ buildCfg(const Unit &unit, DiagnosticEngine *diags)
     cfg.nodes.resize(n);
     cfg.uses.resize(n);
 
-    indexLabels(cfg, diags);
+    if (diags)
+        reportRedefinitions(cfg, diags);
 
     // Jump-table recovery (before classification, which consumes it).
     resolveTables(cfg, diags);
@@ -338,12 +336,9 @@ buildCfg(const Unit &unit, DiagnosticEngine *diags)
             diags->report(Code::VF001, Severity::ERROR, i,
                           "invalid instruction word: " + err);
         }
-        if (!item.target.empty() && item.inst.mem &&
-            !cfg.labels.contains(item.target)) {
-            diags->report(Code::VF002, Severity::ERROR, i,
-                          support::strprintf("undefined label '%s'",
-                                             item.target.c_str()));
-        }
+        if (item.target != kNoLabel && item.inst.mem &&
+            !unit.labels.defined(item.target))
+            reportUndefined(cfg, i, item.target, diags);
     }
 
     // Default sequential edges, then transfer overrides hung off each
@@ -425,14 +420,13 @@ buildCfg(const Unit &unit, DiagnosticEngine *diags)
         size_t safe_refs = 0;
         bool unsafe = false;
     };
-    std::unordered_map<std::string_view, LabelRefs> label_refs;
-    auto definesCode = [&](const std::string &label) {
-        auto it = cfg.labels.find(label);
-        return it != cfg.labels.end() && it->second != kNoItem;
+    std::vector<LabelRefs> label_refs(unit.labels.size());
+    auto definesCode = [&](LabelId label) {
+        return cfg.labelItem(label) != kNoItem;
     };
     for (size_t i = 0; i < n; ++i) {
         const Item &item = unit.items[i];
-        if (item.is_data || item.target.empty())
+        if (item.is_data || item.target == kNoLabel)
             continue;
         LabelRefs &refs = label_refs[item.target];
         if (item.inst.mem) {
@@ -455,14 +449,14 @@ buildCfg(const Unit &unit, DiagnosticEngine *diags)
         }
     }
     auto locallyResolved = [&](size_t i) {
-        for (const std::string &label : unit.items[i].labels) {
-            auto it = label_refs.find(label);
-            if (it == label_refs.end() || it->second.unsafe ||
-                it->second.safe_refs == 0)
+        for (LabelId id : unit.labels.chain(unit.items[i].label)) {
+            LabelId first = unit.labels.first(id);
+            const LabelRefs &refs = label_refs[first];
+            if (refs.unsafe || refs.safe_refs == 0)
                 return false;
             // A duplicate definition means references resolve to the
             // other item; keep this one conservative.
-            if (cfg.labels.find(label)->second != i)
+            if (unit.labels.item(first) != i)
                 return false;
         }
         return true;
@@ -474,7 +468,7 @@ buildCfg(const Unit &unit, DiagnosticEngine *diags)
     if (n > 0)
         cfg.nodes[0].unknown_pred = true;
     for (size_t i = 0; i < n; ++i) {
-        if (!unit.items[i].labels.empty() &&
+        if (unit.items[i].label != kNoLabel &&
             (i == 0 || !locallyResolved(i)))
             cfg.nodes[i].unknown_pred = true;
         const Item &item = unit.items[i];

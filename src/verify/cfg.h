@@ -21,8 +21,6 @@
 #include <cstdint>
 #include <map>
 #include <span>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "asm/unit.h"
@@ -65,17 +63,10 @@ struct JumpTable
     std::vector<size_t> targets;  ///< resolved arm item indices
 };
 
-/** Label name -> defining item index; kNoItem for a trailing label,
- *  defined past the last item. Keys view the unit's own label
- *  strings. When a name is defined twice the first definition wins,
- *  as references resolve to it. Unordered: never iterate it where
- *  the order could reach an output. */
-using LabelIndex = std::unordered_map<std::string_view, size_t>;
-
 /**
- * The graph plus label resolution for one unit. Edges are stored flat
- * (compressed sparse rows): item i's successors are
- * `succ_list[succ_begin[i] .. succ_begin[i + 1])`, ascending and
+ * The graph for one unit; labels resolve through the unit's table.
+ * Edges are stored flat (compressed sparse rows): item i's successors
+ * are `succ_list[succ_begin[i] .. succ_begin[i + 1])`, ascending and
  * unique, and its predecessors, the inverse relation, are laid out
  * the same way in `pred_begin` / `pred_list`, also ascending. Read
  * them through succs() and preds().
@@ -89,13 +80,22 @@ struct Cfg
     /** isa::regUse of each instruction item, computed once by
      *  buildCfg (all zero for data items). */
     std::vector<isa::RegUse> uses;
-    LabelIndex labels;
     /** Well-formed jump tables, keyed by the dispatch item's index.
      *  A table dispatch absent from this map could not be recovered
      *  (VF003/VF004) and contributes `unknown_succ` instead. */
     std::map<size_t, JumpTable> tables;
 
     size_t size() const { return nodes.size(); }
+
+    /** The item a reference to label `id` resolves to, the label's
+     *  first definition; kNoItem when that lies past the last item (a
+     *  trailing label) or the unit never defines the name. */
+    size_t
+    labelItem(assembler::LabelId id) const
+    {
+        uint32_t at = unit->labels.item(id);
+        return at < nodes.size() ? at : kNoItem;
+    }
 
     /** Items that can execute on the cycle after item i. */
     std::span<const uint32_t>

@@ -64,7 +64,8 @@ isLeader(const Cfg &cfg, size_t i)
         return false; // data is outside every block
     if (i == 0 || unit.items[i - 1].is_data)
         return true;
-    if (!unit.items[i].labels.empty() || cfg.nodes[i].unknown_pred)
+    if (unit.items[i].label != assembler::kNoLabel ||
+        cfg.nodes[i].unknown_pred)
         return true;
     auto succs = cfg.succs(i - 1);
     if (cfg.nodes[i - 1].unknown_succ || succs.size() != 1 ||

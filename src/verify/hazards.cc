@@ -204,7 +204,9 @@ checkNoreorderIntegrity(const assembler::Unit &input,
         for (size_t k = 0; k < in_len; ++k) {
             const Item &a = input.items[in_runs[r].first + k];
             const Item &b = output.items[out_runs[r].first + k];
-            bool same = a.is_data == b.is_data && a.target == b.target;
+            bool same = a.is_data == b.is_data &&
+                        assembler::targetName(input, a) ==
+                            assembler::targetName(output, b);
             if (same && a.is_data)
                 same = a.data_value == b.data_value;
             if (same && !a.is_data)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <set>
-#include <unordered_set>
 
 #include "isa/branch.h"
 #include "isa/instruction.h"
@@ -12,6 +11,8 @@
 namespace mips::verify {
 
 using assembler::Item;
+using assembler::kNoLabel;
+using assembler::LabelId;
 using assembler::Unit;
 using isa::JumpKind;
 
@@ -27,7 +28,7 @@ size_t
 localDefBefore(const Cfg &cfg, size_t i, isa::Reg reg)
 {
     const auto &items = cfg.unit->items;
-    if (!items[i].labels.empty())
+    if (items[i].label != kNoLabel)
         return kNoItem; // control may land here past any local def
     for (size_t j = i; j-- > 0;) {
         const Item &it = items[j];
@@ -37,7 +38,7 @@ localDefBefore(const Cfg &cfg, size_t i, isa::Reg reg)
             return j;
         if (it.inst.branch || it.inst.jump || it.inst.special)
             return kNoItem;
-        if (!it.labels.empty())
+        if (it.label != kNoLabel)
             return kNoItem;
     }
     return kNoItem;
@@ -55,7 +56,7 @@ constBefore(const Cfg &cfg, size_t i, isa::Reg reg)
     if (def.inst.mem && !def.inst.mem->is_store &&
         def.inst.mem->rd == reg) {
         if (def.inst.mem->mode == isa::MemMode::LONG_IMM &&
-            def.target.empty())
+            def.target == kNoLabel)
             return def.inst.mem->imm;
         return std::nullopt; // memory load: value unknown
     }
@@ -75,10 +76,8 @@ resolveCallTarget(const Cfg &cfg, size_t i)
     const Item &item = cfg.unit->items[i];
     const isa::JumpPiece &j = *item.inst.jump;
     if (j.kind == JumpKind::CALL_DIRECT) {
-        if (!item.target.empty()) {
-            auto it = cfg.labels.find(item.target);
-            return it == cfg.labels.end() ? kNoItem : it->second;
-        }
+        if (item.target != kNoLabel)
+            return cfg.labelItem(item.target);
         int64_t index = static_cast<int64_t>(j.target_addr) -
                         cfg.unit->origin;
         if (index < 0 || index >= static_cast<int64_t>(cfg.size()))
@@ -91,10 +90,9 @@ resolveCallTarget(const Cfg &cfg, size_t i)
     const Item &def = cfg.unit->items[d];
     if (!def.inst.mem || def.inst.mem->is_store ||
         def.inst.mem->mode != isa::MemMode::LONG_IMM ||
-        def.inst.mem->rd != j.target_reg || def.target.empty())
+        def.inst.mem->rd != j.target_reg || def.target == kNoLabel)
         return kNoItem;
-    auto it = cfg.labels.find(def.target);
-    return it == cfg.labels.end() ? kNoItem : it->second;
+    return cfg.labelItem(def.target);
 }
 
 /** Escape a name for a quoted Graphviz string. */
@@ -427,25 +425,25 @@ buildCallGraph(const Cfg &cfg)
     };
     std::vector<RawSite> raw;
     std::vector<char> address_taken(n, 0); ///< per item
-    std::unordered_set<std::string_view> referenced;
-    auto takeAddress = [&](const std::string &label) {
-        auto it = cfg.labels.find(label);
-        if (it != cfg.labels.end() && it->second != kNoItem)
-            address_taken[it->second] = 1;
+    std::vector<char> referenced(unit.labels.size(), 0); ///< per label
+    auto takeAddress = [&](LabelId label) {
+        size_t at = cfg.labelItem(label);
+        if (at != kNoItem)
+            address_taken[at] = 1;
     };
     for (size_t i = 0; i < n; ++i) {
         const Item &item = unit.items[i];
         if (item.is_data) {
             // A relocated `.word LABEL` table entry both references
             // its arm and takes its address.
-            if (!item.target.empty()) {
-                referenced.insert(item.target);
+            if (item.target != kNoLabel) {
+                referenced[item.target] = 1;
                 takeAddress(item.target);
             }
             continue;
         }
-        if (!item.target.empty()) {
-            referenced.insert(item.target);
+        if (item.target != kNoLabel) {
+            referenced[item.target] = 1;
             if (item.inst.mem)
                 takeAddress(item.target);
         }
@@ -477,11 +475,11 @@ buildCallGraph(const Cfg &cfg)
             is_entry[i] = 1;
             continue;
         }
-        if (item.labels.empty())
+        if (item.label == kNoLabel)
             continue;
         bool unreferenced = true;
-        for (const std::string &label : item.labels)
-            if (referenced.contains(label))
+        for (LabelId id : unit.labels.chain(item.label))
+            if (referenced[unit.labels.first(id)])
                 unreferenced = false;
         if (unreferenced)
             is_entry[i] = 1;
@@ -500,8 +498,9 @@ buildCallGraph(const Cfg &cfg)
         f.is_root = f.entry == 0;
         f.address_taken = address_taken[f.entry];
         f.entries.push_back(f.entry);
-        const auto &labels = unit.items[f.entry].labels;
-        f.name = labels.empty() ? std::string("<entry>") : labels[0];
+        LabelId label = unit.items[f.entry].label;
+        f.name = label == kNoLabel ? std::string("<entry>")
+                                   : std::string(unit.labels.name(label));
         for (size_t i = f.begin; i < f.end; ++i)
             g.function_of[i] = k;
     }

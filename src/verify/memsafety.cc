@@ -361,7 +361,8 @@ checkMemorySafety(const Cfg &cfg, const CallGraph &graph,
                 fetch.mode = MemMode::BASE_INDEX;
                 fetch.base = inst.jump->target_reg;
                 fetch.index = inst.jump->index;
-                AbsVal addr = memAddressRange(fetch, "", cfg, s);
+                AbsVal addr =
+                    memAddressRange(fetch, assembler::kNoLabel, cfg, s);
                 int64_t t_lo =
                     static_cast<int64_t>(cfg.unit->origin) +
                     static_cast<int64_t>(ti->second.first_entry);

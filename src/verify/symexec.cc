@@ -78,8 +78,7 @@ clearSlots(std::vector<uint32_t> *slots, size_t initial)
 
 ExprArena::ExprArena(const reorg::AliasOptions &alias, size_t max_nodes)
     : alias_(alias), max_nodes_(max_nodes),
-      node_slots_(kInitialSlots, kEmptySlot),
-      label_slots_(kInitialSlots / 16, kEmptySlot)
+      node_slots_(kInitialSlots, kEmptySlot)
 {
     konst(0); // node 0: the overflow fallback is always valid
 }
@@ -93,8 +92,6 @@ ExprArena::reset()
     else
         nodes_.clear();
     clearSlots(&node_slots_, kInitialSlots);
-    labels_.clear();
-    clearSlots(&label_slots_, kInitialSlots / 16);
     konst(0);
 }
 
@@ -138,24 +135,11 @@ ExprArena::input(uint32_t id)
 }
 
 ExprRef
-ExprArena::labelAddr(std::string_view label)
+ExprArena::labelAddr(assembler::LabelId label)
 {
-    std::hash<std::string_view> hash;
-    size_t i = probe(label_slots_, hash(label),
-                     [&](uint32_t id) { return labels_[id] == label; });
-    uint32_t id = label_slots_[i];
-    if (id == kEmptySlot) {
-        id = static_cast<uint32_t>(labels_.size());
-        label_slots_[i] = id;
-        labels_.push_back(label);
-        if (labels_.size() * 2 > label_slots_.size()) {
-            rehash(&label_slots_, label_slots_.size() * 2, labels_.size(),
-                   [&](uint32_t k) { return hash(labels_[k]); });
-        }
-    }
     ExprNode n;
     n.op = ExprOp::LABEL_ADDR;
-    n.value = id;
+    n.value = label;
     return intern(n);
 }
 
@@ -539,8 +523,8 @@ ExprArena::str(ExprRef r, int max_depth) const
             return "retaddr";
         return support::strprintf("in%u", n.value);
       case ExprOp::LABEL_ADDR:
-        return n.value < labels_.size()
-                   ? cat({"&", std::string(labels_[n.value])})
+        return names_ && n.value < names_->size()
+                   ? cat({"&", std::string(names_->name(n.value))})
                    : "&?";
       case ExprOp::ADD: return cat({"(", rec(n.a), " + ", rec(n.b), ")"});
       case ExprOp::SUB: return cat({"(", rec(n.a), " - ", rec(n.b), ")"});
@@ -597,12 +581,12 @@ entryState(ExprArena &arena)
 
 RegionMap
 buildRegionMap(const assembler::Unit &unit,
-               const assembler::LabelIndex *known)
+               const assembler::LabelTable *known)
 {
     RegionMap m;
     size_t n = unit.items.size();
     m.stop.assign(n, 0);
-    m.stop_label.resize(n);
+    m.stop_label.assign(n, assembler::kNoLabel);
     m.fence.assign(n, -1);
     int ordinal = -1;
     bool in_run = false;
@@ -615,11 +599,10 @@ buildRegionMap(const assembler::Unit &unit,
             m.fence[i] = ordinal;
         }
         in_run = fenced;
-        for (const std::string &label : it.labels) {
-            if (!known ||
-                known->find(label) != assembler::LabelIndex::kNone) {
+        for (assembler::LabelId id : unit.labels.chain(it.label)) {
+            if (!known || (id < known->size() && known->defined(id))) {
                 m.stop[i] = 1;
-                m.stop_label[i] = label;
+                m.stop_label[i] = unit.labels.first(id);
                 break;
             }
         }
@@ -697,7 +680,7 @@ class Interp
     fillBranchTarget(SymExit *e, const Unit &unit, size_t idx,
                      const isa::BranchPiece &b, const Item &it)
     {
-        if (!it.target.empty()) {
+        if (it.target != assembler::kNoLabel) {
             e->label = it.target;
         } else {
             e->has_addr = true;
@@ -711,7 +694,7 @@ class Interp
     effAddr(const Item &it, const isa::MemPiece &m, ExprRef base,
             ExprRef index, ExprRef *out)
     {
-        if (!it.target.empty()) {
+        if (it.target != assembler::kNoLabel) {
             if (m.mode != isa::MemMode::ABSOLUTE)
                 return false;
             *out = arena_.labelAddr(it.target);
@@ -724,7 +707,7 @@ class Interp
     ExprRef
     longImmValue(const Item &it, const isa::MemPiece &m)
     {
-        if (!it.target.empty())
+        if (it.target != assembler::kNoLabel)
             return arena_.labelAddr(it.target);
         return arena_.konst(static_cast<uint32_t>(m.imm));
     }
@@ -904,7 +887,7 @@ Interp::stepSequential(size_t idx)
         }
         if (isa::jumpIsIndirect(j.kind))
             e.target = getReg(j.target_reg);
-        else if (!it.target.empty())
+        else if (it.target != assembler::kNoLabel)
             e.label = it.target;
         else {
             e.has_addr = true;
@@ -1098,7 +1081,7 @@ Interp::stepPipeline(size_t idx)
             e.label = it.target;
         } else if (isa::jumpIsIndirect(j.kind))
             e.target = jump_tv;
-        else if (!it.target.empty())
+        else if (it.target != assembler::kNoLabel)
             e.label = it.target;
         else {
             e.has_addr = true;
@@ -1213,7 +1196,7 @@ advanceSequential(ExprArena &arena, const assembler::Unit &unit,
         }
         if (inst.mem) {
             const isa::MemPiece &m = *inst.mem;
-            ExprRef v = it.target.empty()
+            ExprRef v = it.target == assembler::kNoLabel
                             ? arena.konst(static_cast<uint32_t>(m.imm))
                             : arena.labelAddr(it.target);
             if (m.rd != isa::kZeroReg)

@@ -36,7 +36,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "asm/unit.h"
@@ -56,7 +55,7 @@ enum class ExprOp : uint8_t
 {
     CONST,      ///< value = the constant
     INPUT,      ///< value = input id (entry register, opaque token)
-    LABEL_ADDR, ///< value = interned label id; the label's link address
+    LABEL_ADDR, ///< value = the unit's label id; the label's address
     ADD, SUB, AND, OR, XOR, NOT,
     SHL, SHRL, SHRA, ///< b is the shift amount, masked to 5 bits
     XBYTE,      ///< extract byte: a = byte selector, b = word
@@ -79,7 +78,7 @@ struct ExprNode
     ExprRef a = kNoExpr;
     ExprRef b = kNoExpr;
     ExprRef c = kNoExpr;
-    uint32_t value = 0; ///< CONST value / INPUT id / label id
+    uint32_t value = 0; ///< CONST value / INPUT id / LabelId
 
     bool operator==(const ExprNode &) const = default;
 };
@@ -107,19 +106,22 @@ class ExprArena
                        size_t max_nodes = 1u << 20);
 
     /**
-     * Forget every node and label. Afterwards the arena builds the
-     * same refs, label ids and str() as a fresh one: node 0 is
-     * konst(0) and label ids restart at 0 in first-use order. Storage
-     * is kept unless a run grew it past a small bound.
+     * Forget every node. Afterwards the arena builds the same refs and
+     * str() as a fresh one: node 0 is konst(0). Storage is kept unless
+     * a run grew it past a small bound.
      */
     void reset();
+
+    /** The table str() names label addresses from (`&name`; `&?`
+     *  without one). It must outlive its use here. */
+    void setLabels(const assembler::LabelTable *names) { names_ = names; }
 
     // --- leaves -------------------------------------------------
     ExprRef konst(uint32_t v);
     ExprRef input(uint32_t id);
-    /** The arena keeps `label` as a view: its characters must stay
-     *  alive and unchanged until the next reset(). */
-    ExprRef labelAddr(std::string_view label);
+    /** The address of label `label`. Both units of a validation share
+     *  label ids, so one label is one node on either side. */
+    ExprRef labelAddr(assembler::LabelId label);
 
     // --- ALU (the isa/symbolic.h builder contract) --------------
     ExprRef add(ExprRef a, ExprRef b);
@@ -176,10 +178,7 @@ class ExprArena
     /** Open-addressing table of node refs (kNoExpr: empty slot); a
      *  power of two in size, at most half full. */
     std::vector<ExprRef> node_slots_;
-    /** Label names by id, in first-use order. */
-    std::vector<std::string_view> labels_;
-    /** The same kind of table over label ids. */
-    std::vector<uint32_t> label_slots_;
+    const assembler::LabelTable *names_ = nullptr;
 };
 
 /** Symbolic machine state. regs[0] is always the zero constant. */
@@ -216,7 +215,8 @@ struct SymExit
 {
     SymExitKind kind = SymExitKind::FALL_END;
     ExprRef cond = kNoExpr;    ///< BRANCH: 0/1 condition term
-    std::string_view label;    ///< symbolic target (the unit's string)
+    /** Symbolic target (kNoLabel: none). */
+    assembler::LabelId label = assembler::kNoLabel;
     bool has_addr = false;     ///< numeric target valid
     uint32_t addr = 0;         ///< numeric target
     ExprRef target = kNoExpr;  ///< indirect target term
@@ -252,15 +252,17 @@ struct RegionMap
     /** stop[i]: a run entering item i (other than at its start) must
      *  exit with FALL_LABEL named stop_label[i]. */
     std::vector<char> stop;
-    std::vector<std::string_view> stop_label; ///< the unit's strings
+    std::vector<assembler::LabelId> stop_label;
     /** fence[i]: ordinal of the fenced run containing item i, or -1. */
     std::vector<int> fence;
 };
 
 /** Build the region map: stops at every item carrying a label that
- *  `known` contains (null = all labels). */
+ *  `known` defines (null = all labels). `known` shares `unit`'s label
+ *  ids up to its size, as an input's table does with its reorganized
+ *  unit's. */
 RegionMap buildRegionMap(const assembler::Unit &unit,
-                         const assembler::LabelIndex *known);
+                         const assembler::LabelTable *known);
 
 /**
  * Run the *sequential* (functional-machine) semantics from item

@@ -16,7 +16,8 @@ namespace mips::verify {
 namespace {
 
 using assembler::Item;
-using assembler::LabelIndex;
+using assembler::kNoLabel;
+using assembler::LabelId;
 using assembler::Unit;
 
 constexpr uint16_t kAllRegs = 0xfffe; // r0 is never compared
@@ -57,22 +58,32 @@ exitKindName(SymExitKind k)
     return "?";
 }
 
+/** Item index of label `id`'s first definition in `unit` (one past
+ *  the last item for a trailing label), or kNoItem when the unit does
+ *  not define it. */
+size_t
+labelAt(const Unit &unit, LabelId id)
+{
+    if (id >= unit.labels.size() || !unit.labels.defined(id))
+        return kNoItem;
+    return unit.labels.item(id);
+}
+
 /** Target-label sequence of the dispatch table at `label`: the
  *  contiguous run of relocated .word entries from the label. Empty
  *  optional when the table cannot be located. */
-std::optional<std::vector<std::string_view>>
-tableEntryLabels(const Unit &unit, const LabelIndex &labels,
-                 std::string_view label)
+std::optional<std::vector<LabelId>>
+tableEntryLabels(const Unit &unit, LabelId label)
 {
-    if (label.empty())
+    if (label == kNoLabel)
         return std::nullopt;
-    size_t at = labels.find(label);
-    if (at == LabelIndex::kNone)
+    size_t at = labelAt(unit, label);
+    if (at == kNoItem)
         return std::nullopt;
-    std::vector<std::string_view> out;
+    std::vector<LabelId> out;
     for (size_t i = at; i < unit.items.size(); ++i) {
         const Item &item = unit.items[i];
-        if (!item.is_data || item.target.empty())
+        if (!item.is_data || item.target == kNoLabel)
             break;
         out.push_back(item.target);
     }
@@ -94,9 +105,10 @@ class Validator
               const std::vector<reorg::BlockLiveIn> &live_in,
               const TvOptions &opts)
         : input_(input), output_(output), hints_(hints), opts_(opts),
-          engine_(&output), in_labels_(input), out_labels_(output),
-          live_in_(input.items.size() + 1, kAllRegs), arena_(opts.alias)
+          engine_(&output), live_in_(input.items.size() + 1, kAllRegs),
+          arena_(opts.alias)
     {
+        arena_.setLabels(&output.labels);
         for (const reorg::BlockLiveIn &block : live_in) {
             if (block.start < live_in_.size())
                 live_in_[block.start] = block.mask;
@@ -111,7 +123,7 @@ class Validator
     {
         UNIT,        ///< the unit entry
         AFTER_FENCE, ///< past fenced run `ref`
-        REGION,      ///< input label in_labels_.entries()[ref]
+        REGION,      ///< input label `ref`
         DUPLICATE,   ///< the continuation of scheme-2 hint `ref`
         CALL_RETURN, ///< after the call at output word `ref`
         TRAP_RETURN, ///< after the trap at output word `ref`
@@ -137,9 +149,17 @@ class Validator
     void compareExit(const Entry &e, const SymExit &a, const SymExit &b);
     bool compareStates(const Entry &e, size_t at, const SymState &a,
                        const SymState &b, uint16_t mask, const char *where);
-    uint16_t liveAtLabel(std::string_view label) const;
-    const reorg::DupHint *findHint(std::string_view orig,
-                                   std::string_view dup) const;
+    uint16_t liveAtLabel(LabelId label) const;
+    const reorg::DupHint *findHint(LabelId orig, LabelId dup) const;
+
+    /** A label's name; the output's table holds every id. */
+    std::string
+    labelName(LabelId id) const
+    {
+        return id < output_.labels.size()
+                   ? std::string(output_.labels.name(id))
+                   : std::string("?");
+    }
     void enqueue(const Entry &e);
 
     size_t
@@ -160,7 +180,6 @@ class Validator
     TvOptions opts_;
     DiagnosticEngine engine_;
 
-    LabelIndex in_labels_, out_labels_;
     /** Input item -> live-in mask of the block it starts (kAllRegs
      *  where no block starts); one past the end for trailing labels. */
     std::vector<uint16_t> live_in_;
@@ -182,17 +201,14 @@ Validator::name(const Entry &e) const
         return "the unit entry";
       case EntryKind::AFTER_FENCE:
         return support::strprintf("after fenced run %zu", e.ref);
-      case EntryKind::REGION: {
-        std::string_view label = in_labels_.entries()[e.ref].first;
-        return support::strprintf("region '%.*s'",
-                                  static_cast<int>(label.size()),
-                                  label.data());
-      }
+      case EntryKind::REGION:
+        return support::strprintf(
+            "region '%s'", labelName(static_cast<LabelId>(e.ref)).c_str());
       case EntryKind::DUPLICATE: {
         const reorg::DupHint &h = hints_[e.ref];
         return support::strprintf("region '%s' (duplicated from '%s')",
-                                  h.dup_label.c_str(),
-                                  h.orig_label.c_str());
+                                  labelName(h.dup_label).c_str(),
+                                  labelName(h.orig_label).c_str());
       }
       case EntryKind::CALL_RETURN:
         return support::strprintf(
@@ -218,14 +234,14 @@ Validator::enqueue(const Entry &e)
 }
 
 uint16_t
-Validator::liveAtLabel(std::string_view label) const
+Validator::liveAtLabel(LabelId label) const
 {
-    size_t at = in_labels_.find(label);
-    return at == LabelIndex::kNone ? kAllRegs : live_in_[at];
+    size_t at = labelAt(input_, label);
+    return at == kNoItem ? kAllRegs : live_in_[at];
 }
 
 const reorg::DupHint *
-Validator::findHint(std::string_view orig, std::string_view dup) const
+Validator::findHint(LabelId orig, LabelId dup) const
 {
     for (const reorg::DupHint &h : hints_) {
         if (h.orig_label == orig && h.dup_label == dup)
@@ -293,16 +309,26 @@ Validator::seedEntries()
 {
     enqueue(Entry{});
 
-    const auto &labels = in_labels_.entries();
-    for (size_t k = 0; k < labels.size(); ++k) {
-        const auto &[label, in_at] = labels[k];
-        size_t out_at = out_labels_.find(label);
-        if (out_at == LabelIndex::kNone) {
+    // One region per input label name, in name order: the order
+    // decides which of an item's labels names its region.
+    const assembler::LabelTable &in_labels = input_.labels;
+    std::vector<LabelId> labels;
+    for (LabelId id = 0; id < in_labels.size(); ++id)
+        if (in_labels.first(id) == id && in_labels.defined(id))
+            labels.push_back(id);
+    std::sort(labels.begin(), labels.end(), [&](LabelId a, LabelId b) {
+        return in_labels.name(a) < in_labels.name(b);
+    });
+    for (LabelId label : labels) {
+        size_t in_at = in_labels.item(label);
+        size_t out_at = labelAt(output_, label);
+        std::string_view name = in_labels.name(label);
+        if (out_at == kNoItem) {
             engine_.report(
                 Code::TV005, Severity::ERROR, kNoItem,
                 support::strprintf(
                     "input label '%.*s' does not exist in the output",
-                    static_cast<int>(label.size()), label.data()));
+                    static_cast<int>(name.size()), name.data()));
             continue;
         }
         bool in_fenced = in_at < input_.items.size() &&
@@ -315,7 +341,7 @@ Validator::seedEntries()
                 support::strprintf(
                     "label '%.*s' is %sside a fenced run in the input "
                     "but %sside one in the output",
-                    static_cast<int>(label.size()), label.data(),
+                    static_cast<int>(name.size()), name.data(),
                     in_fenced ? "in" : "out", out_fenced ? "in" : "out"));
             continue;
         }
@@ -323,7 +349,7 @@ Validator::seedEntries()
             continue; // covered by the verbatim fence comparison
         Entry e;
         e.kind = EntryKind::REGION;
-        e.ref = k;
+        e.ref = label;
         e.in_at = in_at;
         e.out_at = out_at;
         enqueue(e);
@@ -336,18 +362,18 @@ Validator::seedEntries()
     // target.
     for (size_t k = 0; k < hints_.size(); ++k) {
         const reorg::DupHint &h = hints_[k];
-        size_t in_orig = in_labels_.find(h.orig_label);
-        size_t out_orig = out_labels_.find(h.orig_label);
-        size_t out_dup = out_labels_.find(h.dup_label);
-        if (in_orig == LabelIndex::kNone ||
-            out_orig == LabelIndex::kNone ||
-            out_dup == LabelIndex::kNone || out_dup <= out_orig) {
+        size_t in_orig = labelAt(input_, h.orig_label);
+        size_t out_orig = labelAt(output_, h.orig_label);
+        size_t out_dup = labelAt(output_, h.dup_label);
+        if (in_orig == kNoItem || out_orig == kNoItem ||
+            out_dup == kNoItem || out_dup <= out_orig) {
             engine_.report(
                 Code::TV005, Severity::ERROR, kNoItem,
                 support::strprintf(
                     "scheme-2 hint '%s' -> '%s' does not name a "
                     "forward label pair present in both units",
-                    h.orig_label.c_str(), h.dup_label.c_str()));
+                    labelName(h.orig_label).c_str(),
+                    labelName(h.dup_label).c_str()));
             continue;
         }
         Entry e;
@@ -479,9 +505,8 @@ Validator::compareExit(const Entry &e, const SymExit &a, const SymExit &b)
         // entry-label sequence — a swapped or dropped entry changes
         // where an in-bounds index lands even when the fetch terms
         // agree symbolically.
-        auto in_entries = tableEntryLabels(input_, in_labels_, a.label);
-        auto out_entries =
-            tableEntryLabels(output_, out_labels_, b.label);
+        auto in_entries = tableEntryLabels(input_, a.label);
+        auto out_entries = tableEntryLabels(output_, b.label);
         if (!in_entries || !out_entries) {
             note(at, name(e) + ": cannot resolve the dispatch table for "
                      "the entry-sequence comparison");
@@ -501,13 +526,11 @@ Validator::compareExit(const Entry &e, const SymExit &a, const SymExit &b)
                     in_entries->size() == 1 ? "y" : "ies",
                     out_entries->size());
             } else {
-                std::string_view in_k = (*in_entries)[k];
-                std::string_view out_k = (*out_entries)[k];
                 what = support::strprintf(
-                    "entry %zu targets '%.*s' in the input but '%.*s' "
-                    "in the output",
-                    k, static_cast<int>(in_k.size()), in_k.data(),
-                    static_cast<int>(out_k.size()), out_k.data());
+                    "entry %zu targets '%s' in the input but '%s' in "
+                    "the output",
+                    k, labelName((*in_entries)[k]).c_str(),
+                    labelName((*out_entries)[k]).c_str());
             }
             engine_.report(
                 Code::TV008, Severity::ERROR, at,
@@ -550,7 +573,7 @@ Validator::compareExit(const Entry &e, const SymExit &a, const SymExit &b)
                     name(e).c_str(), arena_.str(a.cond).c_str(),
                     arena_.str(b.cond).c_str()));
         }
-        if (!a.label.empty() && !b.label.empty()) {
+        if (a.label != kNoLabel && b.label != kNoLabel) {
             if (a.label != b.label) {
                 const reorg::DupHint *hint =
                     (a.kind == SymExitKind::GOTO ||
@@ -561,22 +584,19 @@ Validator::compareExit(const Entry &e, const SymExit &a, const SymExit &b)
                     engine_.report(
                         Code::TV003, Severity::ERROR, at,
                         support::strprintf(
-                            "%s: transfer targets '%.*s' sequentially "
-                            "but '%.*s' on the pipeline",
-                            name(e).c_str(),
-                            static_cast<int>(a.label.size()),
-                            a.label.data(),
-                            static_cast<int>(b.label.size()),
-                            b.label.data()));
+                            "%s: transfer targets '%s' sequentially "
+                            "but '%s' on the pipeline",
+                            name(e).c_str(), labelName(a.label).c_str(),
+                            labelName(b.label).c_str()));
                     break;
                 }
                 // Scheme-2 retarget: the pipeline already executed the
                 // duplicated words in the delay slot. Replay them on
                 // the sequential side and the states must agree fully.
-                size_t out_orig = out_labels_.find(a.label);
-                size_t out_dup = out_labels_.find(b.label);
-                if (out_orig == LabelIndex::kNone ||
-                    out_dup == LabelIndex::kNone || out_dup <= out_orig) {
+                size_t out_orig = labelAt(output_, a.label);
+                size_t out_dup = labelAt(output_, b.label);
+                if (out_orig == kNoItem || out_dup == kNoItem ||
+                    out_dup <= out_orig) {
                     note(at, name(e) + ": cannot locate the duplicated "
                              "words for the retargeted exit");
                     break;
@@ -603,8 +623,8 @@ Validator::compareExit(const Entry &e, const SymExit &a, const SymExit &b)
                         name(e).c_str(), a.addr, b.addr));
                 break;
             }
-        } else if (!a.label.empty() || !b.label.empty() || a.has_addr ||
-                   b.has_addr) {
+        } else if (a.label != kNoLabel || b.label != kNoLabel ||
+                   a.has_addr || b.has_addr) {
             note(at, name(e) + ": cannot compare a symbolic transfer "
                      "target against a numeric one");
             return;
@@ -621,7 +641,7 @@ Validator::compareExit(const Entry &e, const SymExit &a, const SymExit &b)
         const char *where = "at the region exit";
         if (a.kind == SymExitKind::BRANCH) {
             where = "on the taken path";
-            if (!a.label.empty())
+            if (a.label != kNoLabel)
                 mask = liveAtLabel(a.label);
         }
         compareStates(e, at, a.state, b.state, mask, where);
@@ -697,10 +717,16 @@ VerifyReport
 Validator::run()
 {
     in_map_ = buildRegionMap(input_, nullptr);
-    out_map_ = buildRegionMap(output_, &in_labels_);
+    out_map_ = buildRegionMap(output_, &input_.labels);
 
-    compareFences();
-    seedEntries();
+    if (!output_.labels.extends(input_.labels)) {
+        engine_.report(Code::TV005, Severity::ERROR, kNoItem,
+                       "the output's label table does not extend the "
+                       "input's, so their labels cannot be paired");
+    } else {
+        compareFences();
+        seedEntries();
+    }
     for (size_t i = 0; i < work_.size(); ++i) { // grows as exits derive
         if (i >= 4096) {
             note(kNoItem, "region worklist budget exhausted; remaining "

@@ -481,13 +481,12 @@ setReg(RegState *s, isa::Reg r, const AbsVal &v)
 
 /** Address of a local label, if the unit defines it. */
 std::optional<AbsVal>
-labelValue(const Cfg &cfg, const std::string &target)
+labelValue(const Cfg &cfg, assembler::LabelId target)
 {
-    auto it = cfg.labels.find(target);
-    if (it == cfg.labels.end() || it->second == kNoItem)
+    size_t at = cfg.labelItem(target);
+    if (at == kNoItem)
         return std::nullopt;
-    return AbsVal::constant(cfg.unit->origin +
-                            static_cast<uint32_t>(it->second));
+    return AbsVal::constant(cfg.unit->origin + static_cast<uint32_t>(at));
 }
 
 /** Abstract execution of one item. */
@@ -506,7 +505,7 @@ transferItem(const Cfg &cfg, size_t i, RegState s)
         const MemPiece &m = *inst.mem;
         AbsVal v = AbsVal::top();
         if (m.mode == MemMode::LONG_IMM) {
-            if (item.target.empty())
+            if (item.target == assembler::kNoLabel)
                 v = AbsVal::constant(static_cast<uint32_t>(m.imm));
             else if (auto lv = labelValue(cfg, item.target))
                 v = *lv;
@@ -648,14 +647,14 @@ analyzeValueRanges(const Cfg &cfg, const RangeOptions &options)
 }
 
 AbsVal
-memAddressRange(const MemPiece &piece, const std::string &target,
+memAddressRange(const MemPiece &piece, assembler::LabelId target,
                 const Cfg &cfg, const RegState &state)
 {
     switch (piece.mode) {
       case MemMode::LONG_IMM:
         break; // no memory reference; fall through to the panic
       case MemMode::ABSOLUTE:
-        if (!target.empty()) {
+        if (target != assembler::kNoLabel) {
             if (auto lv = labelValue(cfg, target))
                 return *lv;
             return AbsVal::top();

@@ -166,12 +166,13 @@ RangeAnalysis analyzeValueRanges(const Cfg &cfg,
 
 /**
  * Abstract effective word address of a memory-referencing piece in
- * `state`, resolving a symbolic operand through the CFG labels (a
- * `la`/absolute reference to a local label is origin + item index).
+ * `state`, resolving a symbolic operand (kNoLabel: none) through the
+ * unit's labels (a `la`/absolute reference to a local label is
+ * origin + item index).
  * Must not be called for LONG_IMM.
  */
 AbsVal memAddressRange(const isa::MemPiece &piece,
-                       const std::string &target, const Cfg &cfg,
+                       assembler::LabelId target, const Cfg &cfg,
                        const RegState &state);
 
 } // namespace mips::verify

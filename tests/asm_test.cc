@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "asm/assembler.h"
+#include "asm/builder.h"
 #include "isa/disasm.h"
 #include "support/rng.h"
 
@@ -320,6 +321,108 @@ TEST(Asm, NoreorderMarksItems)
     EXPECT_FALSE(items[0].no_reorder);
     EXPECT_TRUE(items[1].no_reorder);
     EXPECT_FALSE(items[2].no_reorder);
+}
+
+// ------------------------------------------------------- label table
+
+static_assert(sizeof(Item) <= 96, "an Item holds ids, not names");
+
+/** The names of the chain from `head`, in order. */
+std::vector<std::string_view>
+chainNames(const Unit &unit, LabelId head)
+{
+    std::vector<std::string_view> names;
+    for (LabelId id : unit.labels.chain(head))
+        names.push_back(unit.labels.name(id));
+    return names;
+}
+
+using Names = std::vector<std::string_view>;
+
+TEST(LabelTable, InterningTheSameNameTwiceGivesOneId)
+{
+    UnitBuilder b;
+    LabelId loop = b.intern("loop");
+    EXPECT_EQ(b.intern("loop"), loop);
+    EXPECT_NE(b.intern("done"), loop);
+    EXPECT_EQ(b.intern(""), kNoLabel);
+
+    auto unit = parse("loop: add r1, #1, r1\n"
+                      "bne r1, #9, loop\n"
+                      "nop\n"
+                      "bra loop\n"
+                      "nop\n");
+    ASSERT_TRUE(unit.ok());
+    const Unit &u = unit.value();
+    EXPECT_EQ(u.labels.size(), 1u);
+    EXPECT_EQ(u.items[0].label, u.items[1].target);
+    EXPECT_EQ(u.items[1].target, u.items[3].target);
+    EXPECT_EQ(u.labels.name(u.items[3].target), "loop");
+    EXPECT_EQ(u.labels.item(u.items[3].target), 0u);
+}
+
+TEST(LabelTable, TrailingLabelsMapToItemCount)
+{
+    const char *src = "bra end\nnop\nend:\nfin:\n";
+    auto unit = parse(src);
+    ASSERT_TRUE(unit.ok());
+    const Unit &u = unit.value();
+    ASSERT_EQ(u.items.size(), 2u);
+    EXPECT_EQ(chainNames(u, u.trailing), (Names{"end", "fin"}));
+    EXPECT_EQ(u.labels.item(u.labels.find("end")), 2u);
+    EXPECT_EQ(u.labels.item(u.labels.find("fin")), 2u);
+    Program p = mustAssemble(src);
+    EXPECT_EQ(p.symbol("fin"), 2u);
+    EXPECT_EQ(wordAt(p, 0).branch->offset, 1);
+}
+
+TEST(LabelTable, LabelsOnOneItemListInSourceOrder)
+{
+    auto unit = parse("b: a:\nc: add r1, #1, r1\nhalt\n");
+    ASSERT_TRUE(unit.ok());
+    const Unit &u = unit.value();
+    ASSERT_EQ(u.items.size(), 2u);
+    EXPECT_EQ(chainNames(u, u.items[0].label), (Names{"b", "a", "c"}));
+    EXPECT_EQ(u.items[1].label, kNoLabel);
+    for (std::string_view name : {"a", "b", "c"})
+        EXPECT_EQ(u.labels.item(u.labels.find(name)), 0u) << name;
+    EXPECT_EQ(listUnit(u).substr(0, 9), "b:\na:\nc:\n");
+}
+
+TEST(LabelTable, OnlyReferencedNameRendersInUndefinedError)
+{
+    auto unit = parse("bra nowhere\nnop\n");
+    ASSERT_TRUE(unit.ok());
+    const Unit &u = unit.value();
+    LabelId id = u.labels.find("nowhere");
+    ASSERT_NE(id, kNoLabel);
+    EXPECT_EQ(u.items[0].target, id);
+    EXPECT_FALSE(u.labels.defined(id));
+    EXPECT_EQ(u.labels.item(id), LabelTable::kUndefined);
+    auto linked = link(u);
+    ASSERT_FALSE(linked.ok());
+    EXPECT_EQ(linked.error().message, "undefined label 'nowhere'");
+    EXPECT_EQ(linked.error().line, 1);
+}
+
+TEST(LabelTable, SecondDefinitionGetsItsOwnIdAndReferencesTheFirst)
+{
+    auto unit = parse("bra x\nnop\nx: add r1, #1, r1\nx: halt\n");
+    ASSERT_TRUE(unit.ok());
+    const Unit &u = unit.value();
+    LabelId first = u.items[2].label;
+    LabelId again = u.items[3].label;
+    ASSERT_NE(first, again);
+    EXPECT_EQ(u.labels.first(again), first);
+    EXPECT_EQ(u.labels.name(again), "x");
+    EXPECT_EQ(u.items[0].target, first);
+    EXPECT_EQ(u.labels.item(first), 2u);
+    EXPECT_EQ(u.labels.find("x"), first);
+    auto linked = link(u);
+    ASSERT_FALSE(linked.ok());
+    EXPECT_EQ(linked.error().message, "duplicate label 'x'");
+    EXPECT_EQ(linked.error().line, 4);
+    EXPECT_NE(listUnit(u).find("x:\n    halt"), std::string::npos);
 }
 
 } // namespace

@@ -282,10 +282,21 @@ TEST(ListUnit, CompiledUnitsRoundTripThroughText)
         if (g.kind == fuzz::ProgramKind::PASCAL)
             programs.emplace_back(g.name, g.render());
 
-    auto same = [](const assembler::Item &a, const assembler::Item &b) {
-        return a.inst == b.inst && a.target == b.target &&
-               a.labels == b.labels && a.is_data == b.is_data &&
-               a.data_value == b.data_value &&
+    // Label ids may differ between the two units; names may not.
+    auto labelNames = [](const assembler::Unit &u,
+                         const assembler::Item &item) {
+        std::vector<std::string_view> names;
+        for (assembler::LabelId id : u.labels.chain(item.label))
+            names.push_back(u.labels.name(id));
+        return names;
+    };
+    auto same = [&](const assembler::Unit &ua, const assembler::Item &a,
+                    const assembler::Unit &ub, const assembler::Item &b) {
+        return a.inst == b.inst &&
+               assembler::targetName(ua, a) ==
+                   assembler::targetName(ub, b) &&
+               labelNames(ua, a) == labelNames(ub, b) &&
+               a.is_data == b.is_data && a.data_value == b.data_value &&
                a.no_reorder == b.no_reorder;
     };
     for (const auto &[name, source] : programs) {
@@ -297,8 +308,10 @@ TEST(ListUnit, CompiledUnitsRoundTripThroughText)
         const auto &items = unit.value().items;
         ASSERT_EQ(back.value().items.size(), items.size()) << name;
         for (size_t i = 0; i < items.size(); ++i) {
-            if (!same(items[i], back.value().items[i])) {
+            if (!same(unit.value(), items[i], back.value(),
+                      back.value().items[i])) {
                 assembler::Unit one;
+                one.labels = unit.value().labels;
                 one.items = {items[i]};
                 ADD_FAILURE() << name << ": item " << i
                               << " does not round-trip; it lists as\n"
@@ -359,17 +372,21 @@ flatCfgViolation(const assembler::Unit &unit)
     }
 
     // Every label resolves to its first definition.
+    const assembler::LabelTable &labels = unit.labels;
     std::map<std::string, size_t> first;
     for (size_t i = 0; i < n; ++i)
-        for (const std::string &label : items[i].labels)
-            first.emplace(label, i);
-    for (const std::string &label : unit.trailing_labels)
-        first.emplace(label, verify::kNoItem);
-    if (cfg.labels.size() != first.size())
-        return "label index size differs from the defined names";
+        for (assembler::LabelId id : labels.chain(items[i].label))
+            first.emplace(labels.name(id), i);
+    for (assembler::LabelId id : labels.chain(unit.trailing))
+        first.emplace(labels.name(id), verify::kNoItem);
+    size_t defined = 0;
+    for (assembler::LabelId id = 0; id < labels.size(); ++id)
+        defined += labels.first(id) == id && labels.defined(id);
+    if (defined != first.size())
+        return "label table defines other names than the items";
     for (const auto &[label, at] : first) {
-        auto it = cfg.labels.find(label);
-        if (it == cfg.labels.end() || it->second != at)
+        assembler::LabelId id = labels.find(label);
+        if (id == assembler::kNoLabel || cfg.labelItem(id) != at)
             return "label '" + label + "' misresolved";
     }
 

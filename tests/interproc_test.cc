@@ -85,7 +85,8 @@ TEST(CallGraph, IndirectCallResolvedThroughConstantDef)
         "halt\n"            // 4
         "f: jmp (r15)\n"    // 5
         "nop\n");           // 6
-    u.items[0].target = "f"; // as the code generator emits it
+    // As the code generator emits it.
+    u.items[0].target = u.labels.find("f");
     Cfg cfg = buildCfg(u, nullptr);
     CallGraph g = buildCallGraph(cfg);
     size_t f = funcNamed(g, "f");

@@ -14,6 +14,7 @@
 #include "reorg/reorganizer.h"
 #include "sim/machine.h"
 #include "support/rng.h"
+#include "verify/cfg.h"
 #include "verify/tv.h"
 #include "verify/verify.h"
 
@@ -762,6 +763,114 @@ TEST(ReorgStatsTest, ImprovementOverBaseline)
     b.output_words = 100;
     a.output_words = 80;
     EXPECT_DOUBLE_EQ(a.improvementOver(b), 0.2);
+}
+
+// --------------------------------------------------------- Label ids
+
+using assembler::kNoLabel;
+using assembler::LabelId;
+
+/** Scheme 2 duplicates `add r0, #3, r3` into the slot of `bra tgt`. */
+const char *const kOneDuplication =
+    "start: bra tgt\n"
+    "       halt\n"
+    "tgt:   add r0, #3, r3\n"
+    "       add r3, #4, r4\n"
+    "       halt\n";
+
+TEST(LabelIds, SharedLabelsKeepIdsAndSchemeTwoLabelsFollow)
+{
+    Unit u = parseUnit(kOneDuplication);
+    ReorgResult r = reorganize(u);
+    ASSERT_EQ(r.stats.slots_filled_dup, 1u) << listing(r.unit);
+    ASSERT_TRUE(r.unit.labels.extends(u.labels));
+
+    // Every input label keeps its id and still names the output word
+    // that carries it.
+    for (LabelId id = 0; id < u.labels.size(); ++id) {
+        uint32_t at = r.unit.labels.item(id);
+        ASSERT_LT(at, r.unit.items.size()) << u.labels.name(id);
+        bool carried = false;
+        for (LabelId on : r.unit.labels.chain(r.unit.items[at].label))
+            carried = carried || on == id;
+        EXPECT_TRUE(carried) << u.labels.name(id);
+    }
+
+    ASSERT_EQ(r.hints.size(), 1u);
+    const DupHint &h = r.hints[0];
+    EXPECT_EQ(h.orig_label, u.labels.find("tgt"));
+    EXPECT_GE(h.dup_label, u.labels.size());
+    EXPECT_EQ(r.unit.labels.name(h.dup_label), "L$dup0");
+    EXPECT_EQ(r.unit.items[0].target, h.dup_label);
+    EXPECT_EQ(r.unit.labels.item(h.dup_label),
+              r.unit.labels.item(h.orig_label) + 1);
+}
+
+TEST(LabelIds, SchemeTwoLabelSkipsANameTheInputDefines)
+{
+    // The input already defines L$dup0: the duplication must not
+    // define it a second time (the unit would not link, and `bra tgt`
+    // would reach the input's L$dup0).
+    Unit u = parseUnit(
+        "start:  bra tgt\n"
+        "L$dup0: add r0, #2, r2\n"
+        "        halt\n"
+        "tgt:    add r0, #3, r3\n"
+        "        add r3, #4, r4\n"
+        "        halt\n");
+    ASSERT_TRUE(assembler::link(u).ok());
+    ReorgResult r = reorganize(u);
+    ASSERT_EQ(r.stats.slots_filled_dup, 1u) << listing(r.unit);
+    EXPECT_EQ(r.unit.labels.name(r.hints[0].dup_label), "L$dup1");
+    auto linked = assembler::link(r.unit);
+    ASSERT_TRUE(linked.ok()) << linked.error().str() << listing(r.unit);
+    // expectEquivalent also has TV prove the output.
+    expectEquivalent(u, ReorgOptions{}, 0, 0, "collision");
+}
+
+TEST(LabelIds, TwiceDefinedLabelResolvesToTheFirstEverywhere)
+{
+    // `b` is defined twice, with different first words. The unit does
+    // not link, but the reorganizer, TV and the CFG must all send
+    // `bra b` to the first definition, item 2.
+    Unit u = parseUnit(
+        "start: bra b\n"          // 0
+        "       halt\n"           // 1
+        "b:     add r0, #5, r5\n" // 2
+        "       add r5, #1, r6\n" // 3
+        "       halt\n"           // 4
+        "b:     add r0, #6, r5\n" // 5
+        "       add r5, #2, r6\n" // 6
+        "       halt\n");         // 7
+    LabelId b = u.labels.find("b");
+    ASSERT_EQ(u.items[0].target, b);
+
+    verify::Cfg cfg = verify::buildCfg(u, nullptr);
+    EXPECT_EQ(cfg.labelItem(b), 2u);
+
+    // Scheme 2 duplicates the first word of the block `b` starts.
+    ReorgResult r = reorganize(u);
+    ASSERT_EQ(r.stats.slots_filled_dup, 1u) << listing(r.unit);
+    ASSERT_EQ(r.hints.size(), 1u);
+    EXPECT_EQ(r.hints[0].orig_label, b);
+    EXPECT_EQ(u.labels.item(r.hints[0].orig_label), 2u);
+    const assembler::Item &slot = r.unit.items[1];
+    ASSERT_TRUE(slot.inst.alu) << listing(r.unit);
+    EXPECT_TRUE(slot.inst == u.items[2].inst) << listing(r.unit);
+    EXPECT_EQ(r.unit.labels.item(r.hints[0].dup_label),
+              r.unit.labels.item(b) + 1);
+
+    // TV replays the duplicated word from the same definition: a proof
+    // with no errors and nothing left unproven.
+    verify::VerifyReport tv = verify::validateTranslation(
+        u, r.unit, r.hints, r.live_in);
+    EXPECT_EQ(tv.errors, 0u)
+        << verify::reportText(tv, r.unit, "reorganized");
+    EXPECT_EQ(tv.notes, 0u)
+        << verify::reportText(tv, r.unit, "reorganized");
+
+    verify::Cfg out_cfg = verify::buildCfg(r.unit, nullptr);
+    EXPECT_EQ(out_cfg.labelItem(b), r.unit.labels.item(b));
 }
 
 } // namespace

@@ -50,6 +50,16 @@ using reorg::reorganize;
 using reorg::ReorgOptions;
 using reorg::ReorgResult;
 
+/** The names of the labels `item` defines, in order. */
+std::vector<std::string_view>
+labelNames(const Unit &unit, const assembler::Item &item)
+{
+    std::vector<std::string_view> names;
+    for (assembler::LabelId id : unit.labels.chain(item.label))
+        names.push_back(unit.labels.name(id));
+    return names;
+}
+
 /** Items lack operator==; compare the fields a reorganizer bug can
  *  affect (instruction, target, data). */
 bool
@@ -60,8 +70,9 @@ sameItems(const Unit &a, const Unit &b)
     for (size_t i = 0; i < a.items.size(); ++i) {
         const assembler::Item &x = a.items[i];
         const assembler::Item &y = b.items[i];
-        if (x.is_data != y.is_data || x.target != y.target ||
-            x.labels != y.labels)
+        if (x.is_data != y.is_data ||
+            assembler::targetName(a, x) != assembler::targetName(b, y) ||
+            labelNames(a, x) != labelNames(b, y))
             return false;
         if (x.is_data ? x.data_value != y.data_value : !(x.inst == y.inst))
             return false;
@@ -174,7 +185,7 @@ TEST(ExprArena, LoadForwardsAndSkipsByAliasDiscipline)
  *  addresses in `labels` order, shifted and xor-ed chains and a store
  *  log. Returns every ref it made with its rendering. */
 std::vector<std::pair<ExprRef, std::string>>
-buildTerms(ExprArena &a, const std::vector<std::string_view> &labels,
+buildTerms(ExprArena &a, const std::vector<assembler::LabelId> &labels,
            int rounds)
 {
     std::vector<std::pair<ExprRef, std::string>> out;
@@ -193,16 +204,17 @@ buildTerms(ExprArena &a, const std::vector<std::string_view> &labels,
 
 TEST(ExprArena, ResetBehavesLikeAFreshArena)
 {
-    // Twelve names, so the label table grows too; the arena keeps
-    // views, and these strings outlive both arenas.
-    std::vector<std::string> names;
+    // Twelve labels; the table outlives both arenas.
+    assembler::LabelTable names;
+    std::vector<assembler::LabelId> forward;
     for (int i = 0; i < 12; ++i)
-        names.push_back("L_" + std::to_string(i));
-    std::vector<std::string_view> forward(names.begin(), names.end());
-    std::vector<std::string_view> backward(names.rbegin(), names.rend());
+        forward.push_back(names.add("L_" + std::to_string(i)));
+    std::vector<assembler::LabelId> backward(forward.rbegin(),
+                                             forward.rend());
     const size_t budget = 2000;
 
     ExprArena fresh(reorg::AliasOptions{}, budget);
+    fresh.setLabels(&names);
     auto want = buildTerms(fresh, backward, 150);
     ASSERT_GT(fresh.size(), 256u) << "the index table must have grown";
     ASSERT_FALSE(fresh.overflowed());
@@ -210,6 +222,7 @@ TEST(ExprArena, ResetBehavesLikeAFreshArena)
     // Dirty an arena with the labels in another order, then exhaust
     // its budget.
     ExprArena reused(reorg::AliasOptions{}, budget);
+    reused.setLabels(&names);
     buildTerms(reused, forward, 40);
     buildTerms(reused, forward, 1000);
     ASSERT_TRUE(reused.overflowed());
@@ -226,9 +239,10 @@ TEST(ExprArena, ResetBehavesLikeAFreshArena)
         EXPECT_EQ(buildTerms(reused, backward, 150), want);
         EXPECT_EQ(reused.size(), fresh.size());
         EXPECT_FALSE(reused.overflowed());
-        // Label ids restart at 0 in first-use order.
-        EXPECT_EQ(reused.node(reused.labelAddr(backward[0])).value, 0u);
-        EXPECT_EQ(reused.node(reused.labelAddr(backward[11])).value, 11u);
+        // A label node holds the unit's id and renders its name.
+        ExprRef l11 = reused.labelAddr(backward[0]);
+        EXPECT_EQ(reused.node(l11).value, 11u);
+        EXPECT_EQ(reused.str(l11), "&L_11");
     }
 }
 
@@ -349,7 +363,8 @@ swapTableEntries(Unit *unit)
 {
     std::vector<size_t> entries;
     for (size_t i = 0; i < unit->items.size(); ++i)
-        if (unit->items[i].is_data && !unit->items[i].target.empty())
+        if (unit->items[i].is_data &&
+            unit->items[i].target != assembler::kNoLabel)
             entries.push_back(i);
     if (entries.size() < 2)
         return false;
@@ -363,9 +378,11 @@ bool
 dropTableEntry(Unit *unit)
 {
     for (size_t i = unit->items.size(); i-- > 0;) {
-        if (unit->items[i].is_data && !unit->items[i].target.empty()) {
+        if (unit->items[i].is_data &&
+            unit->items[i].target != assembler::kNoLabel) {
             unit->items.erase(unit->items.begin() +
                               static_cast<ptrdiff_t>(i));
+            assembler::locateLabels(unit);
             return true;
         }
     }

@@ -433,7 +433,7 @@ TEST(Golden, Vf005DuplicateLabel)
     EXPECT_EQ(d->item_index, 4u);
     EXPECT_FALSE(report.clean());
     Cfg cfg = buildCfg(u, nullptr);
-    EXPECT_EQ(cfg.labels.at("b"), 3u);
+    EXPECT_EQ(cfg.labelItem(u.labels.find("b")), 3u);
     EXPECT_EQ(edges(cfg.succs(2)), (std::vector<size_t>{3}));
 }
 
@@ -442,7 +442,9 @@ TEST(Golden, Vf005DuplicateTrailingLabel)
     Unit u = parseUnit(
         "end: halt\n"
         "end:\n");
-    ASSERT_EQ(u.trailing_labels, (std::vector<std::string>{"end"}));
+    ASSERT_NE(u.trailing, assembler::kNoLabel);
+    EXPECT_EQ(u.labels.name(u.trailing), "end");
+    EXPECT_EQ(u.labels.next(u.trailing), assembler::kNoLabel);
     VerifyReport report = verifyUnit(u);
     ASSERT_EQ(report.countOf(Code::VF005), 1u) << dump(report, u);
     EXPECT_EQ(find(report, Code::VF005)->item_index, kNoItem);
@@ -700,6 +702,7 @@ TEST(Mutation, DroppedNoopsAreCaught)
         Unit mutant = r.unit;
         mutant.items.erase(mutant.items.begin() +
                            static_cast<ptrdiff_t>(i));
+        assembler::locateLabels(&mutant);
 
         auto linked = assembler::link(mutant);
         ASSERT_TRUE(linked.ok());
@@ -750,7 +753,7 @@ TEST(Mutation, TransferSwappedIntoDelaySlotIsCaught)
         mutant.items[i].inst = isa::Instruction{};
         mutant.items[i].inst.branch = isa::BranchPiece{};
         mutant.items[i].inst.branch->cond = isa::Cond::ALWAYS;
-        mutant.items[i].target = "loop";
+        mutant.items[i].target = mutant.labels.find("loop");
         ++mutated;
         VerifyReport report = verifyUnit(mutant);
         EXPECT_GE(report.countOf(Code::HZ002) +
@@ -792,6 +795,7 @@ TEST(Mutation, LoadSwappedBelowConsumerIsCaught)
             mutant.items.insert(mutant.items.begin() +
                                     static_cast<ptrdiff_t>(j - 1),
                                 moved);
+            assembler::locateLabels(&mutant);
             ++mutated;
             VerifyReport report = verifyUnit(mutant);
             EXPECT_GE(report.countOf(Code::HZ001), 1u)
