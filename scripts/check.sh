@@ -29,7 +29,9 @@
 #                                              notice when clang-tidy is
 #                                              not installed
 #   scripts/check.sh nightly [build-dir]       the full default check, then
-#                                              a 500-program differential
+#                                              a Release build + ctest in
+#                                              ./build-release, a
+#                                              500-program differential
 #                                              fuzz sweep on all cores and
 #                                              a ThreadSanitizer fuzz pass
 #                                              (--jobs 0) in ./build-tsan
@@ -113,6 +115,14 @@ if [ "${1:-}" = "nightly" ]; then
     # The nightly sweep is the default check first — no point fuzzing
     # at scale on a build that fails tier 1.
     "$repo_root/scripts/check.sh" "$build_dir"
+    # Performance is measured on Release (-O3) builds, and -Werror
+    # holds there too: GCC raises some warnings (-Wrestrict, for one)
+    # only at -O3, which the default -O2 tree never sees.
+    release_dir=$repo_root/build-release
+    cmake -S "$repo_root" -B "$release_dir" -DCMAKE_BUILD_TYPE=Release
+    cmake --build "$release_dir" -j "$(nproc)"
+    ctest --test-dir "$release_dir" -j "$(nproc)" --output-on-failure
+    echo "check.sh: nightly release build and ctest clean"
     "$build_dir/src/verify/mipsverify" --fuzz 500 --seed 1982 \
         --jobs 0 --quiet --stats=json > "$build_dir/fuzz-nightly.json"
     echo "check.sh: nightly fuzz sweep clean (500 programs)"

@@ -38,19 +38,6 @@ memReadsIndex(const MemPiece &piece)
 }
 
 std::string
-memModeName(MemMode mode)
-{
-    switch (mode) {
-      case MemMode::LONG_IMM:   return "long-immediate";
-      case MemMode::ABSOLUTE:   return "absolute";
-      case MemMode::DISP:       return "displacement(base)";
-      case MemMode::BASE_INDEX: return "(base+index)";
-      case MemMode::BASE_SHIFT: return "base-shifted";
-    }
-    support::panic("memModeName: bad mode %d", static_cast<int>(mode));
-}
-
-std::string
 memValidate(const MemPiece &piece)
 {
     using support::fitsSigned;

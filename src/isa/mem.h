@@ -88,9 +88,6 @@ bool memReadsBase(const MemPiece &piece);
 /** True if the piece reads its index register. */
 bool memReadsIndex(const MemPiece &piece);
 
-/** Human-readable mode name. */
-std::string memModeName(MemMode mode);
-
 /** Validate field ranges; returns a description of the first problem. */
 std::string memValidate(const MemPiece &piece);
 

@@ -55,10 +55,6 @@ makeStageMetrics(const char *stage)
         strprintf("pipeline.%s.misses", stage), "count",
         strprintf("%s artifacts computed (including cached errors)",
                   stage));
-    m.wait_blocks = &r.counter(
-        strprintf("pipeline.%s.wait_blocks", stage), "count",
-        strprintf("%s hits that blocked on an in-flight computation",
-                  stage));
     m.miss_us = &r.counter(
         strprintf("pipeline.%s.miss_us", stage), "us",
         strprintf("wall time spent computing %s artifacts", stage));

@@ -40,14 +40,12 @@ const char *pipelineStageName(size_t stage);
 
 /** Handles for `pipeline.<stage>.*`. Lookup/hit/miss obey
  *  lookups == hits + misses (checked by the scripts/check.sh stats
- *  gate); wait_blocks counts hits that blocked on an in-flight
- *  computation of the same key. */
+ *  gate). */
 struct StageMetrics
 {
     Counter *lookups;
     Counter *hits;
     Counter *misses;
-    Counter *wait_blocks;
     Counter *miss_us;
 };
 StageMetrics &pipelineStageMetrics(size_t stage);

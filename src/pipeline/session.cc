@@ -1,7 +1,6 @@
 #include "pipeline/session.h"
 
 #include <chrono>
-#include <condition_variable>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -37,8 +36,7 @@ msSince(Clock::time_point start)
 std::string
 keyOf(const plc::CompileOptions &o)
 {
-    return strprintf("L%d;S%u;J%d", static_cast<int>(o.layout),
-                     o.stack_top, o.jump_tables);
+    return strprintf("L%d;J%d", static_cast<int>(o.layout), o.jump_tables);
 }
 
 unsigned
@@ -69,8 +67,7 @@ keyOf(const verify::VerifyOptions &o)
 std::string
 keyOf(const verify::RangeCheckOptions &o)
 {
-    return strprintf("M%u;B%u;W%d", o.mem_words, o.stack_budget,
-                     o.range.widen_after);
+    return strprintf("B%u", o.stack_budget);
 }
 
 std::string
@@ -140,29 +137,20 @@ PipelineStats::misses() const
 
 struct Session::Impl
 {
-    /**
-     * One cache entry. `result` is written once and `ready` then set,
-     * both under the owning cache's lock; from then on the entry is
-     * immutable.
-     */
+    /** One cache entry: empty until a computation of its key returns,
+     *  then filled once and never changed. */
     template <typename T>
-    struct Slot
-    {
-        bool ready = false;
-        std::optional<support::Result<std::shared_ptr<const T>>> result;
-    };
+    using Slot = std::optional<support::Result<std::shared_ptr<const T>>>;
 
     /**
-     * One stage's cache: a key → slot map behind one lock. Hits,
-     * misses and same-key waits all take `mu`; stage work never runs
-     * while it is held. DESIGN.md §10 has the measurements that made
-     * one lock per stage enough.
+     * One stage's cache: a key → slot map behind one lock. Stage work
+     * never runs while `mu` is held. DESIGN.md §10 has the
+     * measurements that made one lock per stage enough.
      */
     template <typename T>
     struct Cache
     {
         std::mutex mu;
-        std::condition_variable cv;
         /** Entries are never erased, and a node-based map keeps
          *  element addresses across rehashes, so a `Slot &` taken
          *  under `mu` stays valid after the lock drops. */
@@ -175,7 +163,6 @@ struct Session::Impl
     {
         obs::Counter hits;
         obs::Counter misses;
-        obs::Counter wait_blocks;
         obs::Counter miss_ns;
         obs::Counter conflicts; ///< lookups that found the lock held
     };
@@ -193,10 +180,11 @@ struct Session::Impl
 
     /**
      * Return the artifact for `key`, computing it with `fn` on a
-     * miss. Concurrent requests for the same key wait for the first
-     * computation; `fn` runs with no lock held, so stages for
-     * different keys (and nested upstream-stage calls) proceed in
-     * parallel.
+     * miss. `fn` runs with no lock held, so stages for different keys
+     * (and nested upstream-stage calls) proceed in parallel. A request
+     * that finds its key still being computed computes it too; the
+     * first result to land fills the slot, and every caller returns
+     * that one. A stage that throws leaves its slot empty.
      */
     template <typename T, typename Fn>
     support::Result<std::shared_ptr<const T>>
@@ -214,17 +202,11 @@ struct Session::Impl
             obs::pipelineCacheShardConflicts().add();
             lock.lock();
         }
-        auto [it, inserted] = cache.map.try_emplace(key);
-        Slot<T> &slot = it->second;
-        if (!inserted) {
-            if (!slot.ready) {
-                local.wait_blocks.add();
-                om.wait_blocks->add();
-                cache.cv.wait(lock, [&] { return slot.ready; });
-            }
+        Slot<T> &slot = cache.map.try_emplace(key).first->second;
+        if (slot) {
             local.hits.add();
             om.hits->add();
-            return *slot.result;
+            return *slot;
         }
         lock.unlock();
 
@@ -238,29 +220,21 @@ struct Session::Impl
             om.miss_us->add(static_cast<uint64_t>(ms * 1000.0));
             obs::pipelineStageMissMs().observe(ms);
         };
-        auto publish = [&](support::Result<std::shared_ptr<const T>> r) {
-            {
-                std::lock_guard<std::mutex> guard(cache.mu);
-                slot.result = std::move(r);
-                slot.ready = true;
-            }
-            cache.cv.notify_all();
-        };
         support::Result<std::shared_ptr<const T>> result = [&] {
             obs::Span span(stageName(stage));
             try {
                 return fn();
             } catch (...) {
-                // Never leave waiters hung: publish an error, then
-                // rethrow for the caller.
                 recordMiss(msSince(start));
-                publish(support::makeError("pipeline stage threw"));
                 throw;
             }
         }();
         recordMiss(msSince(start));
-        publish(result);
-        return result;
+
+        std::lock_guard<std::mutex> guard(cache.mu);
+        if (!slot)
+            slot = std::move(result);
+        return *slot;
     }
 };
 
@@ -275,7 +249,6 @@ Session::stats() const
         const Impl::StageLocal &c = impl_->counters[i];
         s.stage[i].hits = c.hits.value();
         s.stage[i].misses = c.misses.value();
-        s.stage[i].wait_blocks = c.wait_blocks.value();
         s.stage[i].miss_ms =
             static_cast<double>(c.miss_ns.value()) / 1e6;
         s.shard_conflicts += c.conflicts.value();
@@ -422,13 +395,11 @@ Session::translationValidate(const Source &source,
         return reorg.error();
     return impl_->getOrCompute(
         impl_->tv_cache, Stage::TRANSLATION_VALIDATE,
-        strprintf("M%zu|", options.tv_limits.max_steps) +
-            reorgKey(source, options),
+        reorgKey(source, options),
         [&]() -> support::Result<TvRef> {
             const ReorgRef &dep = reorg.value();
             verify::TvOptions tvopts;
             tvopts.alias = options.reorg.alias;
-            tvopts.limits = options.tv_limits;
             auto artifact = std::make_shared<TvArtifact>();
             artifact->reorg = dep;
             artifact->report = verify::validateTranslation(

@@ -27,17 +27,20 @@
  * handed out as `shared_ptr<const T>`; a cache hit is
  * pointer-identical to the cold run that produced it. Errors are
  * cached too: recoverable input failures (bad source) are remembered
- * and replayed, never recomputed.
+ * and replayed, never recomputed. A stage that throws caches nothing,
+ * so the next request for its key computes it again.
  *
  * Sessions are thread-safe: each stage cache is one key → slot map
- * behind one mutex and condition variable. Hits, misses and same-key
- * waits all take that lock, but no lock is ever held while a stage
- * runs, so requests for different keys compute in parallel while
- * concurrent requests for the same key block on the first computation
- * instead of duplicating it. `runAll` fans a corpus out across a
- * `BatchRunner` thread pool with deterministic, input-ordered result
- * collection — parallel results are element-wise identical to a
- * serial run.
+ * behind one mutex. Every lookup takes that lock, but no lock is ever
+ * held while a stage runs, so requests for different keys compute in
+ * parallel. No request waits for another's computation: concurrent
+ * requests for one key each compute it, the first result to land
+ * fills the slot, and all of them return that one artifact. Every
+ * caller in this repo asks for a given key from one thread, so the
+ * duplicate work does not arise in practice. `runAll` fans a corpus
+ * out across a `BatchRunner` thread pool with deterministic,
+ * input-ordered result collection — parallel results are element-wise
+ * identical to a serial run.
  *
  * Per-stage hit/miss counts and miss wall time are counted per
  * Session (`stats()` returns a `PipelineStats` snapshot) and mirrored
@@ -91,9 +94,6 @@ struct StageOptions
     plc::CompileOptions compile;
     reorg::ReorgOptions reorg;
     verify::VerifyOptions verify;
-    /** Symbolic-execution limits for TranslationValidate (the alias
-     *  discipline is taken from `reorg.alias`, which must match). */
-    verify::SymLimits tv_limits;
     /** Value-range / memory-safety knobs for the ValueRange stage. */
     verify::RangeCheckOptions range;
     SimOptions sim;
@@ -273,7 +273,9 @@ struct StageCounters
 {
     uint64_t hits = 0;        ///< artifact served from the cache
     uint64_t misses = 0;      ///< artifact computed (includes errors)
-    uint64_t wait_blocks = 0; ///< hits that blocked on an in-flight miss
+    /** Always 0: no lookup waits for another. Kept because
+     *  perfbench/perfbench.cc reads it. */
+    uint64_t wait_blocks = 0;
     double miss_ms = 0;       ///< wall time spent computing, milliseconds
 };
 

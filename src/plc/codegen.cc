@@ -31,6 +31,7 @@ constexpr Reg kRuntimeArg0 = 10, kRuntimeArg1 = 11, kRuntimeResult = 12;
 constexpr Reg kSp = isa::kStackReg;
 constexpr Reg kLink = isa::kLinkReg;
 constexpr uint32_t kConsole = 0x000ff000;
+constexpr uint32_t kStackTop = 0x40000; ///< initial stack pointer (grows down)
 
 constexpr auto lit = &Operand::ofImm;
 constexpr auto src = &Operand::ofReg;
@@ -937,7 +938,7 @@ CodeGen::run()
         // Entry: set up the stack, run the main body, halt.
         const FrameInfo &main_frame = sema_.frames.back();
         frame_ = &main_frame;
-        emit(as::li(options_.stack_top, kSp));
+        emit(as::li(kStackTop, kSp));
         adjustSp(main_frame.size, true);
         genStmts(program_.body);
         emit(as::special(isa::SpecialOp::HALT));

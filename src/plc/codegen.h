@@ -35,8 +35,6 @@ namespace mips::plc {
 struct CompileOptions
 {
     Layout layout = Layout::WORD_ALLOCATED;
-    /** Initial stack pointer (grows down). */
-    uint32_t stack_top = 0x40000;
     /** Lower dense CASE statements to jump tables (`jtab`); when
      *  false every CASE becomes a branch chain. */
     bool jump_tables = true;

@@ -32,16 +32,6 @@ typeBytePacked(const Type &type, Layout layout)
     return type.packed || layout == Layout::BYTE_ALLOCATED;
 }
 
-int32_t
-typeSizeWords(const Type &type, Layout layout)
-{
-    if (!type.is_array)
-        return 1;
-    if (typeBytePacked(type, layout))
-        return (type.elementCount() + 3) / 4;
-    return type.elementCount();
-}
-
 namespace {
 
 /** Words a variable of `type` occupies, in 64 bits so that extreme

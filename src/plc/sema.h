@@ -104,9 +104,6 @@ struct SemaResult
  */
 support::Result<SemaResult> analyze(ProgramAst &program, Layout layout);
 
-/** Number of words an object of `type` occupies under `layout`. */
-int32_t typeSizeWords(const Type &type, Layout layout);
-
 /** True when array elements of `type` are byte-packed under `layout`. */
 bool typeBytePacked(const Type &type, Layout layout);
 

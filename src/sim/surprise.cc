@@ -8,23 +8,6 @@ namespace mips::sim {
 using support::bits;
 using support::insertBits;
 
-std::string
-causeName(Cause cause)
-{
-    switch (cause) {
-      case Cause::NONE:          return "none";
-      case Cause::RESET:         return "reset";
-      case Cause::INTERRUPT:     return "interrupt";
-      case Cause::TRAP:          return "trap";
-      case Cause::OVERFLOW:      return "overflow";
-      case Cause::PAGE_FAULT:    return "page-fault";
-      case Cause::ADDRESS_ERROR: return "address-error";
-      case Cause::PRIVILEGE:     return "privilege-violation";
-      case Cause::ILLEGAL:       return "illegal-instruction";
-    }
-    support::panic("causeName: bad cause %d", static_cast<int>(cause));
-}
-
 uint32_t
 Surprise::pack() const
 {

@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace mips::sim {
 
@@ -48,9 +47,6 @@ enum class Cause : uint8_t
     PRIVILEGE = 7,      ///< privileged instruction in user mode
     ILLEGAL = 8,        ///< undecodable instruction word
 };
-
-/** Human-readable cause name. */
-std::string causeName(Cause cause);
 
 /** Detail codes for PAGE_FAULT / ADDRESS_ERROR. */
 constexpr uint8_t kDetailIfetch = 0;

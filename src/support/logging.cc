@@ -47,24 +47,6 @@ emit(const char *prefix, const char *fmt, va_list ap)
 } // namespace
 
 void
-inform(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    emit("info", fmt, ap);
-    va_end(ap);
-}
-
-void
-warn(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    emit("warn", fmt, ap);
-    va_end(ap);
-}
-
-void
 fatal(const char *fmt, ...)
 {
     va_list ap;

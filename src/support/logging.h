@@ -4,8 +4,7 @@
  *
  * Follows the gem5 convention: panic() is for internal invariant
  * violations (a bug in this library), fatal() is for unrecoverable
- * user-level errors (bad input, bad configuration). inform() and warn()
- * are purely advisory and never stop execution.
+ * user-level errors (bad input, bad configuration).
  */
 #pragma once
 
@@ -13,12 +12,6 @@
 #include <string>
 
 namespace mips::support {
-
-/** Print an informational message to stderr ("info: ..."). */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Print a warning message to stderr ("warn: ..."). */
-void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
  * Report an unrecoverable user-level error and exit(1).

@@ -78,9 +78,6 @@ constexpr int kNumCodes = static_cast<int>(Code::VF005) + 1;
 /** Stable textual name of a code, e.g. "HZ001". */
 const char *codeName(Code code);
 
-/** One-line contract description of a code (for --explain output). */
-const char *codeDescription(Code code);
-
 /** Severity name, e.g. "error". */
 const char *severityName(Severity severity);
 

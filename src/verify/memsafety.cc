@@ -236,7 +236,7 @@ checkMemorySafety(const Cfg &cfg, const CallGraph &graph,
                   const RangeCheckOptions &options,
                   const std::string &unit_name, DiagnosticEngine *diags)
 {
-    RangeAnalysis ranges = analyzeValueRanges(cfg, options.range);
+    RangeAnalysis ranges = analyzeValueRanges(cfg);
 
     RangeReport report;
     report.unit = unit_name;
@@ -275,8 +275,8 @@ checkMemorySafety(const Cfg &cfg, const CallGraph &graph,
             const char *what = m.is_store ? "store" : "load";
 
             if (s.map_enable == Flag::NO) {
-                // Physical addressing: valid words are [0, mem_words).
-                Verdict v = classifyOverlap(addr, options.mem_words,
+                // Physical addressing: valid words are [0, kPhysWords).
+                Verdict v = classifyOverlap(addr, kPhysWords,
                                             kWordMax);
                 if (v == Verdict::MUST) {
                     must_fault[i] = 1;
@@ -284,13 +284,13 @@ checkMemorySafety(const Cfg &cfg, const CallGraph &graph,
                          strprintf("%s address %s is outside physical "
                                    "memory [0, 0x%x)",
                                    what, intervalText(addr).c_str(),
-                                   options.mem_words));
+                                   kPhysWords));
                 } else if (v == Verdict::MAY) {
                     emit(Code::MS001, Severity::WARNING, i,
                          strprintf("%s address %s may lie outside "
                                    "physical memory [0, 0x%x)",
                                    what, intervalText(addr).c_str(),
-                                   options.mem_words));
+                                   kPhysWords));
                 }
             } else if (s.map_enable == Flag::YES) {
                 // Mapped addressing: the program space is two halves

@@ -6,7 +6,7 @@
  * verify/interproc.h and emits the MS-family diagnostics:
  *
  *   MS001 (error/warning) load/store word address outside physical
- *                         memory [0, mem_words)
+ *                         memory [0, kPhysWords)
  *   MS002 (error)         base-shifted word access whose index has
  *                         provably non-zero low bits (the hardware
  *                         silently truncates to the containing word)
@@ -46,16 +46,15 @@
 
 namespace mips::verify {
 
+/** Physical memory size in words (MS001): the simulator's default
+ *  (sim::kDefaultPhysWords, checked where both are visible). */
+constexpr uint32_t kPhysWords = 1u << 20;
+
 /** Knobs for one memory-safety run. */
 struct RangeCheckOptions
 {
-    /** Physical memory size in words (MS001). Matches the simulator
-     *  default (sim::PhysMemory). */
-    uint32_t mem_words = 1u << 20;
     /** Worst-case stack budget in words; 0 disables MS005. */
     uint32_t stack_budget = 0;
-    /** Fixpoint knobs forwarded to analyzeValueRanges. */
-    RangeOptions range;
 
     bool operator==(const RangeCheckOptions &) const = default;
 };

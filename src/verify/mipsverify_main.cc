@@ -75,8 +75,10 @@
  * 2 = usage or input failure.
  */
 #include <chrono>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -99,14 +101,16 @@
 #include "verify/verify.h"
 #include "workload/corpus.h"
 
-// The memsafety layer mirrors sim::Cause so it can stay simulator-
-// free; this is where the mirror is checked.
+// The memsafety layer mirrors sim::Cause and the simulator's memory
+// size so it can stay simulator-free; this is where the mirrors are
+// checked.
 static_assert(mips::verify::kFaultOverflow ==
               static_cast<uint8_t>(mips::sim::Cause::OVERFLOW));
 static_assert(mips::verify::kFaultPageFault ==
               static_cast<uint8_t>(mips::sim::Cause::PAGE_FAULT));
 static_assert(mips::verify::kFaultAddressError ==
               static_cast<uint8_t>(mips::sim::Cause::ADDRESS_ERROR));
+static_assert(mips::verify::kPhysWords == mips::sim::kDefaultPhysWords);
 
 namespace {
 
@@ -178,6 +182,53 @@ usage(FILE *to)
                  "       mipsverify --fuzz-file FILE "
                  "[--fuzz-minimize]\n"
                  "       mipsverify --list-metrics\n");
+}
+
+/** Print "mipsverify: MESSAGE" to stderr and exit with status 2. */
+[[noreturn]] __attribute__((format(printf, 1, 2))) void
+usageError(const char *fmt, ...)
+{
+    va_list ap;
+    va_start(ap, fmt);
+    std::string message = mips::support::vstrprintf(fmt, ap);
+    va_end(ap);
+    std::fprintf(stderr, "mipsverify: %s\n", message.c_str());
+    std::exit(2);
+}
+
+/**
+ * The value of option `name` when argv[*i] is `name V` (stepping *i
+ * over V) or `name=V`; null when argv[*i] is any other argument. A
+ * missing V is a usage error: "`name` needs `needs`".
+ */
+const char *
+flagValue(const char *name, const char *needs, int argc, char **argv,
+          int *i)
+{
+    std::string_view arg = argv[*i];
+    size_t len = std::strlen(name);
+    const char *value = nullptr;
+    if (arg == name) {
+        if (*i + 1 < argc)
+            value = argv[++*i];
+    } else if (arg.starts_with(name) && arg.size() > len &&
+               arg[len] == '=') {
+        value = argv[*i] + len + 1;
+    } else {
+        return nullptr;
+    }
+    if (!value)
+        usageError("%s needs %s", name, needs);
+    return value;
+}
+
+/** Parse all of `text` as a base-10 integer in [lo, hi]. */
+bool
+parseInt(const char *text, long long lo, long long hi, long long *out)
+{
+    char *end = nullptr;
+    *out = std::strtoll(text, &end, 10);
+    return end != text && *end == '\0' && *out >= lo && *out <= hi;
 }
 
 using Clock = std::chrono::steady_clock;
@@ -749,81 +800,35 @@ main(int argc, char **argv)
             cli.range = 2;
         } else if (arg == "--range-oracle") {
             cli.range_oracle = true;
-        } else if (arg == "--stack-budget" ||
-                   arg.rfind("--stack-budget=", 0) == 0) {
-            const char *value = nullptr;
-            if (arg == "--stack-budget") {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr,
-                                 "mipsverify: --stack-budget needs a "
-                                 "word count\n");
-                    return 2;
-                }
-                value = argv[++i];
-            } else {
-                value = arg.c_str() + 15;
-            }
-            char *end = nullptr;
-            long n = std::strtol(value, &end, 10);
-            if (end == value || *end != '\0' || n <= 0 ||
-                n > 0x7fffffff) {
-                std::fprintf(stderr,
-                             "mipsverify: bad --stack-budget '%s'\n",
-                             value);
-                return 2;
-            }
+        } else if (const char *v = flagValue("--stack-budget",
+                                             "a word count", argc,
+                                             argv, &i)) {
+            long long n = 0;
+            if (!parseInt(v, 1, 0x7fffffff, &n))
+                usageError("bad --stack-budget '%s'", v);
             cli.stack_budget = static_cast<uint32_t>(n);
         } else if (arg == "--callgraph" ||
                    arg.rfind("--callgraph=", 0) == 0) {
             cli.callgraph = true;
             if (arg != "--callgraph")
                 cli.callgraph_out = arg.substr(12);
-        } else if (arg == "--cost-tolerance" ||
-                   arg.rfind("--cost-tolerance=", 0) == 0) {
-            const char *value = nullptr;
-            if (arg == "--cost-tolerance") {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr,
-                                 "mipsverify: --cost-tolerance needs a "
-                                 "value\n");
-                    return 2;
-                }
-                value = argv[++i];
-            } else {
-                value = arg.c_str() + 17;
-            }
+        } else if (const char *v = flagValue("--cost-tolerance",
+                                             "a value", argc, argv,
+                                             &i)) {
             char *end = nullptr;
-            double f = std::strtod(value, &end);
-            if (end == value || *end != '\0' || f < 0.0) {
-                std::fprintf(stderr,
-                             "mipsverify: bad --cost-tolerance '%s'\n",
-                             value);
-                return 2;
-            }
-            cli.cost_tolerance = f;
+            cli.cost_tolerance = std::strtod(v, &end);
+            if (end == v || *end != '\0' || cli.cost_tolerance < 0.0)
+                usageError("bad --cost-tolerance '%s'", v);
         } else if (arg == "--stats") {
             cli.stats = true;
         } else if (arg == "--stats=json") {
             cli.stats = true;
             cli.stats_json = true;
-        } else if (arg == "--trace-out" ||
-                   arg.rfind("--trace-out=", 0) == 0) {
-            if (arg == "--trace-out") {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr,
-                                 "mipsverify: --trace-out needs a "
-                                 "file\n");
-                    return 2;
-                }
-                cli.trace_out = argv[++i];
-            } else {
-                cli.trace_out = arg.substr(12);
-            }
-            if (cli.trace_out.empty()) {
-                std::fprintf(stderr,
-                             "mipsverify: --trace-out needs a file\n");
-                return 2;
-            }
+        } else if (const char *v = flagValue("--trace-out", "a file",
+                                             argc, argv, &i)) {
+            if (*v == '\0')
+                usageError("--trace-out needs a file");
+            cli.trace_out = v;
         } else if (arg == "--list-metrics") {
             // The docs-drift gate (scripts/check_metrics_docs.sh)
             // diffs this dump against docs/METRICS.md, so force every
@@ -833,89 +838,30 @@ main(int argc, char **argv)
                  mips::obs::Registry::instance().names())
                 std::printf("%s\n", name.c_str());
             return 0;
-        } else if (arg == "--fuzz" || arg.rfind("--fuzz=", 0) == 0) {
-            const char *value = nullptr;
-            if (arg == "--fuzz") {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr,
-                                 "mipsverify: --fuzz needs a program "
-                                 "count\n");
-                    return 2;
-                }
-                value = argv[++i];
-            } else {
-                value = arg.c_str() + 7;
-            }
-            char *end = nullptr;
-            long long n = std::strtoll(value, &end, 10);
-            if (end == value || *end != '\0' || n <= 0 ||
-                n > 1'000'000) {
-                std::fprintf(stderr,
-                             "mipsverify: bad --fuzz count '%s'\n",
-                             value);
-                return 2;
-            }
+        } else if (const char *v = flagValue("--fuzz", "a program count",
+                                             argc, argv, &i)) {
+            long long n = 0;
+            if (!parseInt(v, 1, 1'000'000, &n))
+                usageError("bad --fuzz count '%s'", v);
             cli.fuzz = static_cast<uint64_t>(n);
-        } else if (arg == "--seed" || arg.rfind("--seed=", 0) == 0) {
-            const char *value = nullptr;
-            if (arg == "--seed") {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr,
-                                 "mipsverify: --seed needs a value\n");
-                    return 2;
-                }
-                value = argv[++i];
-            } else {
-                value = arg.c_str() + 7;
-            }
+        } else if (const char *v = flagValue("--seed", "a value", argc,
+                                             argv, &i)) {
             char *end = nullptr;
-            unsigned long long s = std::strtoull(value, &end, 10);
-            if (end == value || *end != '\0') {
-                std::fprintf(stderr, "mipsverify: bad --seed '%s'\n",
-                             value);
-                return 2;
-            }
-            cli.fuzz_seed = s;
+            cli.fuzz_seed = std::strtoull(v, &end, 10);
+            if (end == v || *end != '\0')
+                usageError("bad --seed '%s'", v);
         } else if (arg == "--fuzz-minimize") {
             cli.fuzz_minimize = true;
-        } else if (arg == "--fuzz-file" ||
-                   arg.rfind("--fuzz-file=", 0) == 0) {
-            if (arg == "--fuzz-file") {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr,
-                                 "mipsverify: --fuzz-file needs a "
-                                 "file\n");
-                    return 2;
-                }
-                cli.fuzz_file = argv[++i];
-            } else {
-                cli.fuzz_file = arg.substr(12);
-            }
-            if (cli.fuzz_file.empty()) {
-                std::fprintf(stderr,
-                             "mipsverify: --fuzz-file needs a file\n");
-                return 2;
-            }
-        } else if (arg == "--jobs" || arg.rfind("--jobs=", 0) == 0) {
-            const char *value = nullptr;
-            if (arg == "--jobs") {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr,
-                                 "mipsverify: --jobs needs a count\n");
-                    return 2;
-                }
-                value = argv[++i];
-            } else {
-                value = arg.c_str() + 7;
-            }
-            char *end = nullptr;
-            long n = std::strtol(value, &end, 10);
-            if (end == value || *end != '\0' || n < 0 || n > 1024) {
-                std::fprintf(stderr,
-                             "mipsverify: bad --jobs count '%s'\n",
-                             value);
-                return 2;
-            }
+        } else if (const char *v = flagValue("--fuzz-file", "a file",
+                                             argc, argv, &i)) {
+            if (*v == '\0')
+                usageError("--fuzz-file needs a file");
+            cli.fuzz_file = v;
+        } else if (const char *v = flagValue("--jobs", "a count", argc,
+                                             argv, &i)) {
+            long long n = 0;
+            if (!parseInt(v, 0, 1024, &n))
+                usageError("bad --jobs count '%s'", v);
             // 0 means auto: one worker per usable core (resolved
             // here so fail-fast wave sizing sees the real count).
             cli.jobs = n == 0

@@ -19,6 +19,9 @@ using isa::MemPiece;
 namespace {
 
 constexpr int64_t kWordSpan = kWordMax + 1; // 2^32
+/** Joins into one item that may change its state before the solver
+ *  starts widening unstable bounds there. */
+constexpr int kWidenAfter = 4;
 
 /** Re-establish the representation invariants (a fully known value is
  *  a singleton interval; low_val carries no bits past low_bits). */
@@ -585,7 +588,7 @@ transferItem(const Cfg &cfg, size_t i, RegState s)
 } // namespace
 
 RangeAnalysis
-analyzeValueRanges(const Cfg &cfg, const RangeOptions &options)
+analyzeValueRanges(const Cfg &cfg)
 {
     size_t n = cfg.size();
     RangeAnalysis a;
@@ -603,7 +606,7 @@ analyzeValueRanges(const Cfg &cfg, const RangeOptions &options)
                               : incoming;
         if (a.in[i].reachable && joined == a.in[i])
             return;
-        if (++changes[i] > options.widen_after && a.in[i].reachable) {
+        if (++changes[i] > kWidenAfter && a.in[i].reachable) {
             auto widen = [&](const AbsVal &old, AbsVal *v) {
                 AbsVal w = widenVals(old, *v);
                 if (!(w == *v)) {

@@ -140,16 +140,6 @@ struct RegState
 /** The abstract value of an ALU piece's second operand in `s`. */
 AbsVal src2Val(const RegState &s, const isa::Src2 &src2);
 
-/** Fixpoint knobs. */
-struct RangeOptions
-{
-    /** Joins into one item that may change its state before the
-     *  solver starts widening unstable bounds there. */
-    int widen_after = 4;
-
-    bool operator==(const RangeOptions &) const = default;
-};
-
 /** The fixpoint: one in-state per item, plus solver statistics. */
 struct RangeAnalysis
 {
@@ -161,8 +151,7 @@ struct RangeAnalysis
 };
 
 /** Run the forward fixpoint over a built CFG. */
-RangeAnalysis analyzeValueRanges(const Cfg &cfg,
-                                 const RangeOptions &options = {});
+RangeAnalysis analyzeValueRanges(const Cfg &cfg);
 
 /**
  * Abstract effective word address of a memory-referencing piece in

@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "plc/driver.h"
-#include "plc/parser.h"
-#include "sim/machine.h"
-#include "support/logging.h"
-#include "workload/corpus.h"
+#include "sim/cpu.h"
 
 namespace mips::workload {
 
@@ -256,71 +252,6 @@ accumulateRefs(const assembler::Unit &final_unit, uint32_t origin,
                 (is_byte ? out->char_loads8 : out->char_loads32) += n;
         }
     }
-}
-
-support::Result<ProfileResult>
-profileProgram(const std::string &source, plc::Layout layout)
-{
-    plc::CompileOptions copts;
-    copts.layout = layout;
-    auto exe = plc::buildExecutable(source, copts);
-    if (!exe.ok())
-        return exe.error();
-
-    sim::Machine machine;
-    machine.load(exe.value().program);
-    machine.cpu().enableProfiling(true);
-    sim::StopReason reason = machine.cpu().run(200'000'000);
-    if (reason != sim::StopReason::HALT) {
-        return support::makeError("program did not halt: " +
-                                  machine.cpu().errorMessage());
-    }
-
-    ProfileResult result;
-    result.cycles = machine.cpu().stats().cycles;
-    result.free_data_cycles = machine.cpu().stats().free_data_cycles;
-    result.console = machine.memory().consoleOutput();
-
-    accumulateRefs(exe.value().final_unit, exe.value().program.origin,
-                   machine.cpu(), &result.refs);
-    return result;
-}
-
-support::Result<ProfileResult>
-profileCorpus(plc::Layout layout)
-{
-    ProfileResult merged;
-    for (const CorpusProgram &program : corpus()) {
-        auto result = profileProgram(program.source, layout);
-        if (!result.ok()) {
-            return support::makeError(std::string(program.name) + ": " +
-                                      result.error().str());
-        }
-        merged.refs.merge(result.value().refs);
-        merged.cycles += result.value().cycles;
-        merged.free_data_cycles += result.value().free_data_cycles;
-    }
-    return merged;
-}
-
-std::vector<ProgramAst>
-parseCorpus(plc::Layout layout)
-{
-    std::vector<ProgramAst> out;
-    for (const CorpusProgram &program : corpus()) {
-        auto ast = plc::parseProgram(program.source);
-        if (!ast.ok()) {
-            support::panic("corpus program %s fails to parse: %s",
-                           program.name, ast.error().str().c_str());
-        }
-        out.push_back(ast.take());
-        auto sema = plc::analyze(out.back(), layout);
-        if (!sema.ok()) {
-            support::panic("corpus program %s fails analysis: %s",
-                           program.name, sema.error().str().c_str());
-        }
-    }
-    return out;
 }
 
 } // namespace mips::workload

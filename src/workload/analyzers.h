@@ -154,7 +154,6 @@ struct ProfileResult
     RefPattern refs;
     uint64_t cycles = 0;          ///< issued words, incl. exception code
     uint64_t free_data_cycles = 0;
-    std::string console;
 
     /** Fraction of data bandwidth left idle (mirrors
      *  sim::CpuStats::freeBandwidth over the merged counts). */
@@ -170,26 +169,10 @@ struct ProfileResult
  * Accumulate logical reference counts into `out` from the compiler's
  * per-item annotations in `final_unit`, weighted by the profiling
  * CPU's per-word execution counts (the unit must have been linked at
- * `origin` and run with profiling enabled). Shared by profileProgram
- * and the pipeline Simulate stage.
+ * `origin` and run with profiling enabled), as the pipeline Simulate
+ * stage does.
  */
 void accumulateRefs(const assembler::Unit &final_unit, uint32_t origin,
                     const sim::Cpu &cpu, RefPattern *out);
-
-/**
- * Compile `source` under `layout`, reorganize, run on the pipeline
- * machine with profiling, and accumulate logical reference counts
- * from the compiler's annotations weighted by execution counts.
- */
-support::Result<ProfileResult> profileProgram(const std::string &source,
-                                              plc::Layout layout);
-
-/** Run the whole corpus and merge reference patterns. */
-support::Result<ProfileResult> profileCorpus(plc::Layout layout);
-
-// ------------------------------------------------- Corpus conveniences
-
-/** Parse + analyze every corpus program (panics on corpus bugs). */
-std::vector<plc::ProgramAst> parseCorpus(plc::Layout layout);
 
 } // namespace mips::workload

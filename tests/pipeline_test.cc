@@ -3,8 +3,8 @@
  * Pipeline-session tests: cache identity and keying (Pascal, assembly
  * and scheduled sources), link failures carried as artifact data, the
  * range stage's MS-only diagnostics, parallel/serial equivalence of
- * `runAll`, counter consistency, error caching and same-key herd
- * coalescing, and the BatchRunner's ordering, no-stranding,
+ * `runAll`, counter consistency, error caching, one artifact for a
+ * same-key herd, and the BatchRunner's ordering, no-stranding,
  * queue-depth, concurrent-runner and exception contracts.
  */
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "obs/catalog.h"
 #include "pipeline/batch.h"
 #include "pipeline/session.h"
-#include "workload/analyzers.h"
 #include "workload/corpus.h"
 
 namespace {
@@ -384,37 +383,10 @@ TEST(PipelineSession, ErrorsAreCached)
     EXPECT_FALSE(results[0].error.empty());
 }
 
-// The profiling simulate stage must agree with the standalone
-// workload profiler it replaced.
-TEST(PipelineSession, SimulateMatchesWorkloadProfiler)
-{
-    const char *source = workload::fibonacciProgram().source;
-    pipeline::StageOptions options;
-    options.sim.profile = true;
-
-    pipeline::Session session;
-    auto sim = session.simulate(source, options);
-    ASSERT_TRUE(sim.ok());
-    auto profiled = workload::profileProgram(
-        source, plc::Layout::WORD_ALLOCATED);
-    ASSERT_TRUE(profiled.ok());
-
-    EXPECT_EQ(sim.value()->stop, sim::StopReason::HALT);
-    EXPECT_EQ(sim.value()->cycles, profiled.value().cycles);
-    EXPECT_EQ(sim.value()->free_data_cycles,
-              profiled.value().free_data_cycles);
-    EXPECT_EQ(sim.value()->console, profiled.value().console);
-    EXPECT_EQ(sim.value()->refs.loads32, profiled.value().refs.loads32);
-    EXPECT_EQ(sim.value()->refs.stores32,
-              profiled.value().refs.stores32);
-    EXPECT_EQ(sim.value()->refs.loads8, profiled.value().refs.loads8);
-    EXPECT_EQ(sim.value()->refs.stores8, profiled.value().refs.stores8);
-}
-
-// A thundering herd on one key computes exactly once: every thread
-// gets the same artifact (pointer identity), latecomers either hit
-// the published slot or block on the in-flight computation — never
-// recompute.
+// A thundering herd on one key: a thread that finds the key still
+// being computed computes it too, but the first result to land fills
+// the slot and every thread gets that one artifact (pointer
+// identity). Every request is counted once, as a hit or a miss.
 TEST(PipelineSession, SameKeyHerdComputesOnce)
 {
     pipeline::Session session;
@@ -444,28 +416,8 @@ TEST(PipelineSession, SameKeyHerdComputesOnce)
 
     const pipeline::StageCounters &c = session.stats().stage[
         static_cast<size_t>(pipeline::Stage::COMPILE)];
-    EXPECT_EQ(c.misses, 1u);
-    EXPECT_EQ(c.hits, static_cast<uint64_t>(kThreads - 1));
-    // wait_blocks counts the subset of hits that had to block on the
-    // in-flight computation; it is scheduler-dependent, but never
-    // exceeds the hits.
-    EXPECT_LE(c.wait_blocks, c.hits);
-}
-
-// Distinct-key parallel work never blocks on an in-flight
-// computation: each program's stage keys are unique, so a corpus fan
-// out across 8 workers must finish with zero wait_blocks.
-TEST(PipelineSession, DistinctKeysNeverWait)
-{
-    pipeline::Session session;
-    pipeline::runAll(session, testCorpus(), fullChain(),
-                     pipeline::StageOptions{}, 8);
-    pipeline::PipelineStats stats = session.stats();
-    for (size_t s = 0; s < pipeline::kStageCount; ++s) {
-        SCOPED_TRACE(pipeline::stageName(
-            static_cast<pipeline::Stage>(s)));
-        EXPECT_EQ(stats.stage[s].wait_blocks, 0u);
-    }
+    EXPECT_EQ(c.hits + c.misses, static_cast<uint64_t>(kThreads));
+    EXPECT_GE(c.misses, 1u);
 }
 
 // ----------------------------------------------------- BatchRunner

@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "pipeline/session.h"
 #include "plc/driver.h"
 #include "sim/machine.h"
 #include "workload/analyzers.h"
@@ -118,13 +119,60 @@ TEST(Corpus, PuzzleVariantsSolveAndAgree)
 
 // --------------------------------------------------------- Analyzers
 
+/** The analyzed AST of every corpus program under word allocation. */
+std::vector<pipeline::ParseRef>
+parsedCorpus(pipeline::Session &session)
+{
+    std::vector<pipeline::ParseRef> out;
+    for (const CorpusProgram &program : corpus()) {
+        auto parsed =
+            session.parse(program.source, plc::Layout::WORD_ALLOCATED);
+        EXPECT_TRUE(parsed.ok()) << program.name;
+        if (parsed.ok())
+            out.push_back(parsed.value());
+    }
+    return out;
+}
+
+/** One profiled run of `source` under `layout` (null if it fails). */
+pipeline::SimRef
+profiled(pipeline::Session &session, const char *source,
+         plc::Layout layout)
+{
+    pipeline::StageOptions options;
+    options.compile.layout = layout;
+    options.sim.profile = true;
+    auto run = session.simulate(source, options);
+    EXPECT_TRUE(run.ok()) << (run.ok() ? "" : run.error().str());
+    if (!run.ok())
+        return nullptr;
+    EXPECT_EQ(run.value()->stop, sim::StopReason::HALT)
+        << run.value()->error;
+    return run.value();
+}
+
+/** The whole corpus profiled under `layout`, merged. */
+ProfileResult
+profiledCorpus(pipeline::Session &session, plc::Layout layout)
+{
+    ProfileResult merged;
+    for (const CorpusProgram &program : corpus()) {
+        pipeline::SimRef run = profiled(session, program.source, layout);
+        if (!run)
+            continue;
+        merged.refs.merge(run->refs);
+        merged.cycles += run->cycles;
+        merged.free_data_cycles += run->free_data_cycles;
+    }
+    return merged;
+}
+
 TEST(Analyzers, ConstantDistributionShape)
 {
+    pipeline::Session session;
     ConstantDist dist;
-    for (const plc::ProgramAst &ast :
-         parseCorpus(plc::Layout::WORD_ALLOCATED)) {
-        collectConstants(ast, &dist);
-    }
+    for (const pipeline::ParseRef &parsed : parsedCorpus(session))
+        collectConstants(parsed->ast, &dist);
     ASSERT_GT(dist.dist.total(), 50u);
     // The paper's shape: 0 and 1 are the most common individual
     // values; small constants (<=15) cover the majority; character
@@ -142,11 +190,10 @@ TEST(Analyzers, ConstantDistributionShape)
 
 TEST(Analyzers, BoolExprShape)
 {
+    pipeline::Session session;
     BoolExprShape shape;
-    for (const plc::ProgramAst &ast :
-         parseCorpus(plc::Layout::WORD_ALLOCATED)) {
-        collectBoolExprs(ast, &shape);
-    }
+    for (const pipeline::ParseRef &parsed : parsedCorpus(session))
+        collectBoolExprs(parsed->ast, &shape);
     ASSERT_GT(shape.expressions, 20u);
     // Most boolean expressions guard control flow (paper: 80.9%) and
     // average a bit over one operator (paper: 1.66).
@@ -174,13 +221,11 @@ TEST(Analyzers, CcSavingsAreSmall)
 
 TEST(Analyzers, ReferencePatternsWordVsByte)
 {
-    auto word = profileCorpus(plc::Layout::WORD_ALLOCATED);
-    ASSERT_TRUE(word.ok()) << word.error().str();
-    auto byte = profileCorpus(plc::Layout::BYTE_ALLOCATED);
-    ASSERT_TRUE(byte.ok()) << byte.error().str();
-
-    const RefPattern &w = word.value().refs;
-    const RefPattern &b = byte.value().refs;
+    pipeline::Session session;
+    const RefPattern w =
+        profiledCorpus(session, plc::Layout::WORD_ALLOCATED).refs;
+    const RefPattern b =
+        profiledCorpus(session, plc::Layout::BYTE_ALLOCATED).refs;
     ASSERT_GT(w.total(), 1000u);
     ASSERT_GT(b.total(), 1000u);
 
@@ -200,9 +245,10 @@ TEST(Analyzers, ReferencePatternsWordVsByte)
 
 TEST(Analyzers, FreeMemoryCyclesSubstantial)
 {
-    auto result = profileCorpus(plc::Layout::WORD_ALLOCATED);
-    ASSERT_TRUE(result.ok());
-    double free_frac = result.value().freeBandwidth();
+    pipeline::Session session;
+    double free_frac =
+        profiledCorpus(session, plc::Layout::WORD_ALLOCATED)
+            .freeBandwidth();
     // The paper: "the wasted bandwidth came close to 40%". Our
     // measured fraction runs higher because multiplication and
     // division execute as software step loops (pure ALU traffic) —
@@ -214,10 +260,11 @@ TEST(Analyzers, FreeMemoryCyclesSubstantial)
 
 TEST(Analyzers, ProfileCapturesCharacterTraffic)
 {
-    auto result = profileProgram(corpus()[0].source, // tokenizer
-                                 plc::Layout::WORD_ALLOCATED);
-    ASSERT_TRUE(result.ok());
-    EXPECT_GT(result.value().refs.charTotal(), 0u);
+    pipeline::Session session;
+    pipeline::SimRef run = profiled(session, corpus()[0].source, // tokenizer
+                                    plc::Layout::WORD_ALLOCATED);
+    ASSERT_NE(run, nullptr);
+    EXPECT_GT(run->refs.charTotal(), 0u);
 }
 
 } // namespace
