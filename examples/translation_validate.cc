@@ -64,9 +64,9 @@ main()
     // introduced — only the hazard-invisible kind of bug.
     mips::assembler::Unit tampered = reorganized.unit;
     for (auto &item : tampered.items) {
-        if (!item.is_data && item.inst.alu &&
-            item.inst.alu->op == mips::isa::AluOp::MOVI8) {
-            item.inst.alu->imm8 ^= 1;
+        if (!item.is_data && item.inst.alu() &&
+            item.inst.alu()->op == mips::isa::AluOp::MOVI8) {
+            item.inst.alu()->imm8 ^= 1;
             break;
         }
     }

@@ -200,12 +200,12 @@ trap(int64_t code)
 InstResult
 pack(const Instruction &a, const Instruction &b)
 {
-    const Instruction &alu_word = a.alu ? a : b;
-    const Instruction &mem_word = a.alu ? b : a;
-    if (!alu_word.alu || !mem_word.mem)
+    const Instruction &alu_word = a.alu() ? a : b;
+    const Instruction &mem_word = a.alu() ? b : a;
+    if (!alu_word.alu() || !mem_word.mem())
         return makeError("a packed word needs one ALU and one memory piece");
     Instruction packed =
-        Instruction::makePacked(*alu_word.alu, *mem_word.mem);
+        Instruction::makePacked(*alu_word.alu(), *mem_word.mem());
     std::string err = isa::validate(packed);
     if (!err.empty())
         return makeError(err);

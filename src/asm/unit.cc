@@ -125,7 +125,7 @@ link(const Unit &unit)
 
         isa::Instruction inst = item.inst;
         if (item.target != kNoLabel) {
-            if (inst.branch) {
+            if (inst.branch()) {
                 int64_t offset = static_cast<int64_t>(target) -
                                  (static_cast<int64_t>(addr) + 1);
                 if (!support::fitsSigned(offset, isa::kBranchOffsetBits)) {
@@ -134,15 +134,15 @@ link(const Unit &unit)
                             " out of range",
                         item.source_line);
                 }
-                inst.branch->offset = static_cast<int32_t>(offset);
-            } else if (inst.jump) {
-                inst.jump->target_addr = target;
-            } else if (inst.mem &&
-                       (inst.mem->mode == isa::MemMode::ABSOLUTE ||
-                        inst.mem->mode == isa::MemMode::LONG_IMM)) {
+                inst.branch()->offset = static_cast<int32_t>(offset);
+            } else if (inst.jump()) {
+                inst.jump()->target_addr = target;
+            } else if (inst.mem() &&
+                       (inst.mem()->mode == isa::MemMode::ABSOLUTE ||
+                        inst.mem()->mode == isa::MemMode::LONG_IMM)) {
                 // Absolute reference or load-address: the label's
                 // address becomes the immediate.
-                inst.mem->imm = static_cast<int32_t>(target);
+                inst.mem()->imm = static_cast<int32_t>(target);
             } else {
                 return support::makeError(
                     "label operand on a non-transfer instruction",
@@ -183,18 +183,18 @@ listUnit(const Unit &unit)
         } else if (!target.empty()) {
             // Print with the symbolic target in place of the number.
             std::string text;
-            if (item.inst.jump &&
-                isa::jumpIsCall(item.inst.jump->kind)) {
+            if (item.inst.jump() &&
+                isa::jumpIsCall(item.inst.jump()->kind)) {
                 text = support::strprintf(
                     "call %s, %s", target.c_str(),
-                    isa::regName(item.inst.jump->link).c_str());
-            } else if (item.inst.jump &&
-                       isa::jumpIsTable(item.inst.jump->kind)) {
+                    isa::regName(item.inst.jump()->link).c_str());
+            } else if (item.inst.jump() &&
+                       isa::jumpIsTable(item.inst.jump()->kind)) {
                 text = isa::disasm(item.inst, addr) + ", " + target;
-            } else if (item.inst.mem) {
+            } else if (item.inst.mem()) {
                 // A long immediate with a label is `la`; any other
                 // memory piece with one is an absolute load or store.
-                const isa::MemPiece &mp = *item.inst.mem;
+                const isa::MemPiece &mp = *item.inst.mem();
                 std::string rd = isa::regName(mp.rd);
                 if (mp.is_store)
                     text = "st " + rd + ", @" + target;

@@ -186,7 +186,7 @@ struct Item
     int source_line = 0;
 };
 
-static_assert(sizeof(Item) <= 96, "an Item holds no strings");
+static_assert(sizeof(Item) <= 44, "an Item holds no strings");
 
 /** A translation unit: items at consecutive word addresses. */
 struct Unit

@@ -96,14 +96,14 @@ disasm(const Instruction &inst, uint32_t pc)
         return "nop";
 
     std::string out;
-    if (inst.alu)
-        out = disasmAlu(*inst.alu);
+    if (inst.alu())
+        out = disasmAlu(*inst.alu());
 
-    if (inst.mem) {
-        std::string mem = disasmMem(*inst.mem);
+    if (inst.mem()) {
+        std::string mem = disasmMem(*inst.mem());
         out = out.empty() ? mem : out + " | " + mem;
-    } else if (inst.branch) {
-        const BranchPiece &b = *inst.branch;
+    } else if (inst.branch()) {
+        const BranchPiece &b = *inst.branch();
         uint32_t target = pc + 1 + static_cast<uint32_t>(b.offset);
         if (b.cond == Cond::ALWAYS) {
             out = strprintf("bra %u", target);
@@ -112,8 +112,8 @@ disasm(const Instruction &inst, uint32_t pc)
                             regName(b.rs).c_str(),
                             src2Str(b.src2).c_str(), target);
         }
-    } else if (inst.jump) {
-        const JumpPiece &j = *inst.jump;
+    } else if (inst.jump()) {
+        const JumpPiece &j = *inst.jump();
         switch (j.kind) {
           case JumpKind::DIRECT:
             out = strprintf("jmp %u", j.target_addr);
@@ -136,8 +136,8 @@ disasm(const Instruction &inst, uint32_t pc)
                             regName(j.index).c_str());
             break;
         }
-    } else if (inst.special) {
-        const SpecialPiece &p = *inst.special;
+    } else if (inst.special()) {
+        const SpecialPiece &p = *inst.special();
         switch (p.op) {
           case SpecialOp::NOP:
             out = "nop";

@@ -220,9 +220,9 @@ encode(const Instruction &inst)
     if (inst.isNop())
         return insertBits(0, 31, 29, kFmtSpecial);
 
-    if (inst.alu && inst.mem) {
-        const AluPiece &a = *inst.alu;
-        const MemPiece &m = *inst.mem;
+    if (inst.alu() && inst.mem()) {
+        const AluPiece &a = *inst.alu();
+        const MemPiece &m = *inst.mem();
         word = insertBits(word, 31, 29, kFmtPacked);
         word = insertBits(word, 28, 28, m.is_store ? 1 : 0);
         word = insertBits(word, 27, 24, m.rd);
@@ -238,13 +238,13 @@ encode(const Instruction &inst)
         return word;
     }
 
-    if (inst.alu) {
+    if (inst.alu()) {
         word = insertBits(word, 31, 29, kFmtAlu);
-        return encodeAluFields(*inst.alu, word);
+        return encodeAluFields(*inst.alu(), word);
     }
 
-    if (inst.mem) {
-        const MemPiece &m = *inst.mem;
+    if (inst.mem()) {
+        const MemPiece &m = *inst.mem();
         word = insertBits(word, 31, 29, kFmtMem);
         word = insertBits(word, 28, 26, static_cast<uint32_t>(m.mode));
         word = insertBits(word, 25, 25, m.is_store ? 1 : 0);
@@ -271,8 +271,8 @@ encode(const Instruction &inst)
         return word;
     }
 
-    if (inst.branch) {
-        const BranchPiece &b = *inst.branch;
+    if (inst.branch()) {
+        const BranchPiece &b = *inst.branch();
         word = insertBits(word, 31, 29, kFmtBranch);
         word = insertBits(word, 28, 25, static_cast<uint32_t>(b.cond));
         word = insertBits(word, 24, 21, b.rs);
@@ -283,8 +283,8 @@ encode(const Instruction &inst)
         return word;
     }
 
-    if (inst.jump) {
-        const JumpPiece &j = *inst.jump;
+    if (inst.jump()) {
+        const JumpPiece &j = *inst.jump();
         word = insertBits(word, 31, 29, kFmtJump);
         word = insertBits(word, 28, 27,
                           j.kind == JumpKind::TABLE
@@ -315,7 +315,7 @@ encode(const Instruction &inst)
     }
 
     // Special piece.
-    const SpecialPiece &p = *inst.special;
+    const SpecialPiece &p = *inst.special();
     word = insertBits(word, 31, 29, kFmtSpecial);
     switch (p.op) {
       case SpecialOp::NOP:

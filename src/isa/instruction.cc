@@ -27,10 +27,10 @@ specialRequiresPrivilege(const SpecialPiece &piece)
 bool
 Instruction::isControlTransfer() const
 {
-    if (branch || jump)
+    if (branch() || jump())
         return true;
-    if (special) {
-        switch (special->op) {
+    if (const SpecialPiece *s = special()) {
+        switch (s->op) {
           case SpecialOp::TRAP:
           case SpecialOp::RFE:
           case SpecialOp::HALT:
@@ -47,21 +47,42 @@ Instruction::referencesMemory() const
 {
     // A table-dispatch jump fetches its target word over the data
     // interface, so it occupies the data port exactly like a load.
-    if (jump && jumpIsTable(jump->kind))
+    if (jump() && jumpIsTable(jump()->kind))
         return true;
-    return mem && memReferencesMemory(*mem);
+    return mem() && memReferencesMemory(*mem());
 }
 
 bool
 Instruction::isStore() const
 {
-    return mem && mem->is_store;
+    return mem() && mem()->is_store;
 }
 
 bool
 Instruction::isLoad() const
 {
-    return mem && !mem->is_store && memReferencesMemory(*mem);
+    return mem() && !mem()->is_store && memReferencesMemory(*mem());
+}
+
+bool
+Instruction::operator==(const Instruction &other) const
+{
+    if (pieces_ != other.pieces_)
+        return false;
+    if (has(kAlu) && !(alu_ == other.alu_))
+        return false;
+    switch (pieces_ & ~kAlu) {
+      case kMem:
+        return xfer_.mem == other.xfer_.mem;
+      case kBranch:
+        return xfer_.branch == other.xfer_.branch;
+      case kJump:
+        return xfer_.jump == other.xfer_.jump;
+      case kSpecial:
+        return xfer_.special == other.xfer_.special;
+      default:
+        return true;
+    }
 }
 
 Instruction
@@ -74,7 +95,7 @@ Instruction
 Instruction::makeAlu(AluPiece p)
 {
     Instruction i;
-    i.alu = p;
+    i.setAlu(p);
     return i;
 }
 
@@ -82,7 +103,7 @@ Instruction
 Instruction::makeMem(MemPiece p)
 {
     Instruction i;
-    i.mem = p;
+    i.setMem(p);
     return i;
 }
 
@@ -90,8 +111,8 @@ Instruction
 Instruction::makePacked(AluPiece a, MemPiece m)
 {
     Instruction i;
-    i.alu = a;
-    i.mem = m;
+    i.setAlu(a);
+    i.setMem(m);
     return i;
 }
 
@@ -99,7 +120,7 @@ Instruction
 Instruction::makeBranch(BranchPiece p)
 {
     Instruction i;
-    i.branch = p;
+    i.setBranch(p);
     return i;
 }
 
@@ -107,7 +128,7 @@ Instruction
 Instruction::makeJump(JumpPiece p)
 {
     Instruction i;
-    i.jump = p;
+    i.setJump(p);
     return i;
 }
 
@@ -115,7 +136,7 @@ Instruction
 Instruction::makeSpecial(SpecialPiece p)
 {
     Instruction i;
-    i.special = p;
+    i.setSpecial(p);
     return i;
 }
 
@@ -203,40 +224,40 @@ regUse(const Instruction &inst)
         use.writes_memory |= other.writes_memory;
     };
 
-    if (inst.alu)
-        merge(regUseAlu(*inst.alu));
-    if (inst.mem)
-        merge(regUseMem(*inst.mem));
-    if (inst.branch) {
-        markRead(&use, inst.branch->rs);
-        if (!inst.branch->src2.is_imm)
-            markRead(&use, inst.branch->src2.reg);
+    if (inst.alu())
+        merge(regUseAlu(*inst.alu()));
+    if (inst.mem())
+        merge(regUseMem(*inst.mem()));
+    if (inst.branch()) {
+        markRead(&use, inst.branch()->rs);
+        if (!inst.branch()->src2.is_imm)
+            markRead(&use, inst.branch()->src2.reg);
     }
-    if (inst.jump) {
-        if (jumpIsIndirect(inst.jump->kind))
-            markRead(&use, inst.jump->target_reg);
-        if (jumpIsTable(inst.jump->kind)) {
-            markRead(&use, inst.jump->target_reg);
-            markRead(&use, inst.jump->index);
+    if (inst.jump()) {
+        if (jumpIsIndirect(inst.jump()->kind))
+            markRead(&use, inst.jump()->target_reg);
+        if (jumpIsTable(inst.jump()->kind)) {
+            markRead(&use, inst.jump()->target_reg);
+            markRead(&use, inst.jump()->index);
             use.reads_memory = true;
         }
-        if (jumpIsCall(inst.jump->kind))
-            markWrite(&use, inst.jump->link);
+        if (jumpIsCall(inst.jump()->kind))
+            markWrite(&use, inst.jump()->link);
     }
-    if (inst.special) {
-        switch (inst.special->op) {
+    if (inst.special()) {
+        switch (inst.special()->op) {
           case SpecialOp::NOP:
             break;
           case SpecialOp::MFS:
-            markWrite(&use, inst.special->reg);
-            if (inst.special->sreg == SpecialReg::LO)
+            markWrite(&use, inst.special()->reg);
+            if (inst.special()->sreg == SpecialReg::LO)
                 use.reads_lo = true;
             else
                 use.touches_system_state = true;
             break;
           case SpecialOp::MTS:
-            markRead(&use, inst.special->reg);
-            if (inst.special->sreg == SpecialReg::LO)
+            markRead(&use, inst.special()->reg);
+            if (inst.special()->sreg == SpecialReg::LO)
                 use.writes_lo = true;
             else
                 use.touches_system_state = true;
@@ -285,33 +306,29 @@ canPack(const AluPiece &a, const MemPiece &m)
 std::string
 validate(const Instruction &inst)
 {
-    int xfer = (inst.mem ? 1 : 0) + (inst.branch ? 1 : 0) +
-               (inst.jump ? 1 : 0) + (inst.special ? 1 : 0);
-    if (xfer > 1)
-        return "more than one transfer piece in a word";
-    if (inst.alu && (inst.branch || inst.jump || inst.special))
+    if (inst.alu() && inst.hasTransfer() && !inst.mem())
         return "an ALU piece may share a word only with a memory piece";
-    if (inst.alu && inst.mem && !canPack(*inst.alu, *inst.mem))
+    if (inst.alu() && inst.mem() && !canPack(*inst.alu(), *inst.mem()))
         return "ALU/memory combination does not fit the packed format";
-    if (inst.mem) {
-        std::string err = memValidate(*inst.mem);
+    if (inst.mem()) {
+        std::string err = memValidate(*inst.mem());
         if (!err.empty())
             return err;
     }
-    if (inst.branch) {
-        if (!support::fitsSigned(inst.branch->offset, kBranchOffsetBits))
+    if (inst.branch()) {
+        if (!support::fitsSigned(inst.branch()->offset, kBranchOffsetBits))
             return "branch offset out of range";
     }
-    if (inst.jump) {
-        if (inst.jump->kind == JumpKind::DIRECT &&
-            !support::fitsUnsigned(inst.jump->target_addr, kJumpAddrBits))
+    if (inst.jump()) {
+        if (inst.jump()->kind == JumpKind::DIRECT &&
+            !support::fitsUnsigned(inst.jump()->target_addr, kJumpAddrBits))
             return "jump target out of range";
-        if (inst.jump->kind == JumpKind::CALL_DIRECT &&
-            !support::fitsUnsigned(inst.jump->target_addr, kCallAddrBits))
+        if (inst.jump()->kind == JumpKind::CALL_DIRECT &&
+            !support::fitsUnsigned(inst.jump()->target_addr, kCallAddrBits))
             return "call target out of range";
     }
-    if (inst.special && inst.special->op == SpecialOp::TRAP &&
-        inst.special->trap_code >= (1u << kTrapCodeBits)) {
+    if (inst.special() && inst.special()->op == SpecialOp::TRAP &&
+        inst.special()->trap_code >= (1u << kTrapCodeBits)) {
         return "trap code out of range";
     }
     return "";

@@ -35,7 +35,8 @@ constexpr int kDispBits = 17;      ///< signed
 constexpr int kPackedDispBits = 4; ///< unsigned, packed format only
 constexpr int kShiftBits = 3;      ///< shift amount 0..7
 
-/** One memory piece. */
+/** One memory piece. The byte fields come first, so the piece packs
+ *  into 12 bytes, no more than a branch or jump piece. */
 struct MemPiece
 {
     bool is_store = false; ///< LONG_IMM must be a load
@@ -43,11 +44,12 @@ struct MemPiece
     Reg rd = kZeroReg;     ///< data register (destination or source)
     Reg base = kZeroReg;   ///< base register (DISP/BASE_INDEX/BASE_SHIFT)
     Reg index = kZeroReg;  ///< index register (BASE_INDEX/BASE_SHIFT)
-    int32_t imm = 0;       ///< displacement / absolute address / constant
     uint8_t shift = 0;     ///< right-shift of index (BASE_SHIFT)
+    int32_t imm = 0;       ///< displacement / absolute address / constant
 
     bool operator==(const MemPiece &) const = default;
 };
+static_assert(sizeof(MemPiece) <= 12);
 
 namespace detail {
 /** Out-of-line panic keeping the hot inline path free of logging. */

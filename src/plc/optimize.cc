@@ -34,9 +34,9 @@ struct Location
 std::optional<Location>
 locationOf(const Item &item)
 {
-    if (!item.inst.mem)
+    if (!item.inst.mem())
         return std::nullopt;
-    const isa::MemPiece &m = *item.inst.mem;
+    const isa::MemPiece &m = *item.inst.mem();
     Location loc;
     switch (m.mode) {
       case MemMode::DISP:
@@ -97,12 +97,12 @@ eliminateRedundantLoads(assembler::Unit *unit)
         // Try to satisfy a plain load from a known register. A packed
         // word's load shares the word with an ALU piece, so only
         // stand-alone loads are rewritten.
-        if (item.inst.isLoad() && !item.inst.alu) {
+        if (item.inst.isLoad() && !item.inst.alu()) {
             auto loc = locationOf(item);
             if (loc) {
                 auto it = known.find(*loc);
                 if (it != known.end()) {
-                    Reg rd = item.inst.mem->rd;
+                    Reg rd = item.inst.mem()->rd;
                     isa::AluPiece copy;
                     copy.op = isa::AluOp::ADD;
                     copy.rs = it->second;
@@ -122,8 +122,8 @@ eliminateRedundantLoads(assembler::Unit *unit)
         }
 
         // Record what this instruction teaches or destroys.
-        if (item.inst.mem) {
-            const isa::MemPiece &m = *item.inst.mem;
+        if (item.inst.mem()) {
+            const isa::MemPiece &m = *item.inst.mem();
             auto loc = locationOf(item);
             if (m.is_store) {
                 if (loc) {
@@ -160,8 +160,8 @@ eliminateRedundantLoads(assembler::Unit *unit)
                 invalidateReg(m.rd);
             }
         }
-        if (item.inst.alu) {
-            uint16_t writes = isa::regUseAlu(*item.inst.alu).gpr_writes;
+        if (item.inst.alu()) {
+            uint16_t writes = isa::regUseAlu(*item.inst.alu()).gpr_writes;
             for (Reg r = 1; r < isa::kNumRegs; ++r)
                 if ((writes >> r) & 1)
                     invalidateReg(r);

@@ -65,8 +65,8 @@ Dag::build(std::span<const Item> items, std::span<const RegUse> uses,
     // A table-dispatch jump loads its target word through the data
     // interface but carries no MemPiece to compare.
     auto tableJump = [](const Item &it) {
-        return !it.is_data && it.inst.jump &&
-               isa::jumpIsTable(it.inst.jump->kind);
+        return !it.is_data && it.inst.jump() &&
+               isa::jumpIsTable(it.inst.jump()->kind);
     };
 
     // Each pair is visited once, from its earlier node, so successors
@@ -101,12 +101,12 @@ Dag::build(std::span<const Item> items, std::span<const RegUse> uses,
                 dep = true;
 
             // Memory: conservative aliasing, stores never commute.
-            if (!dep && !assume_no_alias && items[i].inst.mem &&
-                items[j].inst.mem) {
-                bool either_store = items[i].inst.mem->is_store ||
-                                    items[j].inst.mem->is_store;
+            if (!dep && !assume_no_alias && items[i].inst.mem() &&
+                items[j].inst.mem()) {
+                bool either_store = items[i].inst.mem()->is_store ||
+                                    items[j].inst.mem()->is_store;
                 if (either_store &&
-                    mayAlias(*items[i].inst.mem, *items[j].inst.mem,
+                    mayAlias(*items[i].inst.mem(), *items[j].inst.mem(),
                              block_written, alias)) {
                     dep = true;
                 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <optional>
 #include <span>
 #include <string>
 
@@ -55,10 +54,10 @@ isTransfer(const Item &item)
 int
 delaySlots(const Item &term)
 {
-    if (term.inst.branch)
+    if (term.inst.branch())
         return isa::kBranchDelay;
-    if (term.inst.jump)
-        return isa::jumpDelay(term.inst.jump->kind);
+    if (term.inst.jump())
+        return isa::jumpDelay(term.inst.jump()->kind);
     return 0;
 }
 
@@ -173,16 +172,16 @@ computeLiveness(const Unit &unit, const std::vector<Block> &blocks,
 
         if (!term) {
             addFallThrough();
-        } else if (term->inst.branch) {
-            Cond c = term->inst.branch->cond;
+        } else if (term->inst.branch()) {
+            Cond c = term->inst.branch()->cond;
             if (term->target == kNoLabel)
                 f.unknown_succ = true; // numeric target
             else if (c != Cond::NEVER)
                 addLabelSucc(term->target);
             if (c != Cond::ALWAYS)
                 addFallThrough();
-        } else if (term->inst.jump) {
-            const isa::JumpPiece &j = *term->inst.jump;
+        } else if (term->inst.jump()) {
+            const isa::JumpPiece &j = *term->inst.jump();
             if (isa::jumpIsCall(j.kind)) {
                 // The callee may use and define anything.
                 f.unknown_succ = true;
@@ -194,8 +193,8 @@ computeLiveness(const Unit &unit, const std::vector<Block> &blocks,
             } else {
                 f.unknown_succ = true; // indirect
             }
-        } else if (term->inst.special) {
-            switch (term->inst.special->op) {
+        } else if (term->inst.special()) {
+            switch (term->inst.special()->op) {
               case isa::SpecialOp::HALT:
                 break; // no successors: nothing live
               default:
@@ -244,10 +243,10 @@ uint16_t
 loadDelayWrites(const Item &item)
 {
     if (item.is_data || !item.inst.isLoad() ||
-        item.inst.mem->rd == isa::kZeroReg) {
+        item.inst.mem()->rd == isa::kZeroReg) {
         return 0;
     }
-    return static_cast<uint16_t>(1u << item.inst.mem->rd);
+    return static_cast<uint16_t>(1u << item.inst.mem()->rd);
 }
 
 /** True if `cand` placed right after `prev` would read a stale value. */
@@ -415,16 +414,14 @@ BlockScheduler::tryPack(int id)
 
     const Instruction &a = last.item.inst;
     const Instruction &b = cand.inst;
-    std::optional<isa::AluPiece> alu;
-    std::optional<isa::MemPiece> mem;
-    if (a.alu && !a.mem && b.mem && !b.alu && !b.branch && !b.jump &&
-        !b.special) {
-        alu = a.alu;
-        mem = b.mem;
-    } else if (a.mem && !a.alu && b.alu && !b.mem && !b.branch &&
-               !b.jump && !b.special) {
-        alu = b.alu;
-        mem = a.mem;
+    const isa::AluPiece *alu;
+    const isa::MemPiece *mem;
+    if (a.alu() && !a.mem() && b.mem() && !b.alu()) {
+        alu = a.alu();
+        mem = b.mem();
+    } else if (a.mem() && !a.alu() && b.alu() && !b.hasTransfer()) {
+        alu = b.alu();
+        mem = a.mem();
     } else {
         return false;
     }
@@ -441,7 +438,7 @@ BlockScheduler::tryPack(int id)
         return false;
 
     // The reference annotation travels with the memory piece.
-    const Item &mem_item = a.mem ? last.item : cand;
+    const Item &mem_item = a.mem() ? last.item : cand;
     last.item.ref_size = mem_item.ref_size;
     last.item.ref_is_char = mem_item.ref_is_char;
     last.item.inst = Instruction::makePacked(*alu, *mem);
@@ -716,10 +713,10 @@ fillSlotsByDuplication(std::vector<Block> &blocks,
         if (term.is_data || term.target == kNoLabel)
             continue;
         bool unconditional =
-            (term.inst.branch && term.inst.branch->cond == Cond::ALWAYS) ||
-            (term.inst.jump &&
-             (term.inst.jump->kind == JumpKind::DIRECT ||
-              term.inst.jump->kind == JumpKind::CALL_DIRECT));
+            (term.inst.branch() && term.inst.branch()->cond == Cond::ALWAYS) ||
+            (term.inst.jump() &&
+             (term.inst.jump()->kind == JumpKind::DIRECT ||
+              term.inst.jump()->kind == JumpKind::CALL_DIRECT));
         if (!unconditional || delaySlots(term) != 1)
             continue;
 
@@ -784,9 +781,9 @@ fillSlotsByHoisting(const Unit &legal, std::vector<Block> &blocks,
         if (!isNopItem(words[slot].item))
             continue;
         const Item &term = words[slot - 1].item;
-        if (term.is_data || !term.inst.branch || term.target == kNoLabel)
+        if (term.is_data || !term.inst.branch() || term.target == kNoLabel)
             continue;
-        Cond c = term.inst.branch->cond;
+        Cond c = term.inst.branch()->cond;
         if (c == Cond::ALWAYS || c == Cond::NEVER)
             continue;
 
@@ -797,7 +794,7 @@ fillSlotsByHoisting(const Unit &legal, std::vector<Block> &blocks,
             continue; // must be a pure fall-through block
         }
         Word &w = words[next.out_begin];
-        if (!slotSafe(w.item) || !w.item.inst.alu || w.item.inst.mem)
+        if (!slotSafe(w.item) || !w.item.inst.alu() || w.item.inst.mem())
             continue; // ALU-only: no memory effects on the taken path
         if (w.use.writes_lo || w.use.touches_system_state)
             continue;
@@ -835,8 +832,8 @@ reorganize(const Unit &legal, const ReorgOptions &opts)
     // Symbolic-target requirement (code motion invalidates numeric
     // branch offsets).
     for (const Item &item : legal.items) {
-        if (!item.is_data && !item.no_reorder && item.inst.branch &&
-            item.target == kNoLabel && item.inst.branch->offset != 0) {
+        if (!item.is_data && !item.no_reorder && item.inst.branch() &&
+            item.target == kNoLabel && item.inst.branch()->offset != 0) {
             support::panic("reorganize: branch at source line %d has a "
                            "numeric target; use a label",
                            item.source_line);

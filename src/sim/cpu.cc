@@ -101,29 +101,25 @@ Cpu::classifyWord(const Instruction &inst)
     // Unexpected combinations (the encoder never emits them, but the
     // classifier must not assume validity) fall back to K_GENERIC,
     // which runs the reference execution path on the cached decode.
-    if (inst.alu) {
-        if (inst.branch || inst.jump || inst.special)
-            return K_GENERIC;
-        if (!inst.mem)
+    if (inst.alu()) {
+        if (!inst.hasTransfer())
             return K_ALU;
-        return inst.mem->mode == MemMode::LONG_IMM ? K_GENERIC : K_PACKED;
+        const isa::MemPiece *m = inst.mem();
+        return m && m->mode != MemMode::LONG_IMM ? K_PACKED : K_GENERIC;
     }
-    if (inst.mem) {
-        if (inst.branch || inst.jump || inst.special)
-            return K_GENERIC;
-        if (inst.mem->mode == MemMode::LONG_IMM)
+    if (const isa::MemPiece *m = inst.mem()) {
+        if (m->mode == MemMode::LONG_IMM)
             return K_LONGIMM;
-        return inst.mem->is_store ? K_STORE : K_LOAD;
+        return m->is_store ? K_STORE : K_LOAD;
     }
-    if (inst.branch)
-        return (inst.jump || inst.special) ? K_GENERIC : K_BRANCH;
-    if (inst.jump) {
+    if (inst.branch())
+        return K_BRANCH;
+    if (const isa::JumpPiece *j = inst.jump()) {
         // Table dispatch fetches its target over the data interface;
         // the generic path has the translate/privilege machinery.
-        return (inst.special || isa::jumpIsTable(inst.jump->kind))
-                   ? K_GENERIC : K_JUMP;
+        return isa::jumpIsTable(j->kind) ? K_GENERIC : K_JUMP;
     }
-    if (inst.special)
+    if (inst.special())
         return K_GENERIC;
     return K_NOP;
 }
@@ -151,28 +147,28 @@ Cpu::fillHot(HotEntry *h, const Instruction &inst)
     h->mem_is_store = false;
     switch (h->kind) {
       case K_ALU:
-        h->u.alu = *inst.alu;
+        h->u.alu = *inst.alu();
         break;
       case K_LONGIMM:
         h->u.mem = MemLite{};
-        h->u.mem.ea_imm = static_cast<uint32_t>(inst.mem->imm);
-        h->u.mem.rd = inst.mem->rd;
+        h->u.mem.ea_imm = static_cast<uint32_t>(inst.mem()->imm);
+        h->u.mem.rd = inst.mem()->rd;
         break;
       case K_LOAD:
       case K_STORE:
-        h->u.mem = memLite(*inst.mem);
-        h->mem_is_store = inst.mem->is_store;
+        h->u.mem = memLite(*inst.mem());
+        h->mem_is_store = inst.mem()->is_store;
         break;
       case K_PACKED:
-        h->u.packed.alu = *inst.alu;
-        h->u.packed.mem = memLite(*inst.mem);
-        h->mem_is_store = inst.mem->is_store;
+        h->u.packed.alu = *inst.alu();
+        h->u.packed.mem = memLite(*inst.mem());
+        h->mem_is_store = inst.mem()->is_store;
         break;
       case K_BRANCH:
-        h->u.branch = *inst.branch;
+        h->u.branch = *inst.branch();
         break;
       case K_JUMP:
-        h->u.jump = *inst.jump;
+        h->u.jump = *inst.jump();
         break;
       default: // K_NOP / K_GENERIC carry no parameters
         break;
@@ -357,8 +353,14 @@ Cpu::stepInner()
         --shadow_;
 
     ++stats_.cycles;
-    if (profiling_)
-        recordExec(cur);
+    if (profiling_) {
+        // The dense counters cover every PC a loaded program uses;
+        // only growth and wild addresses take the out-of-line call.
+        if (cur < exec_dense_.size()) [[likely]]
+            ++exec_dense_[cur];
+        else
+            recordExec(cur);
+    }
 
     auto commitPendingLoad = [this] {
         if (load_pending_) {
@@ -629,8 +631,8 @@ Cpu::stepInner()
 
     // Branchless: these predicates vary instruction to instruction, so
     // plain adds beat four data-dependent branches.
-    bool has_alu = inst.alu.has_value();
-    bool has_mem = inst.mem.has_value();
+    bool has_alu = inst.alu() != nullptr;
+    bool has_mem = inst.mem() != nullptr;
     stats_.free_data_cycles += !uses_data_port;
     stats_.nops += is_nop;
     stats_.alu_pieces += has_alu;
@@ -642,33 +644,32 @@ Cpu::stepInner()
     // results of the previous instruction are already in regs_ (full
     // bypass), so only loads expose a delay.
     isa::AluInputs alu_in;
-    if (inst.alu) {
-        const AluPiece &a = *inst.alu;
+    if (inst.alu()) {
+        const AluPiece &a = *inst.alu();
         alu_in.rs = regs_[a.rs];
         alu_in.src2 = a.src2.is_imm ? a.src2.imm4 : regs_[a.src2.reg];
         alu_in.rd_old = regs_[a.rd];
         alu_in.lo = lo_;
     }
     uint32_t mem_base = 0, mem_index = 0, mem_data = 0;
-    if (inst.mem) {
-        mem_base = regs_[inst.mem->base];
-        mem_index = regs_[inst.mem->index];
-        mem_data = regs_[inst.mem->rd];
+    if (const isa::MemPiece *m = inst.mem()) {
+        mem_base = regs_[m->base];
+        mem_index = regs_[m->index];
+        mem_data = regs_[m->rd];
     }
     uint32_t br_rs = 0, br_src2 = 0;
-    if (inst.branch) {
-        br_rs = regs_[inst.branch->rs];
-        br_src2 = inst.branch->src2.is_imm ? inst.branch->src2.imm4
-                                           : regs_[inst.branch->src2.reg];
+    if (const isa::BranchPiece *b = inst.branch()) {
+        br_rs = regs_[b->rs];
+        br_src2 = b->src2.is_imm ? b->src2.imm4 : regs_[b->src2.reg];
     }
     uint32_t jump_target_val = 0, jump_index_val = 0;
-    if (inst.jump) {
-        jump_target_val = regs_[inst.jump->target_reg];
-        jump_index_val = regs_[inst.jump->index];
+    if (const isa::JumpPiece *j = inst.jump()) {
+        jump_target_val = regs_[j->target_reg];
+        jump_index_val = regs_[j->index];
     }
     uint32_t special_val = 0;
-    if (inst.special)
-        special_val = regs_[inst.special->reg];
+    if (const isa::SpecialPiece *sp = inst.special())
+        special_val = regs_[sp->reg];
 
     // The previous instruction's load lands now, after this
     // instruction's reads and before the next instruction's.
@@ -676,8 +677,8 @@ Cpu::stepInner()
 
     // ---- Execute: ALU piece -------------------------------------------
     isa::AluOutputs alu_out;
-    if (inst.alu) {
-        alu_out = isa::evalAlu(*inst.alu, alu_in);
+    if (inst.alu()) {
+        alu_out = isa::evalAlu(*inst.alu(), alu_in);
         if (alu_out.overflow && sr_.ovf_enable) {
             // Enabled overflow inhibits all of this word's effects.
             faultAt(cur, Cause::OVERFLOW, 0);
@@ -694,8 +695,8 @@ Cpu::stepInner()
     bool load_issued = false;
     Reg load_rd = 0;
     uint32_t load_val = 0;
-    if (inst.mem) {
-        const isa::MemPiece &m = *inst.mem;
+    if (inst.mem()) {
+        const isa::MemPiece &m = *inst.mem();
         if (m.mode == MemMode::LONG_IMM) {
             // The constant is in the instruction word: no memory
             // reference and no load delay.
@@ -725,9 +726,9 @@ Cpu::stepInner()
     }
 
     // ---- Commit: ALU piece ---------------------------------------------
-    if (inst.alu) {
+    if (inst.alu()) {
         if (alu_out.writes_rd)
-            setReg(inst.alu->rd, alu_out.rd);
+            setReg(inst.alu()->rd, alu_out.rd);
         if (alu_out.writes_lo)
             lo_ = alu_out.lo;
     }
@@ -739,9 +740,9 @@ Cpu::stepInner()
     }
 
     // ---- Control transfer ------------------------------------------------
-    if (inst.branch) {
+    if (inst.branch()) {
         ++stats_.branches;
-        if (isa::evalCond(inst.branch->cond, br_rs, br_src2)) {
+        if (isa::evalCond(inst.branch()->cond, br_rs, br_src2)) {
             ++stats_.branches_taken;
             if (in_shadow) {
                 return simError(support::strprintf(
@@ -750,18 +751,18 @@ Cpu::stepInner()
                     cur));
             }
             uint32_t target = cur + 1 +
-                static_cast<uint32_t>(inst.branch->offset);
+                static_cast<uint32_t>(inst.branch()->offset);
             redirectStream(isa::kBranchDelay, target);
             shadow_ = isa::kBranchDelay;
         }
-    } else if (inst.jump) {
+    } else if (inst.jump()) {
         ++stats_.jumps;
         if (in_shadow) {
             return simError(support::strprintf(
                 "jump at %u inside the delay shadow of another "
                 "transfer (architecturally undefined)", cur));
         }
-        const isa::JumpPiece &j = *inst.jump;
+        const isa::JumpPiece &j = *inst.jump();
         int delay = isa::jumpDelay(j.kind);
         uint32_t target;
         if (isa::jumpIsTable(j.kind)) {
@@ -786,8 +787,8 @@ Cpu::stepInner()
             setReg(j.link, cur + 1 + static_cast<uint32_t>(delay));
         redirectStream(delay, target);
         shadow_ = delay;
-    } else if (inst.special) {
-        const isa::SpecialPiece &p = *inst.special;
+    } else if (inst.special()) {
+        const isa::SpecialPiece &p = *inst.special();
         if (isa::specialRequiresPrivilege(p) && !sr_.supervisor) {
             faultAt(cur, Cause::PRIVILEGE, 0);
             return StopReason::RUNNING;

@@ -335,11 +335,13 @@ class Cpu
     };
 
     /** Hot predecoded entry: exactly what the specialized dispatch
-     *  reads per cycle, packed into 28 bytes. The full DecodeEntry
-     *  above carries a 72-byte Instruction, which pushes the payload
-     *  working set of a few-hundred-word program out of L1; the hot
-     *  array keeps it resident. Full entries are only touched by the
-     *  fill path and by K_GENERIC words (specials, odd packings). */
+     *  reads per cycle, in 28 bytes. The full DecodeEntry above is
+     *  only 32 bytes since the Instruction is packed, so the hot array
+     *  pays for itself by the work it does at fill, not by its size:
+     *  the shape (Kind) replaces the per-cycle piece-presence tests,
+     *  and MemLite's effective-address formula the per-cycle mode
+     *  switch. Full entries are only touched by the fill path and by
+     *  K_GENERIC words (specials, odd packings). */
     struct HotEntry
     {
         uint8_t kind = K_GENERIC;
@@ -387,6 +389,7 @@ class Cpu
     };
     static_assert(std::is_trivially_destructible_v<HotEntry> &&
                   std::is_trivially_destructible_v<DecodeEntry>);
+    static_assert(sizeof(HotEntry) <= 28 && sizeof(DecodeEntry) <= 32);
 
     bool fast_path_ = true;
     /** Tags live apart from the payloads: the 16 KB tag array stays

@@ -60,8 +60,8 @@ FunctionalCpu::step()
     ++instructions_;
     uint32_t next_pc = pc_ + 1;
 
-    if (inst.alu) {
-        const isa::AluPiece &a = *inst.alu;
+    if (inst.alu()) {
+        const isa::AluPiece &a = *inst.alu();
         isa::AluInputs in;
         in.rs = regs_[a.rs];
         in.src2 = a.src2.is_imm ? a.src2.imm4 : regs_[a.src2.reg];
@@ -76,8 +76,8 @@ FunctionalCpu::step()
             lo_ = out.lo;
     }
 
-    if (inst.mem) {
-        const isa::MemPiece &m = *inst.mem;
+    if (inst.mem()) {
+        const isa::MemPiece &m = *inst.mem();
         if (m.mode == MemMode::LONG_IMM) {
             setReg(m.rd, static_cast<uint32_t>(m.imm));
         } else {
@@ -96,13 +96,13 @@ FunctionalCpu::step()
         }
     }
 
-    if (inst.branch) {
-        const isa::BranchPiece &b = *inst.branch;
+    if (inst.branch()) {
+        const isa::BranchPiece &b = *inst.branch();
         uint32_t src2 = b.src2.is_imm ? b.src2.imm4 : regs_[b.src2.reg];
         if (isa::evalCond(b.cond, regs_[b.rs], src2))
             next_pc = pc_ + 1 + static_cast<uint32_t>(b.offset);
-    } else if (inst.jump) {
-        const isa::JumpPiece &j = *inst.jump;
+    } else if (inst.jump()) {
+        const isa::JumpPiece &j = *inst.jump();
         if (isa::jumpIsCall(j.kind))
             setReg(j.link, pc_ + 1);
         if (isa::jumpIsTable(j.kind)) {
@@ -121,10 +121,10 @@ FunctionalCpu::step()
             next_pc = isa::jumpIsIndirect(j.kind) ? regs_[j.target_reg]
                                                   : j.target_addr;
         }
-    } else if (inst.special) {
-        switch (inst.special->op) {
+    } else if (inst.special()) {
+        switch (inst.special()->op) {
           case isa::SpecialOp::TRAP:
-            if (!trap_handler_ || !trap_handler_(inst.special->trap_code)) {
+            if (!trap_handler_ || !trap_handler_(inst.special()->trap_code)) {
                 halted_ = true;
                 pc_ = next_pc;
                 return StopReason::HALT;
@@ -134,12 +134,12 @@ FunctionalCpu::step()
             halted_ = true;
             return StopReason::HALT;
           case isa::SpecialOp::MFS:
-            if (inst.special->sreg == isa::SpecialReg::LO)
-                setReg(inst.special->reg, lo_);
+            if (inst.special()->sreg == isa::SpecialReg::LO)
+                setReg(inst.special()->reg, lo_);
             break;
           case isa::SpecialOp::MTS:
-            if (inst.special->sreg == isa::SpecialReg::LO)
-                lo_ = regs_[inst.special->reg];
+            if (inst.special()->sreg == isa::SpecialReg::LO)
+                lo_ = regs_[inst.special()->reg];
             break;
           default:
             // System instructions have no meaning on the reference

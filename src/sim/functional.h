@@ -80,13 +80,15 @@ class FunctionalCpu
     const std::string &errorMessage() const { return error_; }
 
   private:
-    /** A memo slot holds a word and its decode; a fresh slot holds
+    /** A memo slot holds a word and its decode, 28 bytes with the
+     *  packed Instruction (28 KB for the memo); a fresh slot holds
      *  word 0 (a nop). Illegal words are never stored. */
     struct MemoSlot
     {
         uint32_t word;
         isa::Instruction inst;
     };
+    static_assert(sizeof(MemoSlot) <= 28);
     static constexpr uint32_t kMemoSlots = 1u << 10; ///< power of 2
 
     PhysMemory &mem_;

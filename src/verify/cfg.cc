@@ -71,8 +71,8 @@ classify(const Cfg &cfg, size_t i, DiagnosticEngine *diags)
         return kNoItem;
     };
 
-    if (item.inst.branch) {
-        const isa::BranchPiece &b = *item.inst.branch;
+    if (item.inst.branch()) {
+        const isa::BranchPiece &b = *item.inst.branch();
         if (b.cond == Cond::NEVER)
             return t; // never taken: plain fall-through word
         t.is_transfer = true;
@@ -88,8 +88,8 @@ classify(const Cfg &cfg, size_t i, DiagnosticEngine *diags)
             t.to_unknown = true;
         return t;
     }
-    if (item.inst.jump) {
-        const isa::JumpPiece &j = *item.inst.jump;
+    if (item.inst.jump()) {
+        const isa::JumpPiece &j = *item.inst.jump();
         t.is_transfer = true;
         t.delay = isa::jumpDelay(j.kind);
         t.shadow = isa::jumpIsIndirect(j.kind) || isa::jumpIsTable(j.kind)
@@ -125,8 +125,8 @@ classify(const Cfg &cfg, size_t i, DiagnosticEngine *diags)
             t.to_unknown = true;
         return t;
     }
-    if (item.inst.special) {
-        switch (item.inst.special->op) {
+    if (item.inst.special()) {
+        switch (item.inst.special()->op) {
           case isa::SpecialOp::TRAP:
           case isa::SpecialOp::RFE:
             // Redirect with no delay slots into the handler / the
@@ -190,8 +190,8 @@ resolveTables(Cfg &cfg, DiagnosticEngine *diags)
     size_t n = unit.items.size();
     for (size_t i = 0; i < n; ++i) {
         const Item &item = unit.items[i];
-        if (item.is_data || !item.inst.jump ||
-            !isa::jumpIsTable(item.inst.jump->kind))
+        if (item.is_data || !item.inst.jump() ||
+            !isa::jumpIsTable(item.inst.jump()->kind))
             continue;
         if (item.target == kNoLabel) {
             if (diags) {
@@ -336,7 +336,7 @@ buildCfg(const Unit &unit, DiagnosticEngine *diags)
             diags->report(Code::VF001, Severity::ERROR, i,
                           "invalid instruction word: " + err);
         }
-        if (item.target != kNoLabel && item.inst.mem &&
+        if (item.target != kNoLabel && item.inst.mem() &&
             !unit.labels.defined(item.target))
             reportUndefined(cfg, i, item.target, diags);
     }
@@ -402,7 +402,7 @@ buildCfg(const Unit &unit, DiagnosticEngine *diags)
         // A call returns past its delay slots: that resume point can
         // be entered from the callee's indirect jump.
         const Item &item = unit.items[i];
-        if (item.inst.jump && isa::jumpIsCall(item.inst.jump->kind) &&
+        if (item.inst.jump() && isa::jumpIsCall(item.inst.jump()->kind) &&
             last_slot + 1 < n) {
             cfg.nodes[last_slot + 1].unknown_pred = true;
         }
@@ -429,18 +429,18 @@ buildCfg(const Unit &unit, DiagnosticEngine *diags)
         if (item.is_data || item.target == kNoLabel)
             continue;
         LabelRefs &refs = label_refs[item.target];
-        if (item.inst.mem) {
+        if (item.inst.mem()) {
             refs.unsafe = true; // address taken (li/ld/st @label)
-        } else if (item.inst.branch) {
-            bool wired = item.inst.branch->cond != Cond::NEVER &&
+        } else if (item.inst.branch()) {
+            bool wired = item.inst.branch()->cond != Cond::NEVER &&
                          i + isa::kBranchDelay < n &&
                          definesCode(item.target);
             if (wired)
                 ++refs.safe_refs;
             else
                 refs.unsafe = true;
-        } else if (item.inst.jump &&
-                   item.inst.jump->kind == JumpKind::DIRECT &&
+        } else if (item.inst.jump() &&
+                   item.inst.jump()->kind == JumpKind::DIRECT &&
                    i + isa::kBranchDelay < n &&
                    definesCode(item.target)) {
             ++refs.safe_refs;
@@ -472,8 +472,8 @@ buildCfg(const Unit &unit, DiagnosticEngine *diags)
             (i == 0 || !locallyResolved(i)))
             cfg.nodes[i].unknown_pred = true;
         const Item &item = unit.items[i];
-        if (!item.is_data && item.inst.special &&
-            item.inst.special->op == isa::SpecialOp::TRAP &&
+        if (!item.is_data && item.inst.special() &&
+            item.inst.special()->op == isa::SpecialOp::TRAP &&
             i + 1 < n) {
             cfg.nodes[i + 1].unknown_pred = true; // handler resumes here
         }

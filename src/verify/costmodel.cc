@@ -30,11 +30,11 @@ transferDelay(const Item &item)
 {
     if (item.is_data)
         return 0;
-    if (item.inst.branch)
-        return item.inst.branch->cond == isa::Cond::NEVER
+    if (item.inst.branch())
+        return item.inst.branch()->cond == isa::Cond::NEVER
             ? 0 : isa::kBranchDelay;
-    if (item.inst.jump)
-        return isa::jumpDelay(item.inst.jump->kind);
+    if (item.inst.jump())
+        return isa::jumpDelay(item.inst.jump()->kind);
     return 0;
 }
 
@@ -43,10 +43,10 @@ transferDelay(const Item &item)
 bool
 breaksUniformity(const Item &item)
 {
-    if (item.is_data || !item.inst.special)
+    if (item.is_data || !item.inst.special())
         return false;
-    return item.inst.special->op == isa::SpecialOp::TRAP ||
-           item.inst.special->op == isa::SpecialOp::RFE;
+    return item.inst.special()->op == isa::SpecialOp::TRAP ||
+           item.inst.special()->op == isa::SpecialOp::RFE;
 }
 
 /**
@@ -125,10 +125,10 @@ computeCostModel(const Cfg &cfg, const CallGraph &graph,
                 ++block.nops;
             else
                 ++block.instructions;
-            if (item.inst.alu && item.inst.mem)
+            if (item.inst.alu() && item.inst.mem())
                 ++block.packed;
-            if (item.inst.jump &&
-                isa::jumpIsTable(item.inst.jump->kind))
+            if (item.inst.jump() &&
+                isa::jumpIsTable(item.inst.jump()->kind))
                 ++block.dispatches;
             int delay = transferDelay(item);
             for (int d = 1; d <= delay && j + d < n; ++d) {

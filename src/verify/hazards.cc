@@ -20,10 +20,10 @@ uint16_t
 loadDelayWrites(const Item &item)
 {
     if (item.is_data || !item.inst.isLoad() ||
-        item.inst.mem->rd == isa::kZeroReg) {
+        item.inst.mem()->rd == isa::kZeroReg) {
         return 0;
     }
-    return static_cast<uint16_t>(1u << item.inst.mem->rd);
+    return static_cast<uint16_t>(1u << item.inst.mem()->rd);
 }
 
 /** HZ001 / HZ006: every dynamically-next word of a load must not read
@@ -75,8 +75,8 @@ checkShadows(const Cfg &cfg, DiagnosticEngine *diags)
             continue;
         const isa::Instruction &inst = items[i].inst;
         bool transfers =
-            (inst.branch && inst.branch->cond != isa::Cond::NEVER) ||
-            inst.jump.has_value();
+            (inst.branch() && inst.branch()->cond != isa::Cond::NEVER) ||
+            inst.jump() != nullptr;
         if (!transfers)
             continue;
         Code code = node.shadow == ShadowKind::INDIRECT ? Code::HZ003
@@ -105,8 +105,8 @@ checkTableShadows(const Cfg &cfg, DiagnosticEngine *diags)
             node.shadow_owner == kNoItem)
             continue;
         const Item &owner = items[node.shadow_owner];
-        if (owner.is_data || !owner.inst.jump ||
-            !isa::jumpIsTable(owner.inst.jump->kind))
+        if (owner.is_data || !owner.inst.jump() ||
+            !isa::jumpIsTable(owner.inst.jump()->kind))
             continue;
         if (!items[i].inst.isStore())
             continue;
@@ -130,10 +130,10 @@ checkPackedWords(const Cfg &cfg, DiagnosticEngine *diags)
     const auto &items = cfg.unit->items;
     for (size_t i = 0; i < cfg.size(); ++i) {
         const Item &item = items[i];
-        if (item.is_data || !item.inst.alu || !item.inst.mem)
+        if (item.is_data || !item.inst.alu() || !item.inst.mem())
             continue;
-        isa::RegUse alu = isa::regUseAlu(*item.inst.alu);
-        isa::RegUse mem = isa::regUseMem(*item.inst.mem);
+        isa::RegUse alu = isa::regUseAlu(*item.inst.alu());
+        isa::RegUse mem = isa::regUseMem(*item.inst.mem());
         uint16_t conflict = static_cast<uint16_t>(
             (alu.gpr_writes & (mem.gpr_reads | mem.gpr_writes)) |
             (mem.gpr_writes & (alu.gpr_reads | alu.gpr_writes)));

@@ -36,7 +36,7 @@ localDefBefore(const Cfg &cfg, size_t i, isa::Reg reg)
             return kNoItem;
         if (cfg.uses[j].writesGpr(reg))
             return j;
-        if (it.inst.branch || it.inst.jump || it.inst.special)
+        if (it.inst.branch() || it.inst.jump() || it.inst.special())
             return kNoItem;
         if (it.label != kNoLabel)
             return kNoItem;
@@ -53,16 +53,16 @@ constBefore(const Cfg &cfg, size_t i, isa::Reg reg)
     if (d == kNoItem)
         return std::nullopt;
     const Item &def = cfg.unit->items[d];
-    if (def.inst.mem && !def.inst.mem->is_store &&
-        def.inst.mem->rd == reg) {
-        if (def.inst.mem->mode == isa::MemMode::LONG_IMM &&
+    if (def.inst.mem() && !def.inst.mem()->is_store &&
+        def.inst.mem()->rd == reg) {
+        if (def.inst.mem()->mode == isa::MemMode::LONG_IMM &&
             def.target == kNoLabel)
-            return def.inst.mem->imm;
+            return def.inst.mem()->imm;
         return std::nullopt; // memory load: value unknown
     }
-    if (def.inst.alu && def.inst.alu->rd == reg &&
-        def.inst.alu->op == isa::AluOp::MOVI8)
-        return static_cast<int32_t>(def.inst.alu->imm8);
+    if (def.inst.alu() && def.inst.alu()->rd == reg &&
+        def.inst.alu()->op == isa::AluOp::MOVI8)
+        return static_cast<int32_t>(def.inst.alu()->imm8);
     return std::nullopt;
 }
 
@@ -74,7 +74,7 @@ size_t
 resolveCallTarget(const Cfg &cfg, size_t i)
 {
     const Item &item = cfg.unit->items[i];
-    const isa::JumpPiece &j = *item.inst.jump;
+    const isa::JumpPiece &j = *item.inst.jump();
     if (j.kind == JumpKind::CALL_DIRECT) {
         if (item.target != kNoLabel)
             return cfg.labelItem(item.target);
@@ -88,9 +88,9 @@ resolveCallTarget(const Cfg &cfg, size_t i)
     if (d == kNoItem)
         return kNoItem;
     const Item &def = cfg.unit->items[d];
-    if (!def.inst.mem || def.inst.mem->is_store ||
-        def.inst.mem->mode != isa::MemMode::LONG_IMM ||
-        def.inst.mem->rd != j.target_reg || def.target == kNoLabel)
+    if (!def.inst.mem() || def.inst.mem()->is_store ||
+        def.inst.mem()->mode != isa::MemMode::LONG_IMM ||
+        def.inst.mem()->rd != j.target_reg || def.target == kNoLabel)
         return kNoItem;
     return cfg.labelItem(def.target);
 }
@@ -188,15 +188,15 @@ solveMayDirty(const CallGraph &g, const FunctionInfo &f,
         if (item.is_data)
             continue;
         size_t k = i - f.begin;
-        if (item.inst.mem && !item.inst.mem->is_store &&
-            isa::memReferencesMemory(*item.inst.mem))
-            kill[k] = static_cast<uint16_t>(1u << item.inst.mem->rd);
+        if (item.inst.mem() && !item.inst.mem()->is_store &&
+            isa::memReferencesMemory(*item.inst.mem()))
+            kill[k] = static_cast<uint16_t>(1u << item.inst.mem()->rd);
         gen[k] = cfg.uses[i].gpr_writes & ~kill[k];
-        if (item.inst.alu && identityMove(*item.inst.alu)) {
+        if (item.inst.alu() && identityMove(*item.inst.alu())) {
             isa::Instruction rest = item.inst;
-            rest.alu.reset();
+            rest.clearAlu();
             gen[k] &= static_cast<uint16_t>(
-                ~(isa::regUseAlu(*item.inst.alu).gpr_writes &
+                ~(isa::regUseAlu(*item.inst.alu()).gpr_writes &
                   ~isa::regUse(rest).gpr_writes));
         }
     }
@@ -296,13 +296,13 @@ transferDelta(const Cfg &cfg, size_t i, const Delta &in)
         return in;
     if (in.kind == Delta::GIVEUP)
         return in;
-    const auto &alu = item.inst.alu;
+    const isa::AluPiece *alu = item.inst.alu();
     bool tracked = alu && alu->rd == isa::kStackReg &&
                    alu->rs == isa::kStackReg &&
                    (alu->op == isa::AluOp::ADD ||
                     alu->op == isa::AluOp::SUB) &&
-                   !(item.inst.mem && !item.inst.mem->is_store &&
-                     item.inst.mem->rd == isa::kStackReg);
+                   !(item.inst.mem() && !item.inst.mem()->is_store &&
+                     item.inst.mem()->rd == isa::kStackReg);
     if (!tracked)
         return {Delta::GIVEUP, 0};
     std::optional<int32_t> k;
@@ -444,12 +444,12 @@ buildCallGraph(const Cfg &cfg)
         }
         if (item.target != kNoLabel) {
             referenced[item.target] = 1;
-            if (item.inst.mem)
+            if (item.inst.mem())
                 takeAddress(item.target);
         }
-        if (item.inst.jump && isa::jumpIsCall(item.inst.jump->kind))
+        if (item.inst.jump() && isa::jumpIsCall(item.inst.jump()->kind))
             raw.push_back({i, resolveCallTarget(cfg, i),
-                           isa::jumpIsIndirect(item.inst.jump->kind)});
+                           isa::jumpIsIndirect(item.inst.jump()->kind)});
     }
 
     // Function entries: the unit entry, every provable call target
@@ -510,7 +510,7 @@ buildCallGraph(const Cfg &cfg)
     for (const RawSite &r : raw) {
         CallSite s;
         s.item = r.item;
-        int delay = isa::jumpDelay(unit.items[r.item].inst.jump->kind);
+        int delay = isa::jumpDelay(unit.items[r.item].inst.jump()->kind);
         s.last_slot = std::min(r.item + static_cast<size_t>(delay),
                                n - 1);
         size_t resume = r.item + static_cast<size_t>(delay) + 1;
@@ -544,9 +544,9 @@ buildCallGraph(const Cfg &cfg)
         std::sort(f.entries.begin() + 1, f.entries.end());
         for (size_t i = f.begin; i < f.end; ++i) {
             const Item &item = unit.items[i];
-            if (!item.is_data && item.inst.jump &&
-                item.inst.jump->kind == JumpKind::INDIRECT &&
-                item.inst.jump->target_reg == isa::kLinkReg)
+            if (!item.is_data && item.inst.jump() &&
+                item.inst.jump()->kind == JumpKind::INDIRECT &&
+                item.inst.jump()->target_reg == isa::kLinkReg)
                 f.returns.push_back(i);
         }
     }
@@ -678,8 +678,8 @@ callGraphDot(const CallGraph &g, const std::string &name)
         unresolved = unresolved || !s.resolved();
     for (size_t i = 0; i < cfg.size(); ++i) {
         const assembler::Item &item = cfg.unit->items[i];
-        if (!item.is_data && item.inst.jump &&
-            isa::jumpIsTable(item.inst.jump->kind) &&
+        if (!item.is_data && item.inst.jump() &&
+            isa::jumpIsTable(item.inst.jump()->kind) &&
             !cfg.tables.count(i))
             unresolved = true;
     }
@@ -695,8 +695,8 @@ callGraphDot(const CallGraph &g, const std::string &name)
     }
     for (size_t i = 0; i < cfg.size(); ++i) {
         const assembler::Item &item = cfg.unit->items[i];
-        if (item.is_data || !item.inst.jump ||
-            !isa::jumpIsTable(item.inst.jump->kind))
+        if (item.is_data || !item.inst.jump() ||
+            !isa::jumpIsTable(item.inst.jump()->kind))
             continue;
         const std::string &from =
             g.functions[g.function_of[i]].name;
@@ -777,7 +777,7 @@ checkCallingConventions(const CallGraph &g,
                         regListNames(clobbered).c_str()));
             }
             isa::Reg link =
-                cfg.unit->items[r].inst.jump->target_reg;
+                cfg.unit->items[r].inst.jump()->target_reg;
             if ((dirty[fi].in[r - f.begin] >> link) & 1) {
                 if (diags) {
                     diags->report(

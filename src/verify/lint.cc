@@ -41,9 +41,9 @@ checkDeadStores(const Cfg &cfg, DiagnosticEngine *diags)
     DataflowSolution live = liveness(cfg);
     const auto &items = cfg.unit->items;
     for (size_t i = 0; i < cfg.size(); ++i) {
-        if (items[i].is_data || !items[i].inst.alu)
+        if (items[i].is_data || !items[i].inst.alu())
             continue;
-        uint16_t writes = isa::regUseAlu(*items[i].inst.alu).gpr_writes;
+        uint16_t writes = isa::regUseAlu(*items[i].inst.alu()).gpr_writes;
         if (!writes || (writes & live.out[i]) != 0)
             continue;
         diags->report(

@@ -151,13 +151,13 @@ solveOwnDepth(const CallGraph &g, const FuncEdges &e, size_t fi,
             return d;
         if (!cfg.uses[item_index].writesGpr(isa::kStackReg))
             return d;
-        const auto &alu = item.inst.alu;
+        const isa::AluPiece *alu = item.inst.alu();
         bool tracked = alu && alu->rd == isa::kStackReg &&
                        alu->rs == isa::kStackReg &&
                        (alu->op == AluOp::ADD ||
                         alu->op == AluOp::SUB) &&
-                       !(item.inst.mem && !item.inst.mem->is_store &&
-                         item.inst.mem->rd == isa::kStackReg);
+                       !(item.inst.mem() && !item.inst.mem()->is_store &&
+                         item.inst.mem()->rd == isa::kStackReg);
         if (!tracked)
             return {SpDelta::BAD, 0};
         std::optional<uint32_t> k;
@@ -268,8 +268,8 @@ checkMemorySafety(const Cfg &cfg, const CallGraph &graph,
             continue;
         const isa::Instruction &inst = item.inst;
 
-        if (inst.mem && isa::memReferencesMemory(*inst.mem)) {
-            const isa::MemPiece &m = *inst.mem;
+        if (inst.mem() && isa::memReferencesMemory(*inst.mem())) {
+            const isa::MemPiece &m = *inst.mem();
             ++report.checked_refs;
             AbsVal addr = memAddressRange(m, item.target, cfg, s);
             const char *what = m.is_store ? "store" : "load";
@@ -353,14 +353,14 @@ checkMemorySafety(const Cfg &cfg, const CallGraph &graph,
         // other; its address must stay inside the declared table. The
         // table is the *legal* region here, so the verdict logic is
         // classifyOverlap's mirror image.
-        if (inst.jump && isa::jumpIsTable(inst.jump->kind)) {
+        if (inst.jump() && isa::jumpIsTable(inst.jump()->kind)) {
             auto ti = cfg.tables.find(i);
             if (ti != cfg.tables.end() && !ti->second.entries.empty()) {
                 ++report.checked_refs;
                 isa::MemPiece fetch;
                 fetch.mode = MemMode::BASE_INDEX;
-                fetch.base = inst.jump->target_reg;
-                fetch.index = inst.jump->index;
+                fetch.base = inst.jump()->target_reg;
+                fetch.index = inst.jump()->index;
                 AbsVal addr =
                     memAddressRange(fetch, assembler::kNoLabel, cfg, s);
                 int64_t t_lo =
@@ -394,10 +394,10 @@ checkMemorySafety(const Cfg &cfg, const CallGraph &graph,
             }
         }
 
-        if (inst.alu && isa::aluCanOverflow(inst.alu->op) &&
+        if (inst.alu() && isa::aluCanOverflow(inst.alu()->op) &&
             s.ovf_enable == Flag::YES) {
             ++report.checked_alu;
-            const isa::AluPiece &a = *inst.alu;
+            const isa::AluPiece &a = *inst.alu();
             AbsVal rsv = s.regs[a.rs];
             AbsVal s2v = src2Val(s, a.src2);
             auto r1 = rsv.signedRange();
@@ -455,8 +455,8 @@ checkMemorySafety(const Cfg &cfg, const CallGraph &graph,
             size_t i = stack.back();
             stack.pop_back();
             const Item &item = cfg.unit->items[i];
-            bool halts = !item.is_data && item.inst.special &&
-                         item.inst.special->op == isa::SpecialOp::HALT;
+            bool halts = !item.is_data && item.inst.special() &&
+                         item.inst.special()->op == isa::SpecialOp::HALT;
             if (halts || cfg.nodes[i].unknown_succ) {
                 exit_found = true;
                 break;

@@ -823,8 +823,8 @@ Interp::stepSequential(size_t idx)
 
     // Mirrors sim/functional.cc: pieces execute strictly in order,
     // each seeing the previous piece's writes.
-    if (inst.alu) {
-        const isa::AluPiece &p = *inst.alu;
+    if (inst.alu()) {
+        const isa::AluPiece &p = *inst.alu();
         ExprRef rs = getReg(p.rs);
         ExprRef s2 = p.src2.is_imm ? arena_.konst(p.src2.imm4)
                                    : getReg(p.src2.reg);
@@ -836,8 +836,8 @@ Interp::stepSequential(size_t idx)
             st_.lo = out.lo;
     }
 
-    if (inst.mem) {
-        const isa::MemPiece &m = *inst.mem;
+    if (inst.mem()) {
+        const isa::MemPiece &m = *inst.mem();
         if (m.mode == isa::MemMode::LONG_IMM) {
             setReg(m.rd, longImmValue(it, m));
         } else {
@@ -851,8 +851,8 @@ Interp::stepSequential(size_t idx)
         }
     }
 
-    if (inst.branch) {
-        const isa::BranchPiece &b = *inst.branch;
+    if (inst.branch()) {
+        const isa::BranchPiece &b = *inst.branch();
         if (b.cond != isa::Cond::NEVER) {
             SymExit e;
             e.at = idx;
@@ -869,8 +869,8 @@ Interp::stepSequential(size_t idx)
             e.state = captureState();
             run_.exits.push_back(std::move(e));
         }
-    } else if (inst.jump) {
-        const isa::JumpPiece &j = *inst.jump;
+    } else if (inst.jump()) {
+        const isa::JumpPiece &j = *inst.jump();
         SymExit e;
         e.at = idx;
         if (isa::jumpIsTable(j.kind)) {
@@ -906,8 +906,8 @@ Interp::stepSequential(size_t idx)
         }
         pushFinal(std::move(e));
         return Step::FINAL;
-    } else if (inst.special) {
-        const isa::SpecialPiece &sp = *inst.special;
+    } else if (inst.special()) {
+        const isa::SpecialPiece &sp = *inst.special();
         switch (sp.op) {
           case isa::SpecialOp::NOP:
             break;
@@ -967,8 +967,8 @@ Interp::stepPipeline(size_t idx)
     // sees the stale register value.
     ExprRef alu_rs = kNoExpr, alu_s2 = kNoExpr, alu_rdold = kNoExpr;
     ExprRef alu_lo = kNoExpr;
-    if (inst.alu) {
-        const isa::AluPiece &p = *inst.alu;
+    if (inst.alu()) {
+        const isa::AluPiece &p = *inst.alu();
         alu_rs = getReg(p.rs);
         alu_s2 = p.src2.is_imm ? arena_.konst(p.src2.imm4)
                                : getReg(p.src2.reg);
@@ -976,26 +976,26 @@ Interp::stepPipeline(size_t idx)
         alu_lo = st_.lo;
     }
     ExprRef mem_base = kNoExpr, mem_index = kNoExpr, mem_data = kNoExpr;
-    if (inst.mem) {
-        mem_base = getReg(inst.mem->base);
-        mem_index = getReg(inst.mem->index);
-        mem_data = getReg(inst.mem->rd);
+    if (inst.mem()) {
+        mem_base = getReg(inst.mem()->base);
+        mem_index = getReg(inst.mem()->index);
+        mem_data = getReg(inst.mem()->rd);
     }
     ExprRef br_rs = kNoExpr, br_s2 = kNoExpr;
-    if (inst.branch) {
-        br_rs = getReg(inst.branch->rs);
-        br_s2 = inst.branch->src2.is_imm
-                    ? arena_.konst(inst.branch->src2.imm4)
-                    : getReg(inst.branch->src2.reg);
+    if (inst.branch()) {
+        br_rs = getReg(inst.branch()->rs);
+        br_s2 = inst.branch()->src2.is_imm
+                    ? arena_.konst(inst.branch()->src2.imm4)
+                    : getReg(inst.branch()->src2.reg);
     }
     ExprRef jump_tv = kNoExpr, jump_iv = kNoExpr;
-    if (inst.jump) {
-        jump_tv = getReg(inst.jump->target_reg);
-        jump_iv = getReg(inst.jump->index);
+    if (inst.jump()) {
+        jump_tv = getReg(inst.jump()->target_reg);
+        jump_iv = getReg(inst.jump()->index);
     }
     ExprRef special_val = kNoExpr;
-    if (inst.special)
-        special_val = getReg(inst.special->reg);
+    if (inst.special())
+        special_val = getReg(inst.special()->reg);
 
     // The previous word's load lands now, after this word's reads and
     // before its writes (a same-register write below wins).
@@ -1005,16 +1005,16 @@ Interp::stepPipeline(size_t idx)
     }
 
     isa::SymAluOutputs<ExprArena> alu_out;
-    if (inst.alu)
-        alu_out = isa::evalAluSymbolic(*inst.alu, arena_, alu_rs,
+    if (inst.alu())
+        alu_out = isa::evalAluSymbolic(*inst.alu(), arena_, alu_rs,
                                        alu_s2, alu_rdold, alu_lo);
 
     // Memory commits before the same word's register writes.
     bool load_issued = false;
     isa::Reg load_rd = isa::kZeroReg;
     ExprRef load_v = kNoExpr;
-    if (inst.mem) {
-        const isa::MemPiece &m = *inst.mem;
+    if (inst.mem()) {
+        const isa::MemPiece &m = *inst.mem();
         if (m.mode == isa::MemMode::LONG_IMM) {
             setReg(m.rd, longImmValue(it, m));
         } else {
@@ -1033,9 +1033,9 @@ Interp::stepPipeline(size_t idx)
         }
     }
 
-    if (inst.alu) {
+    if (inst.alu()) {
         if (alu_out.writes_rd)
-            setReg(inst.alu->rd, alu_out.rd);
+            setReg(inst.alu()->rd, alu_out.rd);
         if (alu_out.writes_lo)
             st_.lo = alu_out.lo;
     }
@@ -1045,8 +1045,8 @@ Interp::stepPipeline(size_t idx)
         load_val_ = load_v;
     }
 
-    if (inst.branch) {
-        const isa::BranchPiece &b = *inst.branch;
+    if (inst.branch()) {
+        const isa::BranchPiece &b = *inst.branch();
         if (b.cond != isa::Cond::NEVER) {
             if (exit_pending_) {
                 return fail(idx,
@@ -1065,8 +1065,8 @@ Interp::stepPipeline(size_t idx)
             pslots_ = isa::kBranchDelay;
             exit_pending_ = true;
         }
-    } else if (inst.jump) {
-        const isa::JumpPiece &j = *inst.jump;
+    } else if (inst.jump()) {
+        const isa::JumpPiece &j = *inst.jump();
         if (exit_pending_)
             return fail(idx, "control transfer inside a delay shadow");
         SymExit e;
@@ -1098,8 +1098,8 @@ Interp::stepPipeline(size_t idx)
         pexit_ = std::move(e);
         pslots_ = isa::jumpDelay(j.kind);
         exit_pending_ = true;
-    } else if (inst.special) {
-        const isa::SpecialPiece &sp = *inst.special;
+    } else if (inst.special()) {
+        const isa::SpecialPiece &sp = *inst.special();
         switch (sp.op) {
           case isa::SpecialOp::NOP:
             break;
@@ -1174,15 +1174,15 @@ advanceSequential(ExprArena &arena, const assembler::Unit &unit,
         if (it.is_data || it.no_reorder)
             return false;
         const Instruction &inst = it.inst;
-        if (inst.branch || inst.jump)
+        if (inst.branch() || inst.jump())
             return false;
-        if (inst.special &&
-            inst.special->op != isa::SpecialOp::NOP)
+        if (inst.special() &&
+            inst.special()->op != isa::SpecialOp::NOP)
             return false;
-        if (inst.mem && inst.mem->mode != isa::MemMode::LONG_IMM)
+        if (inst.mem() && inst.mem()->mode != isa::MemMode::LONG_IMM)
             return false;
-        if (inst.alu) {
-            const isa::AluPiece &p = *inst.alu;
+        if (inst.alu()) {
+            const isa::AluPiece &p = *inst.alu();
             ExprRef rs = state->regs[p.rs];
             ExprRef s2 = p.src2.is_imm ? arena.konst(p.src2.imm4)
                                        : state->regs[p.src2.reg];
@@ -1194,8 +1194,8 @@ advanceSequential(ExprArena &arena, const assembler::Unit &unit,
             if (out.writes_lo)
                 state->lo = out.lo;
         }
-        if (inst.mem) {
-            const isa::MemPiece &m = *inst.mem;
+        if (inst.mem()) {
+            const isa::MemPiece &m = *inst.mem();
             ExprRef v = it.target == assembler::kNoLabel
                             ? arena.konst(static_cast<uint32_t>(m.imm))
                             : arena.labelAddr(it.target);

@@ -651,8 +651,8 @@ Validator::compareExit(const Entry &e, const SymExit &a, const SymExit &b)
     if (a.kind == SymExitKind::CALL) {
         int delay = isa::kBranchDelay;
         if (b.at < output_.items.size() &&
-            output_.items[b.at].inst.jump) {
-            delay = isa::jumpDelay(output_.items[b.at].inst.jump->kind);
+            output_.items[b.at].inst.jump()) {
+            delay = isa::jumpDelay(output_.items[b.at].inst.jump()->kind);
         }
         Entry next;
         next.kind = EntryKind::CALL_RETURN;

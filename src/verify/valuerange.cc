@@ -504,8 +504,8 @@ transferItem(const Cfg &cfg, size_t i, RegState s)
     // Both pieces of a packed word read the incoming state; collect
     // the writes first so a (degenerate) shared destination joins.
     std::optional<std::pair<isa::Reg, AbsVal>> mem_write, alu_write;
-    if (inst.mem && !inst.mem->is_store) {
-        const MemPiece &m = *inst.mem;
+    if (inst.mem() && !inst.mem()->is_store) {
+        const MemPiece &m = *inst.mem();
         AbsVal v = AbsVal::top();
         if (m.mode == MemMode::LONG_IMM) {
             if (item.target == assembler::kNoLabel)
@@ -515,8 +515,8 @@ transferItem(const Cfg &cfg, size_t i, RegState s)
         }
         mem_write = {m.rd, v};
     }
-    if (inst.alu) {
-        const AluPiece &a = *inst.alu;
+    if (inst.alu()) {
+        const AluPiece &a = *inst.alu();
         AluRangeResult r = evalAluRange(a, s.regs[a.rs],
                                         src2Val(s, a.src2),
                                         s.regs[a.rd], s.lo);
@@ -535,17 +535,17 @@ transferItem(const Cfg &cfg, size_t i, RegState s)
             setReg(&s, alu_write->first, alu_write->second);
     }
 
-    if (inst.jump && isa::jumpIsCall(inst.jump->kind)) {
+    if (inst.jump() && isa::jumpIsCall(inst.jump()->kind)) {
         // The link register receives the resume address (past the
         // delay slots) — a known constant.
         uint32_t resume = cfg.unit->origin + static_cast<uint32_t>(i) +
                           1 + static_cast<uint32_t>(
-                                  isa::jumpDelay(inst.jump->kind));
-        setReg(&s, inst.jump->link, AbsVal::constant(resume));
+                                  isa::jumpDelay(inst.jump()->kind));
+        setReg(&s, inst.jump()->link, AbsVal::constant(resume));
     }
 
-    if (inst.special) {
-        const isa::SpecialPiece &sp = *inst.special;
+    if (inst.special()) {
+        const isa::SpecialPiece &sp = *inst.special();
         switch (sp.op) {
           case isa::SpecialOp::MTS:
             switch (sp.sreg) {

@@ -162,8 +162,8 @@ collectCcSavings(const assembler::Unit &unit, CcSavings *out)
         bool is_compare = false;
         isa::Reg compared = isa::kZeroReg;
         bool against_zero = false;
-        if (item.inst.branch) {
-            const isa::BranchPiece &b = *item.inst.branch;
+        if (item.inst.branch()) {
+            const isa::BranchPiece &b = *item.inst.branch();
             if (b.cond != isa::Cond::ALWAYS &&
                 b.cond != isa::Cond::NEVER) {
                 is_compare = true;
@@ -172,8 +172,8 @@ collectCcSavings(const assembler::Unit &unit, CcSavings *out)
                                (!b.src2.is_imm &&
                                 b.src2.reg == isa::kZeroReg);
             }
-        } else if (item.inst.alu && item.inst.alu->op == AluOp::SET) {
-            const isa::AluPiece &a = *item.inst.alu;
+        } else if (item.inst.alu() && item.inst.alu()->op == AluOp::SET) {
+            const isa::AluPiece &a = *item.inst.alu();
             is_compare = true;
             compared = a.rs;
             against_zero = (a.src2.is_imm && a.src2.imm4 == 0) ||
@@ -196,12 +196,12 @@ collectCcSavings(const assembler::Unit &unit, CcSavings *out)
 
         bool producer_is_op = false;
         bool producer_is_move = false;
-        if (prev.inst.alu) {
-            switch (prev.inst.alu->op) {
+        if (prev.inst.alu()) {
+            switch (prev.inst.alu()->op) {
               case AluOp::ADD:
                 // `add rs, #0, rd` is the move idiom.
-                producer_is_move = prev.inst.alu->src2.is_imm &&
-                                   prev.inst.alu->src2.imm4 == 0;
+                producer_is_move = prev.inst.alu()->src2.is_imm &&
+                                   prev.inst.alu()->src2.imm4 == 0;
                 producer_is_op = !producer_is_move;
                 break;
               case AluOp::MOVI8:
@@ -215,7 +215,7 @@ collectCcSavings(const assembler::Unit &unit, CcSavings *out)
                 break;
             }
         }
-        if (prev.inst.mem && !prev.inst.mem->is_store)
+        if (prev.inst.mem() && !prev.inst.mem()->is_store)
             producer_is_move = true; // a load "moves" the value
 
         if (producer_is_op) {
@@ -240,7 +240,7 @@ accumulateRefs(const assembler::Unit &final_unit, uint32_t origin,
         uint64_t n = cpu.execCount(origin + static_cast<uint32_t>(i));
         if (n == 0)
             continue;
-        bool is_store = item.inst.mem && item.inst.mem->is_store;
+        bool is_store = item.inst.mem() && item.inst.mem()->is_store;
         bool is_byte = item.ref_size == 8;
         if (is_store) {
             (is_byte ? out->stores8 : out->stores32) += n;

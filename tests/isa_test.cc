@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "isa/cond.h"
 #include "isa/disasm.h"
 #include "isa/encoding.h"
@@ -407,15 +409,56 @@ TEST(Inst, ValidationRules)
 
     // ALU cannot pair with branch.
     Instruction bad;
-    bad.alu = AluPiece{};
-    bad.branch = BranchPiece{};
+    bad.setAlu(AluPiece{});
+    bad.setBranch(BranchPiece{});
     EXPECT_FALSE(validate(bad).empty());
 
-    // Two transfer pieces.
-    Instruction two;
-    two.mem = m;
-    two.branch = BranchPiece{};
-    EXPECT_FALSE(validate(two).empty());
+    // A word holds one transfer piece: a second one replaces the first.
+    Instruction two = Instruction::makeMem(m);
+    two.setBranch(BranchPiece{});
+    EXPECT_EQ(two.mem(), nullptr);
+    ASSERT_NE(two.branch(), nullptr);
+    EXPECT_EQ(two, Instruction::makeBranch(BranchPiece{}));
+    EXPECT_TRUE(validate(two).empty());
+}
+
+TEST(Inst, EqualityIgnoresAbsentPieces)
+{
+    static_assert(std::is_trivially_copyable_v<Instruction>);
+
+    // The union held different pieces before both words got the same
+    // ones: the bytes left behind must not count.
+    MemPiece m;
+    m.rd = 3;
+    m.imm = 1000;
+    JumpPiece j;
+    j.kind = JumpKind::CALL_DIRECT;
+    j.target_addr = 77;
+    Instruction x = Instruction::makeMem(m);
+    Instruction y = Instruction::makeJump(j);
+    EXPECT_NE(x, y);
+    SpecialPiece halt;
+    halt.op = SpecialOp::HALT;
+    x.setSpecial(halt);
+    y.setSpecial(halt);
+    EXPECT_EQ(x, y);
+    EXPECT_EQ(x, Instruction::makeHalt());
+
+    // Clearing a piece and setting it again gives a fresh word.
+    AluPiece a;
+    a.op = AluOp::XOR;
+    a.rd = 5;
+    Instruction z = Instruction::makePacked(a, MemPiece{});
+    z.clearAlu();
+    z.clearTransfer();
+    EXPECT_TRUE(z.isNop());
+    EXPECT_EQ(z, Instruction::makeNop());
+    AluPiece b;
+    b.op = AluOp::ADD;
+    b.rd = 2;
+    z.setAlu(b);
+    EXPECT_EQ(z, Instruction::makeAlu(b));
+    EXPECT_NE(z, Instruction::makeAlu(a));
 }
 
 TEST(Inst, PackableOps)

@@ -21,7 +21,7 @@ bool
 hasJumpTable(const assembler::Unit &unit)
 {
     for (const assembler::Item &item : unit.items)
-        if (item.inst.jump && isa::jumpIsTable(item.inst.jump->kind))
+        if (item.inst.jump() && isa::jumpIsTable(item.inst.jump()->kind))
             return true;
     return false;
 }

@@ -241,7 +241,7 @@ TEST(Schedule, PackingMergesAluAndMem)
     EXPECT_EQ(r.stats.packed_words, 1u) << listing(r.unit);
     // add|ld merged, halt: 2 words.
     EXPECT_EQ(r.unit.items.size(), 2u);
-    EXPECT_TRUE(r.unit.items[0].inst.alu && r.unit.items[0].inst.mem);
+    EXPECT_TRUE(r.unit.items[0].inst.alu() && r.unit.items[0].inst.mem());
 }
 
 TEST(Schedule, NoPackingWhenDependent)
@@ -356,9 +356,9 @@ TEST(DelayFill, Scheme2DuplicatesLoopHead)
     // duplicate exists.
     size_t adds = 0;
     for (const auto &item : r.unit.items)
-        if (!item.is_data && item.inst.alu &&
-            item.inst.alu->op == isa::AluOp::ADD &&
-            item.inst.alu->rd == 1) {
+        if (!item.is_data && item.inst.alu() &&
+            item.inst.alu()->op == isa::AluOp::ADD &&
+            item.inst.alu()->rd == 1) {
             ++adds;
         }
     EXPECT_EQ(adds, 2u) << listing(r.unit);
@@ -407,7 +407,7 @@ TEST(DelayFill, LoadsNeverEnterSlots)
     ReorgResult r = reorganize(u);
     for (size_t i = 0; i + 1 < r.unit.items.size(); ++i) {
         const auto &item = r.unit.items[i];
-        if (!item.is_data && item.inst.branch) {
+        if (!item.is_data && item.inst.branch()) {
             const auto &slot = r.unit.items[i + 1];
             EXPECT_FALSE(slot.inst.isLoad()) << listing(r.unit);
         }
@@ -855,7 +855,7 @@ TEST(LabelIds, TwiceDefinedLabelResolvesToTheFirstEverywhere)
     EXPECT_EQ(r.hints[0].orig_label, b);
     EXPECT_EQ(u.labels.item(r.hints[0].orig_label), 2u);
     const assembler::Item &slot = r.unit.items[1];
-    ASSERT_TRUE(slot.inst.alu) << listing(r.unit);
+    ASSERT_TRUE(slot.inst.alu()) << listing(r.unit);
     EXPECT_TRUE(slot.inst == u.items[2].inst) << listing(r.unit);
     EXPECT_EQ(r.unit.labels.item(r.hints[0].dup_label),
               r.unit.labels.item(b) + 1);

@@ -320,9 +320,9 @@ bool
 mutateImmediate(Unit *unit)
 {
     for (auto &item : unit->items) {
-        if (!item.is_data && item.inst.alu &&
-            item.inst.alu->op == isa::AluOp::MOVI8) {
-            item.inst.alu->imm8 ^= 1;
+        if (!item.is_data && item.inst.alu() &&
+            item.inst.alu()->op == isa::AluOp::MOVI8) {
+            item.inst.alu()->imm8 ^= 1;
             return true;
         }
     }
@@ -335,9 +335,9 @@ mutateEveryImmediate(Unit *unit)
 {
     bool any = false;
     for (auto &item : unit->items) {
-        if (!item.is_data && item.inst.alu &&
-            item.inst.alu->op == isa::AluOp::MOVI8) {
-            item.inst.alu->imm8 ^= 1;
+        if (!item.is_data && item.inst.alu() &&
+            item.inst.alu()->op == isa::AluOp::MOVI8) {
+            item.inst.alu()->imm8 ^= 1;
             any = true;
         }
     }
@@ -394,9 +394,9 @@ bool
 retargetTableFetch(Unit *unit)
 {
     for (auto &item : unit->items) {
-        if (!item.is_data && item.inst.jump &&
-            isa::jumpIsTable(item.inst.jump->kind)) {
-            item.inst.jump->index = static_cast<isa::Reg>(4);
+        if (!item.is_data && item.inst.jump() &&
+            isa::jumpIsTable(item.inst.jump()->kind)) {
+            item.inst.jump()->index = static_cast<isa::Reg>(4);
             return true;
         }
     }

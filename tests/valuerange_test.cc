@@ -308,8 +308,8 @@ TEST(Golden, Ms002BaseShiftDiscardsLowIndexBits)
         "ld (r4+r2>>1), r3\n"
         "halt\n");
     for (auto &item : u.items)
-        if (!item.is_data && item.inst.mem &&
-            item.inst.mem->mode == isa::MemMode::BASE_SHIFT)
+        if (!item.is_data && item.inst.mem() &&
+            item.inst.mem()->mode == isa::MemMode::BASE_SHIFT)
             item.ref_size = 32;
     DiagnosticEngine diags(&u);
     check(u, &diags);
@@ -328,8 +328,8 @@ TEST(Golden, Ms002AlignedIndexIsClean)
         "ld (r4+r2>>1), r3\n"
         "halt\n");
     for (auto &item : u.items)
-        if (!item.is_data && item.inst.mem &&
-            item.inst.mem->mode == isa::MemMode::BASE_SHIFT)
+        if (!item.is_data && item.inst.mem() &&
+            item.inst.mem()->mode == isa::MemMode::BASE_SHIFT)
             item.ref_size = 32;
     DiagnosticEngine diags(&u);
     check(u, &diags);

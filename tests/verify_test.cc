@@ -256,9 +256,9 @@ TEST(Golden, Hz002NeverTakenBranchInSlotIsFine)
         "a: beq r1, #0, a\n"
         "mov r0, r0\n"
         "halt\n");
-    u.items[1].inst = isa::Instruction{};
-    u.items[1].inst.branch = isa::BranchPiece{};
-    u.items[1].inst.branch->cond = isa::Cond::NEVER;
+    isa::BranchPiece never;
+    never.cond = isa::Cond::NEVER;
+    u.items[1].inst = isa::Instruction::makeBranch(never);
     VerifyReport report = verifyUnit(u);
     EXPECT_EQ(report.countOf(Code::HZ002), 0u) << dump(report, u);
 }
@@ -318,8 +318,8 @@ TEST(Golden, Hz005NoreorderRegionTampered)
     // Tamper with a fenced word: the verifier must notice.
     Unit tampered = r.unit;
     for (auto &item : tampered.items) {
-        if (item.no_reorder && item.inst.alu) {
-            item.inst.alu->imm8 = 9;
+        if (item.no_reorder && item.inst.alu()) {
+            item.inst.alu()->imm8 = 9;
             break;
         }
     }
@@ -393,13 +393,11 @@ TEST(Golden, Lt003UnreachableCode)
 
 TEST(Golden, Vf001InvalidWord)
 {
-    // Construct an illegal word directly: two transfer pieces.
+    // Construct an illegal word directly: an ALU piece beside a branch.
     Unit u = parseUnit("halt\n");
     assembler::Item bad;
-    bad.inst.branch = isa::BranchPiece{};
-    bad.inst.branch->cond = isa::Cond::ALWAYS;
-    bad.inst.special = isa::SpecialPiece{};
-    bad.inst.special->op = isa::SpecialOp::HALT;
+    bad.inst = isa::Instruction::makeBranch({});
+    bad.inst.setAlu(isa::AluPiece{});
     u.items.insert(u.items.begin(), bad);
     VerifyReport report = verifyUnit(u);
     ASSERT_GE(report.countOf(Code::VF001), 1u) << dump(report, u);
@@ -750,9 +748,7 @@ TEST(Mutation, TransferSwappedIntoDelaySlotIsCaught)
             continue;
         }
         Unit mutant = r.unit;
-        mutant.items[i].inst = isa::Instruction{};
-        mutant.items[i].inst.branch = isa::BranchPiece{};
-        mutant.items[i].inst.branch->cond = isa::Cond::ALWAYS;
+        mutant.items[i].inst = isa::Instruction::makeBranch({});
         mutant.items[i].target = mutant.labels.find("loop");
         ++mutated;
         VerifyReport report = verifyUnit(mutant);
@@ -779,7 +775,7 @@ TEST(Mutation, LoadSwappedBelowConsumerIsCaught)
         if (load.is_data || !load.inst.isLoad())
             continue;
         uint16_t rd_mask =
-            static_cast<uint16_t>(1u << load.inst.mem->rd);
+            static_cast<uint16_t>(1u << load.inst.mem()->rd);
         for (size_t j = i + 2; j < r.unit.items.size(); ++j) {
             const assembler::Item &use = r.unit.items[j];
             if (use.is_data ||
