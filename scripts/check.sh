@@ -236,10 +236,11 @@ fi
 "$build_dir/src/verify/mipsverify" --corpus
 
 # Determinism gate: parallel verification must emit byte-identical
-# output to a serial run, in text and JSON mode (--no-time drops
-# the wall-clock fields, which legitimately vary).
+# output to a serial run, in text and JSON mode and with every
+# analysis report (--no-time drops the wall-clock fields, which
+# legitimately vary).
 mv=$build_dir/src/verify/mipsverify
-for mode in "" "--json"; do
+for mode in "" "--json" "--tv --strict --cost=json --range=json"; do
     # shellcheck disable=SC2086  # word-splitting is intended
     "$mv" --corpus --no-time --jobs 1 $mode \
         > "$build_dir/verify-serial.out"

@@ -63,19 +63,21 @@ cases() {
     echo "label_collision /dev/null --tv --strict" \
         "tests/data/cli/label_collision.s"
     echo "stdin tests/data/cli/table_entry_data.s -"
-    # Each value flag with its value missing, then with a bad one.
+    # Each value flag with its value missing, then with bad ones.
     for flags in "--stack-budget" "--stack-budget=0" \
         "--cost-tolerance" "--cost-tolerance -1" \
+        "--cost-tolerance nan" "--cost-tolerance inf" \
         "--trace-out" "--trace-out=" \
         "--fuzz" "--fuzz 0" \
-        "--seed" "--seed=x" \
+        "--seed" "--seed=x" "--seed -1" "--seed 18446744073709551616" \
         "--fuzz-file" "--fuzz-file=" \
         "--jobs" "--jobs 2000"; do
         echo "usage_errors /dev/null $flags"
     done
     echo "missing /dev/null tests/data/cli/missing.s"
     for flags in "--corpus" "--corpus --json" "--corpus --cost --quiet" \
-        "--corpus --range=json --quiet"; do
+        "--corpus --range=json --quiet" "--corpus --jobs 4" \
+        "--corpus --tv --strict --cost --range --jobs 4 --quiet"; do
         echo "corpus /dev/null $flags"
     done
 }

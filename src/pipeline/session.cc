@@ -7,7 +7,6 @@
 
 #include "obs/catalog.h"
 #include "obs/trace.h"
-#include "pipeline/batch.h"
 #include "plc/parser.h"
 #include "plc/sema.h"
 #include "sim/machine.h"
@@ -442,6 +441,7 @@ Session::simulate(const Source &source, const StageOptions &options)
                 artifact->exec_counts = machine.cpu().execCounts(
                     dep->program.origin, dep->final_unit.items.size());
             }
+            artifact->faults = machine.cpu().faultEvents();
             // Fresh machine, one run: fold its counters into the
             // process-wide sim.* metrics (cache hits re-serve the
             // artifact without re-simulating, so nothing is counted
@@ -500,73 +500,6 @@ Session::valueRange(const Source &source, const StageOptions &options)
             artifact->diags = diags.diagnostics();
             verify::publishRangeMetrics(artifact->report);
             return RangeRef(artifact);
-        });
-}
-
-// --------------------------------------------------- batched chains
-
-std::vector<ChainResult>
-runAll(Session &session,
-       const std::vector<workload::CorpusProgram> &corpus,
-       const ChainSpec &stages, const StageOptions &options,
-       unsigned jobs)
-{
-    BatchRunner runner(jobs);
-    return runner.runAll(
-        corpus,
-        [&](const workload::CorpusProgram &program, size_t) {
-            ChainResult r;
-            r.name = program.name;
-            obs::Span span("chain", program.name);
-            Clock::time_point start = Clock::now();
-            auto fail = [&](const support::Error &error) {
-                r.error = error.str();
-                r.elapsed_ms = msSince(start);
-                return r;
-            };
-
-            auto compiled = session.compile(program.source, options);
-            if (!compiled.ok())
-                return fail(compiled.error());
-            r.compile = compiled.value();
-
-            auto reorg = session.reorganize(program.source, options);
-            if (!reorg.ok())
-                return fail(reorg.error());
-            r.reorg = reorg.value();
-            if (stages.hazard_verify) {
-                auto v = session.hazardVerify(program.source, options);
-                if (!v.ok())
-                    return fail(v.error());
-                r.verify = v.value();
-            }
-            if (stages.translation_validate) {
-                auto tv = session.translationValidate(program.source,
-                                                      options);
-                if (!tv.ok())
-                    return fail(tv.error());
-                r.tv = tv.value();
-            }
-            if (stages.simulate) {
-                auto sim = session.simulate(program.source, options);
-                if (!sim.ok())
-                    return fail(sim.error());
-                r.sim = sim.value();
-            }
-            if (stages.cost_model) {
-                auto cost = session.costModel(program.source, options);
-                if (!cost.ok())
-                    return fail(cost.error());
-                r.cost = cost.value();
-            }
-            if (stages.value_range) {
-                auto range = session.valueRange(program.source, options);
-                if (!range.ok())
-                    return fail(range.error());
-                r.range = range.value();
-            }
-            r.elapsed_ms = msSince(start);
-            return r;
         });
 }
 

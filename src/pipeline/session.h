@@ -30,17 +30,15 @@
  * and replayed, never recomputed. A stage that throws caches nothing,
  * so the next request for its key computes it again.
  *
- * Sessions are thread-safe: each stage cache is one key → slot map
+ * No path in `src/` shares a Session across threads: a consumer that
+ * fans work out over a `BatchRunner` builds one Session per task.
+ * Sharing one stays supported (perfbench's `fuzz_parallel` and the
+ * same-key herd test do): each stage cache is one key → slot map
  * behind one mutex. Every lookup takes that lock, but no lock is ever
  * held while a stage runs, so requests for different keys compute in
  * parallel. No request waits for another's computation: concurrent
  * requests for one key each compute it, the first result to land
- * fills the slot, and all of them return that one artifact. Every
- * caller in this repo asks for a given key from one thread, so the
- * duplicate work does not arise in practice. `runAll` fans a corpus
- * out across a `BatchRunner` thread pool with deterministic,
- * input-ordered result collection — parallel results are element-wise
- * identical to a serial run.
+ * fills the slot, and all of them return that one artifact.
  *
  * Per-stage hit/miss counts and miss wall time are counted per
  * Session (`stats()` returns a `PipelineStats` snapshot) and mirrored
@@ -68,7 +66,6 @@
 #include "verify/tv.h"
 #include "verify/verify.h"
 #include "workload/analyzers.h"
-#include "workload/corpus.h"
 
 namespace mips::pipeline {
 
@@ -204,6 +201,10 @@ struct SimArtifact
      *  (only when SimOptions::profile). Feeds the cost-model parity
      *  oracle (verify::checkCostParity). */
     std::vector<uint64_t> exec_counts;
+    /** The run's first Cpu::kMaxFaultEvents fault events, in order.
+     *  Feeds the memory-safety fault oracle
+     *  (verify::checkFaultCoverage). */
+    std::vector<sim::Cpu::FaultEvent> faults;
 
     /** Fraction of data bandwidth left idle. */
     double
@@ -297,8 +298,8 @@ struct PipelineStats
  * One cached toolchain instance. Methods are safe to call from any
  * number of threads; artifacts are immutable once returned. Nothing is
  * evicted: an entry lives as long as its Session, so scope a Session
- * to the inputs that can share its entries (the fuzzer makes one per
- * program).
+ * to the inputs that can share its entries (`mipsverify` makes one
+ * per corpus or fuzzed program).
  */
 class Session
 {
@@ -368,51 +369,5 @@ class Session
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
-
-// -------------------------------------------------- batched chains
-
-/** Which stages a chain run executes. Compile and reorganize always
- *  run. */
-struct ChainSpec
-{
-    bool hazard_verify = false;
-    bool translation_validate = false;
-    bool simulate = false;
-    bool cost_model = false;
-    bool value_range = false;
-};
-
-/** Outcome of one program's chain. Refs are null for stages that
- *  were not requested or not reached. */
-struct ChainResult
-{
-    std::string name;
-    CompileRef compile;
-    ReorgRef reorg;
-    VerifyRef verify;
-    TvRef tv;
-    SimRef sim;
-    CostRef cost;
-    RangeRef range;
-    /** First failing stage's message; empty on success. Note that a
-     *  failing *report* (hazard or TV errors) is a successful chain —
-     *  the artifact carries the diagnostics. */
-    std::string error;
-    double elapsed_ms = 0; ///< wall time of this chain's stage calls
-
-    bool ok() const { return error.empty(); }
-};
-
-/**
- * Run every corpus program through the requested stages on a
- * fixed-size thread pool (`jobs`), collecting results in input order.
- * Deterministic: the result vector is element-wise identical to a
- * `jobs == 1` run (elapsed_ms aside).
- */
-std::vector<ChainResult>
-runAll(Session &session,
-       const std::vector<workload::CorpusProgram> &corpus,
-       const ChainSpec &stages, const StageOptions &options,
-       unsigned jobs);
 
 } // namespace mips::pipeline

@@ -145,7 +145,6 @@ class Cpu
     uint32_t reg(isa::Reg r) const { return regs_[r]; }
     void setReg(isa::Reg r, uint32_t value);
     uint32_t lo() const { return lo_; }
-    void setLo(uint32_t value) { lo_ = value; }
 
     /** Address of the next instruction to execute. */
     uint32_t pc() const { return stream_[0]; }
@@ -211,7 +210,6 @@ class Cpu
      * benchmarks can measure the speedup and tests can assert parity.
      */
     void enableFastPath(bool on);
-    bool fastPathEnabled() const { return fast_path_; }
 
     /** Predecode-cache hit/miss counters (host-side, not simulated). */
     uint64_t decodeCacheHits() const { return decode_hits_; }

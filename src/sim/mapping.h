@@ -160,7 +160,6 @@ class MappingUnit
     /** Enable/disable the micro-TLB (disabling also flushes). The
      *  reference (`--no-fastpath`) runs disable it to prove parity. */
     void setTlbEnabled(bool on);
-    bool tlbEnabled() const { return tlb_enabled_; }
 
     uint64_t tlbHits() const { return tlb_hits_; }
     uint64_t tlbMisses() const { return tlb_misses_; }

@@ -33,8 +33,7 @@ PhysMemory::readMmio(uint32_t addr)
       case MmioReg::INT_SOURCE:
         return highestPendingDevice();
       case MmioReg::CYCLES_LO:
-        return static_cast<uint32_t>(cycle_source_ ? *cycle_source_
-                                                   : cycles_);
+        return static_cast<uint32_t>(cycle_source_ ? *cycle_source_ : 0);
       default:
         return 0;
     }

@@ -159,13 +159,9 @@ class PhysMemory
     /** Highest-priority (lowest id) pending device, 0 if none. */
     uint32_t highestPendingDevice() const;
 
-    /** Cycle-counter value surfaced through CYCLES_LO (set by hosts
-     *  without a live CPU attached; the CPU registers a source below). */
-    void setCycleCounter(uint64_t cycles) { cycles_ = cycles; }
-
     /** Register a live counter read on demand by CYCLES_LO, so the CPU
      *  does not have to push the count into the device every cycle.
-     *  Pass nullptr to detach (falls back to setCycleCounter's value). */
+     *  Pass nullptr to detach (CYCLES_LO then reads 0). */
     void setCycleSource(const uint64_t *source) { cycle_source_ = source; }
 
     /**
@@ -251,7 +247,6 @@ class PhysMemory
     std::vector<std::unique_ptr<uint32_t[]>> storage_;
     std::string console_;
     uint32_t pending_devices_ = 0; ///< bitmask of requesting devices
-    uint64_t cycles_ = 0;
     const uint64_t *cycle_source_ = nullptr;
     uint32_t map_sva_ = 0;
     std::function<void(bool, uint32_t, uint32_t)> map_hook_;

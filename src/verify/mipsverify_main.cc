@@ -15,10 +15,9 @@
  *                                prove each one equivalent)
  *
  * Options: --jobs N (verify corpus units on N threads, 0 = auto: one
- * worker per usable core; diagnostics are buffered per unit and
- * emitted in input order, so the output is byte-identical to
- * --jobs 1 — modulo wall-clock fields, which --no-time suppresses
- * for the determinism gate), --json
+ * worker per usable core; units print in input order, so the output
+ * is byte-identical to --jobs 1 — modulo wall-clock fields, which
+ * --no-time suppresses for the determinism gate), --json
  * (machine-readable report with per-unit wall time), --no-lint (hazard
  * checks only), --quiet (status only), --strict (promote notes — e.g.
  * TV090 "not proven" — to errors), --fail-fast (stop --corpus at the
@@ -39,11 +38,11 @@
  * folds the MS001-MS006 findings into the verify report (the stats +
  * per-function stack table print after it), --stack-budget N enables
  * the MS005 worst-case stack-depth gate, and --range-oracle
- * (single-file only) additionally runs the linked unit on the
- * simulator and checks that every observed fault/overflow event was
- * predicted by a MUST or MAY finding — the exit status then reports
- * the coverage verdict alone, which is what the scripts/check.sh
- * simulator-as-oracle gate consumes.
+ * (single-file only) additionally runs the linked unit through the
+ * simulate stage and checks that every observed fault/overflow event
+ * was predicted by a MUST or MAY finding — the exit status then
+ * reports the coverage verdict alone, which is what the
+ * scripts/check.sh simulator-as-oracle gate consumes.
  *
  * Observability (docs/METRICS.md, docs/CLI.md): --stats prints a
  * snapshot of the process-wide metrics registry after the run (as a
@@ -65,16 +64,18 @@
  * which is how the tests/data/fuzz-regressions/ gate re-checks every
  * counterexample ever found.
  *
- * Both modes run through a pipeline::Session, so repeated stages
- * share cached artifacts and report pipeline.* metrics and spans. A
- * single file is a `SCHEDULED` source unless --reorg asks for the
- * reorganizer; the corpus fans its units across a
- * pipeline::BatchRunner with deterministic result collection.
+ * Every mode runs through pipeline::Sessions, so repeated stages share
+ * cached artifacts and report pipeline.* metrics and spans. A single
+ * file (a `SCHEDULED` source unless --reorg asks for the reorganizer)
+ * runs on one; the corpus and the fuzzer fan their programs across a
+ * pipeline::BatchRunner, each on a Session of its own.
  *
  * Exit status: 0 = no error-severity findings, 1 = at least one error,
  * 2 = usage or input failure.
  */
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -93,7 +94,8 @@
 #include "pipeline/batch.h"
 #include "pipeline/session.h"
 #include "reorg/reorganizer.h"
-#include "sim/machine.h"
+#include "sim/memory.h"
+#include "sim/surprise.h"
 #include "support/logging.h"
 #include "verify/costmodel.h"
 #include "verify/interproc.h"
@@ -240,114 +242,149 @@ msSince(Clock::time_point start)
         .count();
 }
 
+/** One unit's run: the artifacts its report draws on (null for a
+ *  stage the flags did not ask for), or the first failing stage's
+ *  message. */
+struct UnitRun
+{
+    mips::pipeline::VerifyRef verify;
+    mips::pipeline::TvRef tv;
+    mips::pipeline::SimRef sim; ///< profiled run for parity (corpus only)
+    mips::pipeline::CostRef cost;
+    mips::pipeline::RangeRef range;
+    std::string error;
+    double elapsed_ms = 0; ///< wall time of the stage calls
+};
+
+/** Print one unit's cost report (plus the parity sweep when the
+ *  simulator ran). */
+void
+printCost(const CliOptions &cli, const mips::verify::CostReport &report,
+          const mips::verify::CostParity *parity)
+{
+    if (cli.cost == 2) {
+        std::printf("%s\n", mips::verify::costJson(report, parity).c_str());
+        return;
+    }
+    std::fputs(mips::verify::costText(report).c_str(), stdout);
+    if (parity) {
+        std::printf("%s: cost parity: %zu block(s), %zu exact, "
+                    "%zu bounded, %zu violation(s)\n",
+                    report.unit.c_str(), parity->checked, parity->exact,
+                    parity->bounded, parity->violations);
+        for (const std::string &note : parity->notes)
+            std::printf("  %s\n", note.c_str());
+    }
+}
+
 /**
- * Render one unit's report into `out` (unless quiet) and report
- * whether the unit verified clean. Buffering into a string (instead
- * of printing directly) is what lets --jobs N emit units in input
- * order.
+ * Print one unit's reports and report whether the unit is clean: the
+ * verify report (unless quiet) with the TV and range findings folded
+ * in, then `dot` (single-file --callgraph output), then the cost
+ * report, checked against the profiled run when there is one, then
+ * the range report. Cost and range output ignore --quiet: each *is*
+ * a requested report, not verification chatter.
  */
 bool
-emit(const CliOptions &cli, mips::verify::VerifyReport report,
-     const mips::assembler::Unit &unit, const std::string &name,
-     double elapsed_ms, std::string *out)
+printUnit(const CliOptions &cli, const std::string &name,
+          const UnitRun &unit, const std::string &dot)
 {
     using mips::support::strprintf;
+    namespace verify = mips::verify;
+    verify::VerifyReport report = unit.verify->report;
+    auto merge = [&report](const std::vector<verify::Diagnostic> &diags) {
+        for (const verify::Diagnostic &d : diags) {
+            report.diagnostics.push_back(d);
+            switch (d.severity) {
+            case verify::Severity::ERROR: ++report.errors; break;
+            case verify::Severity::WARNING: ++report.warnings; break;
+            case verify::Severity::NOTE: ++report.notes; break;
+            }
+        }
+    };
+    if (unit.tv)
+        merge(unit.tv->report.diagnostics);
+    if (unit.range)
+        merge(unit.range->diags);
     if (cli.strict)
-        mips::verify::promoteNotesToErrors(&report);
+        verify::promoteNotesToErrors(&report);
+    std::string out;
     if (cli.json) {
-        *out += mips::verify::reportJson(
-            report, name, cli.no_time ? -1.0 : elapsed_ms);
-        *out += "\n";
+        double ms = cli.no_time ? -1.0 : unit.elapsed_ms;
+        out = verify::reportJson(report, name, ms) + "\n";
     } else if (!cli.quiet) {
-        *out += mips::verify::reportText(report, unit, name);
-        *out += strprintf("%s: %zu error(s), %zu warning(s), "
-                          "%zu note(s)",
-                          name.c_str(), report.errors, report.warnings,
-                          report.notes);
+        out = verify::reportText(report, unit.verify->reorg->final_unit,
+                                 name);
+        out += strprintf("%s: %zu error(s), %zu warning(s), %zu note(s)",
+                         name.c_str(), report.errors, report.warnings,
+                         report.notes);
         if (!cli.no_time)
-            *out += strprintf(" [%.1f ms]", elapsed_ms);
-        *out += "\n";
+            out += strprintf(" [%.1f ms]", unit.elapsed_ms);
+        out += "\n";
     }
-    return report.clean();
-}
+    out += dot;
+    std::fputs(out.c_str(), stdout);
+    bool clean = report.clean();
 
-/** Render one unit's cost report (plus the parity sweep when the
- *  simulator ran). Cost output ignores --quiet: it *is* the requested
- *  report, not verification chatter. */
-std::string
-costOutput(const CliOptions &cli, const mips::verify::CostReport &report,
-           const mips::verify::CostParity *parity)
-{
-    using mips::support::strprintf;
-    if (cli.cost == 2)
-        return mips::verify::costJson(report, parity) + "\n";
-    std::string out = mips::verify::costText(report);
-    if (parity) {
-        out += strprintf("%s: cost parity: %zu block(s), %zu exact, "
-                         "%zu bounded, %zu violation(s)\n",
-                         report.unit.c_str(), parity->checked,
-                         parity->exact, parity->bounded,
-                         parity->violations);
-        for (const std::string &note : parity->notes)
-            out += "  " + note + "\n";
-    }
-    return out;
-}
-
-/** Fold more findings (translation validation's, or the MS findings
- *  of a range run) into the main report's list and severity
- *  counters. */
-void
-mergeDiagnostics(mips::verify::VerifyReport *into,
-                 const std::vector<mips::verify::Diagnostic> &diags)
-{
-    for (const mips::verify::Diagnostic &d : diags) {
-        into->diagnostics.push_back(d);
-        switch (d.severity) {
-        case mips::verify::Severity::ERROR: ++into->errors; break;
-        case mips::verify::Severity::WARNING: ++into->warnings; break;
-        case mips::verify::Severity::NOTE: ++into->notes; break;
+    if (unit.cost) {
+        verify::CostReport cost = unit.cost->report;
+        cost.unit = name;
+        if (!unit.sim) {
+            printCost(cli, cost, nullptr);
+        } else if (unit.sim->stop != mips::sim::StopReason::HALT) {
+            std::fprintf(stderr,
+                         "mipsverify: %s: simulation did not halt; "
+                         "cost parity not checked\n",
+                         name.c_str());
+            clean = false;
+        } else {
+            verify::CostParity parity = verify::checkCostParity(
+                cost, unit.sim->exec_counts, cli.cost_tolerance);
+            printCost(cli, cost, &parity);
+            clean = clean && parity.violations == 0;
         }
     }
+    if (cli.range) {
+        verify::RangeReport range = unit.range->report;
+        range.unit = name;
+        std::fputs((cli.range == 2 ? verify::rangeJson(range)
+                                   : verify::rangeText(range))
+                       .c_str(),
+                   stdout);
+    }
+    return clean;
 }
 
-/** Render one unit's range report. Like --cost, this ignores --quiet:
- *  it *is* the requested report. */
-std::string
-rangeOutput(const CliOptions &cli,
-            const mips::verify::RangeReport &report)
-{
-    if (cli.range == 2)
-        return mips::verify::rangeJson(report);
-    return mips::verify::rangeText(report);
-}
-
-/** Run the linked unit on the simulator and match every observed
- *  fault/overflow event against the static MS findings. Returns the
- *  gate verdict (0 covered, 1 not; 2 if the unit does not link) and
- *  appends the summary to `out`. */
+/** Run the linked unit through the simulate stage and match every
+ *  observed fault/overflow event against the static MS findings.
+ *  Returns the gate verdict (0 covered, 1 not; 2 if the unit does not
+ *  link) and appends the summary to `out`. */
 int
-runRangeOracle(const mips::pipeline::ReorgArtifact &reorg,
+runRangeOracle(mips::pipeline::Session &session,
+               const mips::pipeline::Source &source,
+               mips::pipeline::StageOptions options,
                const std::string &name,
                const std::vector<mips::verify::Diagnostic> &diags,
                std::string *out)
 {
     using mips::support::strprintf;
-    if (reorg.link_error) {
+    // The oracle reads the fault events alone: no profile.
+    options.sim = {.max_cycles = 10'000'000};
+    auto run = session.simulate(source, options);
+    if (!run.ok()) {
+        // Reorganize has already succeeded, so the one way to fail
+        // is a unit that does not link.
         std::fprintf(stderr, "mipsverify: %s: link failed: %s\n",
-                     name.c_str(), reorg.link_error->message.c_str());
+                     name.c_str(), run.error().message.c_str());
         return 2;
     }
-    mips::sim::Machine machine;
-    machine.load(reorg.program);
-    machine.cpu().run(10'000'000);
+    const mips::pipeline::SimArtifact &sim = *run.value();
     std::vector<mips::verify::ObservedFault> faults;
-    for (const mips::sim::Cpu::FaultEvent &e :
-         machine.cpu().faultEvents())
+    for (const mips::sim::Cpu::FaultEvent &e : sim.faults)
         faults.push_back({static_cast<uint8_t>(e.cause), e.pc, e.addr});
     mips::verify::FaultCoverage cov = mips::verify::checkFaultCoverage(
-        diags, reorg.program.origin, reorg.final_unit.items.size(),
-        faults);
+        diags, sim.reorg->program.origin,
+        sim.reorg->final_unit.items.size(), faults);
     *out += strprintf("%s: range-oracle: %zu event(s), %zu covered, "
                       "%zu exempt\n",
                       name.c_str(), cov.events, cov.covered,
@@ -384,17 +421,43 @@ runCorpus(const CliOptions &cli)
     programs.push_back(mips::workload::puzzle0Program());
     programs.push_back(mips::workload::puzzle1Program());
 
-    mips::pipeline::Session session;
     const mips::pipeline::StageOptions options = stageOptions(cli);
-    mips::pipeline::ChainSpec spec;
-    spec.hazard_verify = true;
-    spec.translation_validate = cli.tv;
-    // The cost model is validated, not trusted: every unit also runs on
-    // the simulator with profiling on, and the static report must agree
-    // with the dynamic per-word issue counts.
-    spec.cost_model = cli.cost != 0;
-    spec.simulate = cli.cost != 0;
-    spec.value_range = cli.range != 0;
+    // Each program runs on a Session of its own: no program can hit
+    // another's artifacts. The cost model is validated, not trusted:
+    // under --cost every unit also runs on the simulator with
+    // profiling on, and the static report must agree with the dynamic
+    // per-word issue counts.
+    auto chain = [&](const mips::workload::CorpusProgram &program,
+                     size_t) {
+        UnitRun run;
+        mips::pipeline::Session session;
+        mips::obs::Span span("chain", program.name);
+        Clock::time_point start = Clock::now();
+        // Store each stage's artifact; the first failing stage ends
+        // the chain with its message.
+        auto keep = [&run](auto result, auto *into) {
+            if (result.ok())
+                *into = result.value();
+            else
+                run.error = result.error().str();
+            return result.ok();
+        };
+        const mips::pipeline::Source source(program.source);
+        mips::pipeline::CompileRef compiled;
+        mips::pipeline::ReorgRef reorg;
+        keep(session.compile(program.source, options), &compiled) &&
+            keep(session.reorganize(source, options), &reorg) &&
+            keep(session.hazardVerify(source, options), &run.verify) &&
+            (!cli.tv ||
+             keep(session.translationValidate(source, options), &run.tv)) &&
+            (!cli.cost ||
+             (keep(session.simulate(source, options), &run.sim) &&
+              keep(session.costModel(source, options), &run.cost))) &&
+            (!cli.range ||
+             keep(session.valueRange(source, options), &run.range));
+        run.elapsed_ms = msSince(start);
+        return run;
+    };
 
     // Fail-fast still computes in parallel waves of `jobs` units, but
     // emission stops at the first failing unit, so the output matches
@@ -402,6 +465,7 @@ runCorpus(const CliOptions &cli)
     size_t wave = cli.fail_fast
                       ? std::max<size_t>(cli.jobs, 1)
                       : programs.size();
+    mips::pipeline::BatchRunner runner(cli.jobs);
 
     size_t failed = 0;
     size_t ran = 0;
@@ -413,96 +477,47 @@ runCorpus(const CliOptions &cli)
             programs.begin() +
                 static_cast<ptrdiff_t>(
                     std::min(base + wave, programs.size())));
-        std::vector<mips::pipeline::ChainResult> results =
-            mips::pipeline::runAll(session, slice, spec, options,
-                                   cli.jobs);
-        for (const mips::pipeline::ChainResult &r : results) {
+        std::vector<UnitRun> runs = runner.runAll(slice, chain);
+        for (size_t i = 0; i < runs.size() && !stopped; ++i) {
+            const UnitRun &r = runs[i];
+            const char *name = slice[i].name;
             ++ran;
-            if (!r.ok()) {
+            bool clean = false;
+            if (r.error.empty())
+                clean = printUnit(cli, name, r, "");
+            else
                 std::fprintf(stderr,
                              "mipsverify: %s: compile failed: %s\n",
-                             r.name.c_str(), r.error.c_str());
-                ++failed;
-                if (cli.fail_fast) {
-                    stopped = true;
-                    break;
-                }
-                continue;
-            }
-            mips::verify::VerifyReport report = r.verify->report;
-            if (cli.tv)
-                mergeDiagnostics(&report, r.tv->report.diagnostics);
-            if (cli.range)
-                mergeDiagnostics(&report, r.range->diags);
-            std::string out;
-            bool clean = emit(cli, std::move(report),
-                              r.reorg->final_unit, r.name, r.elapsed_ms,
-                              &out);
-            std::fputs(out.c_str(), stdout);
-            if (cli.cost) {
-                if (r.sim->stop != mips::sim::StopReason::HALT) {
-                    std::fprintf(stderr,
-                                 "mipsverify: %s: simulation did not "
-                                 "halt; cost parity not checked\n",
-                                 r.name.c_str());
-                    clean = false;
-                } else {
-                    mips::verify::CostReport cost = r.cost->report;
-                    cost.unit = r.name;
-                    mips::verify::CostParity parity =
-                        mips::verify::checkCostParity(
-                            cost, r.sim->exec_counts,
-                            cli.cost_tolerance);
-                    std::string cost_out =
-                        costOutput(cli, cost, &parity);
-                    std::fputs(cost_out.c_str(), stdout);
-                    if (parity.violations != 0)
-                        clean = false;
-                }
-            }
-            if (cli.range) {
-                mips::verify::RangeReport range = r.range->report;
-                range.unit = r.name;
-                std::string range_out = rangeOutput(cli, range);
-                std::fputs(range_out.c_str(), stdout);
-            }
+                             name, r.error.c_str());
             if (!clean) {
                 ++failed;
-                if (cli.fail_fast) {
-                    stopped = true;
-                    break;
-                }
+                stopped = cli.fail_fast;
             }
         }
     }
-    if (!cli.quiet) {
+    if (!cli.quiet)
         std::printf("mipsverify: %zu/%zu corpus program(s) verified "
                     "clean%s\n",
                     ran - failed, programs.size(),
                     ran < programs.size() ? " (stopped early)" : "");
-    }
     return failed == 0 ? 0 : 1;
 }
 
 int
 runFile(const CliOptions &cli)
 {
-    std::string text;
-    if (cli.file == "-") {
-        std::ostringstream buf;
-        buf << std::cin.rdbuf();
-        text = buf.str();
-    } else {
-        std::ifstream in(cli.file);
+    std::ifstream in;
+    if (cli.file != "-") {
+        in.open(cli.file);
         if (!in) {
             std::fprintf(stderr, "mipsverify: cannot open %s\n",
                          cli.file.c_str());
             return 2;
         }
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        text = buf.str();
     }
+    std::ostringstream buf;
+    buf << (cli.file == "-" ? std::cin.rdbuf() : in.rdbuf());
+    const std::string text = buf.str();
 
     // As written, the unit is taken as already scheduled and analysed
     // untouched; --reorg (and --tv) hand it to the reorganizer first.
@@ -521,29 +536,21 @@ runFile(const CliOptions &cli)
                      verified.error().message.c_str());
         return 2;
     }
-    // The unit that would run on the machine: the reorganized one
-    // under --reorg.
-    const mips::pipeline::ReorgArtifact &reorg = *verified.value()->reorg;
-    mips::verify::VerifyReport report = verified.value()->report;
+    UnitRun unit;
+    unit.verify = verified.value();
     if (cli.tv)
-        mergeDiagnostics(
-            &report,
-            session.translationValidate(source, options).value()->report
-                .diagnostics);
+        unit.tv = session.translationValidate(source, options).value();
 
-    // Extra reports print after the verify report; the range findings
-    // themselves fold *into* it, so the analysis runs before emit.
-    std::string extra_out;
+    std::string dot;
     if (cli.callgraph) {
-        // No artifact carries the call graph, so build it here (the
-        // graph refers into `cfg`).
+        // No artifact carries the call graph, so build it here, over
+        // the reorganized unit under --reorg (the graph refers into
+        // `cfg`).
         mips::verify::Cfg cfg =
-            mips::verify::buildCfg(reorg.final_unit, nullptr);
+            mips::verify::buildCfg(unit.verify->reorg->final_unit, nullptr);
         mips::verify::CallGraph graph = mips::verify::buildCallGraph(cfg);
-        std::string dot = mips::verify::callGraphDot(graph, cli.file);
-        if (cli.callgraph_out.empty()) {
-            extra_out += dot;
-        } else {
+        dot = mips::verify::callGraphDot(graph, cli.file);
+        if (!cli.callgraph_out.empty()) {
             std::ofstream dot_out(cli.callgraph_out);
             if (!dot_out) {
                 std::fprintf(stderr, "mipsverify: cannot write %s\n",
@@ -551,39 +558,27 @@ runFile(const CliOptions &cli)
                 return 2;
             }
             dot_out << dot;
+            dot.clear();
         }
     }
-    if (cli.cost) {
-        // Static-only in single-file mode: parity needs a whole program
-        // to simulate (--corpus --cost).
-        mips::verify::CostReport cost =
-            session.costModel(source, options).value()->report;
-        cost.unit = cli.file;
-        extra_out += costOutput(cli, cost, nullptr);
-    }
+    if (cli.cost)
+        unit.cost = session.costModel(source, options).value();
+    // The range findings fold into the verify report, under
+    // --range-oracle too.
+    if (cli.range || cli.range_oracle)
+        unit.range = session.valueRange(source, options).value();
     int oracle_status = -1; // -1 = oracle not requested
-    if (cli.range || cli.range_oracle) {
-        mips::pipeline::RangeRef range =
-            session.valueRange(source, options).value();
-        mergeDiagnostics(&report, range->diags);
-        if (cli.range) {
-            mips::verify::RangeReport range_report = range->report;
-            range_report.unit = cli.file;
-            extra_out += rangeOutput(cli, range_report);
-        }
-        if (cli.range_oracle) {
-            oracle_status =
-                runRangeOracle(reorg, cli.file, range->diags, &extra_out);
-            if (oracle_status == 2)
-                return 2;
-        }
+    std::string oracle_out;
+    if (cli.range_oracle) {
+        oracle_status = runRangeOracle(session, source, options, cli.file,
+                                       unit.range->diags, &oracle_out);
+        if (oracle_status == 2)
+            return 2;
     }
 
-    std::string out;
-    bool clean = emit(cli, std::move(report), reorg.final_unit, cli.file,
-                      msSince(start), &out);
-    std::fputs(out.c_str(), stdout);
-    std::fputs(extra_out.c_str(), stdout);
+    unit.elapsed_ms = msSince(start);
+    bool clean = printUnit(cli, cli.file, unit, dot);
+    std::fputs(oracle_out.c_str(), stdout);
 
     // Under --range-oracle the exit status is the coverage verdict
     // alone: the fault corpus *intends* to contain MS errors.
@@ -817,7 +812,8 @@ main(int argc, char **argv)
                                              &i)) {
             char *end = nullptr;
             cli.cost_tolerance = std::strtod(v, &end);
-            if (end == v || *end != '\0' || cli.cost_tolerance < 0.0)
+            if (end == v || *end != '\0' ||
+                !std::isfinite(cli.cost_tolerance) || cli.cost_tolerance < 0.0)
                 usageError("bad --cost-tolerance '%s'", v);
         } else if (arg == "--stats") {
             cli.stats = true;
@@ -846,9 +842,12 @@ main(int argc, char **argv)
             cli.fuzz = static_cast<uint64_t>(n);
         } else if (const char *v = flagValue("--seed", "a value", argc,
                                              argv, &i)) {
+            // strtoull negates a leading '-' and clamps on overflow.
             char *end = nullptr;
+            errno = 0;
             cli.fuzz_seed = std::strtoull(v, &end, 10);
-            if (end == v || *end != '\0')
+            if (end == v || *end != '\0' || errno == ERANGE ||
+                std::strchr(v, '-'))
                 usageError("bad --seed '%s'", v);
         } else if (arg == "--fuzz-minimize") {
             cli.fuzz_minimize = true;

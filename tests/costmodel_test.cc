@@ -204,25 +204,20 @@ TEST(CostParity, StaticModelMatchesSimulatorOverCorpus)
     programs.push_back(workload::puzzle1Program());
 
     pipeline::Session session;
-    pipeline::ChainSpec spec;
-    spec.simulate = true;
-    spec.cost_model = true;
     pipeline::StageOptions options;
     options.sim.profile = true;
-    std::vector<pipeline::ChainResult> results =
-        pipeline::runAll(session, programs, spec, options, 4);
-
-    ASSERT_EQ(results.size(), programs.size());
-    for (const pipeline::ChainResult &r : results) {
-        ASSERT_TRUE(r.ok()) << r.name << ": " << r.error;
-        ASSERT_EQ(r.sim->stop, sim::StopReason::HALT) << r.name;
-        ASSERT_NE(r.cost, nullptr) << r.name;
+    for (const workload::CorpusProgram &p : programs) {
+        auto run = session.simulate(p.source, options);
+        ASSERT_TRUE(run.ok()) << p.name << ": " << run.error().str();
+        ASSERT_EQ(run.value()->stop, sim::StopReason::HALT) << p.name;
+        auto cost = session.costModel(p.source, options);
+        ASSERT_TRUE(cost.ok()) << p.name << ": " << cost.error().str();
         CostParity parity = checkCostParity(
-            r.cost->report, r.sim->exec_counts, 0.02);
-        EXPECT_GT(parity.checked, 0u) << r.name;
-        EXPECT_EQ(parity.exact, parity.checked) << r.name;
+            cost.value()->report, run.value()->exec_counts, 0.02);
+        EXPECT_GT(parity.checked, 0u) << p.name;
+        EXPECT_EQ(parity.exact, parity.checked) << p.name;
         EXPECT_EQ(parity.violations, 0u)
-            << r.name << ": "
+            << p.name << ": "
             << (parity.notes.empty() ? "" : parity.notes[0]);
     }
 }

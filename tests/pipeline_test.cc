@@ -2,8 +2,8 @@
  * @file
  * Pipeline-session tests: cache identity and keying (Pascal, assembly
  * and scheduled sources), link failures carried as artifact data, the
- * range stage's MS-only diagnostics, parallel/serial equivalence of
- * `runAll`, counter consistency, error caching, one artifact for a
+ * range stage's MS-only diagnostics, the simulate stage's fault
+ * events, counter consistency, error caching, one artifact for a
  * same-key herd, and the BatchRunner's ordering, no-stranding,
  * queue-depth, concurrent-runner and exception contracts.
  */
@@ -22,6 +22,7 @@
 #include "obs/catalog.h"
 #include "pipeline/batch.h"
 #include "pipeline/session.h"
+#include "sim/machine.h"
 #include "workload/corpus.h"
 
 namespace {
@@ -36,54 +37,27 @@ testCorpus()
     return programs;
 }
 
-pipeline::ChainSpec
-fullChain()
+/** Run `source` through every stage from compile to value-range, in
+ *  the order `mipsverify --corpus --tv --cost --range` calls them.
+ *  Returns the first failing stage's message, empty when none fails. */
+std::string
+runChain(pipeline::Session &session, const char *source,
+         const pipeline::StageOptions &options)
 {
-    pipeline::ChainSpec spec;
-    spec.hazard_verify = true;
-    spec.translation_validate = true;
-    spec.simulate = true;
-    return spec;
-}
-
-// A parallel runAll must produce results element-wise identical to a
-// serial one: same order, same rendered units, same diagnostics, same
-// simulation outcome.
-TEST(PipelineSession, ParallelRunAllMatchesSerial)
-{
-    std::vector<workload::CorpusProgram> programs = testCorpus();
-    pipeline::StageOptions options;
-    pipeline::ChainSpec spec = fullChain();
-
-    pipeline::Session serial_session;
-    std::vector<pipeline::ChainResult> serial = pipeline::runAll(
-        serial_session, programs, spec, options, 1);
-    pipeline::Session parallel_session;
-    std::vector<pipeline::ChainResult> parallel = pipeline::runAll(
-        parallel_session, programs, spec, options, 8);
-
-    ASSERT_EQ(serial.size(), programs.size());
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-        const pipeline::ChainResult &a = serial[i];
-        const pipeline::ChainResult &b = parallel[i];
-        SCOPED_TRACE(a.name);
-        EXPECT_EQ(a.name, programs[i].name);
-        EXPECT_EQ(a.name, b.name);
-        ASSERT_TRUE(a.ok());
-        ASSERT_TRUE(b.ok());
-        EXPECT_EQ(assembler::listUnit(a.reorg->final_unit),
-                  assembler::listUnit(b.reorg->final_unit));
-        EXPECT_EQ(a.verify->report.errors, b.verify->report.errors);
-        EXPECT_EQ(a.verify->report.warnings, b.verify->report.warnings);
-        EXPECT_EQ(a.verify->report.diagnostics.size(),
-                  b.verify->report.diagnostics.size());
-        EXPECT_EQ(a.tv->report.errors, b.tv->report.errors);
-        EXPECT_EQ(a.tv->report.notes, b.tv->report.notes);
-        EXPECT_EQ(a.sim->stop, b.sim->stop);
-        EXPECT_EQ(a.sim->cycles, b.sim->cycles);
-        EXPECT_EQ(a.sim->console, b.sim->console);
-    }
+    std::string error;
+    auto ok = [&error](const auto &result) {
+        if (!result.ok())
+            error = result.error().str();
+        return result.ok();
+    };
+    ok(session.compile(source, options)) &&
+        ok(session.reorganize(source, options)) &&
+        ok(session.hazardVerify(source, options)) &&
+        ok(session.translationValidate(source, options)) &&
+        ok(session.simulate(source, options)) &&
+        ok(session.costModel(source, options)) &&
+        ok(session.valueRange(source, options));
+    return error;
 }
 
 // A cache hit hands back the very artifact the cold run produced —
@@ -287,6 +261,48 @@ TEST(PipelineSession, LinkFailureIsArtifactData)
     }
 }
 
+// The simulate stage carries its run's fault events: the same ones the
+// unit's linked program records on a machine of its own, and none for
+// a clean unit.
+TEST(PipelineSession, SimulateCarriesFaultEvents)
+{
+    pipeline::Session session;
+    pipeline::StageOptions options;
+    options.sim.max_cycles = 10'000;
+    // A load past physical memory faults, re-enters at address 0 (the
+    // load itself) and faults again, until the cycle budget runs out.
+    const pipeline::Source faulting("    ld @0x1FFFFF, r1\n"
+                                    "    nop\n"
+                                    "    halt\n",
+                                    pipeline::Language::SCHEDULED);
+    auto run = session.simulate(faulting, options);
+    ASSERT_TRUE(run.ok()) << run.error().str();
+    const std::vector<sim::Cpu::FaultEvent> &faults = run.value()->faults;
+    EXPECT_FALSE(faults.empty());
+
+    sim::Machine machine;
+    machine.load(run.value()->reorg->program);
+    machine.cpu().run(options.sim.max_cycles);
+    const std::vector<sim::Cpu::FaultEvent> &want =
+        machine.cpu().faultEvents();
+    ASSERT_EQ(faults.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(faults[i].cause, want[i].cause);
+        EXPECT_EQ(faults[i].pc, want[i].pc);
+        EXPECT_EQ(faults[i].addr, want[i].addr);
+    }
+
+    const pipeline::Source clean("    ld @0xFFFFF, r1\n"
+                                 "    nop\n"
+                                 "    halt\n",
+                                 pipeline::Language::SCHEDULED);
+    auto clean_run = session.simulate(clean, options);
+    ASSERT_TRUE(clean_run.ok()) << clean_run.error().str();
+    EXPECT_EQ(clean_run.value()->stop, sim::StopReason::HALT);
+    EXPECT_TRUE(clean_run.value()->faults.empty());
+}
+
 // The range stage's diagnostics are its MS findings alone: a malformed
 // jump table is HazardVerify's VF004, never a "memory-safety" finding
 // too.
@@ -321,11 +337,9 @@ TEST(PipelineSession, StatsCountersConsistent)
     std::vector<workload::CorpusProgram> programs = testCorpus();
     pipeline::Session session;
     pipeline::StageOptions options;
-    pipeline::ChainSpec spec = fullChain();
-    spec.cost_model = true;
-    spec.value_range = true;
 
-    pipeline::runAll(session, programs, spec, options, 1);
+    for (const workload::CorpusProgram &program : programs)
+        runChain(session, program.source, options);
     pipeline::PipelineStats cold = session.stats();
     // Each program touches compile, reorganize, verify, tv, simulate,
     // cost and range exactly once, cold.
@@ -348,7 +362,8 @@ TEST(PipelineSession, StatsCountersConsistent)
     uint64_t cold_misses = cold.misses();
     EXPECT_EQ(cold_misses, 7 * n);
 
-    pipeline::runAll(session, programs, spec, options, 1);
+    for (const workload::CorpusProgram &program : programs)
+        runChain(session, program.source, options);
     pipeline::PipelineStats warm = session.stats();
     EXPECT_EQ(warm.misses(), cold_misses); // nothing recomputed
     EXPECT_GT(warm.hits(), cold_hits);
@@ -374,13 +389,7 @@ TEST(PipelineSession, ErrorsAreCached)
     EXPECT_EQ(stats.stage[compile_idx].hits, 1u);
 
     // A chain over a bad program reports the failure, not a crash.
-    std::vector<workload::CorpusProgram> programs = {
-        {"bad", bad, ""}};
-    std::vector<pipeline::ChainResult> results = pipeline::runAll(
-        session, programs, fullChain(), pipeline::StageOptions{}, 2);
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_FALSE(results[0].ok());
-    EXPECT_FALSE(results[0].error.empty());
+    EXPECT_FALSE(runChain(session, bad, pipeline::StageOptions{}).empty());
 }
 
 // A thundering herd on one key: a thread that finds the key still
